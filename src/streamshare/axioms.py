@@ -2,8 +2,9 @@
 
 Three layers:
 
-* pair verifiers take explicit before/after instances and report the
-  manipulation gain against the axiom's allowed bound,
+* verifiers take explicit before/after instances and return one
+  :class:`GainReport`: the scored payment on both sides, the gain, and
+  the axiom's allowed bound,
 * randomized searchers build single-user manipulations out of point
   masses and random rows,
 * trial suites drive the searchers over thousands of seeded random
@@ -34,9 +35,6 @@ MARGIN_TOL = 1e-7
 
 #: Tolerance for the structural premises a before/after pair must satisfy.
 PREMISE_TOL = 1e-12
-
-#: One-sided slack for monotonicity-style pass/fail checks.
-MONOTONE_TOL = 1e-9
 
 
 class AxiomId(str, Enum):
@@ -90,12 +88,16 @@ def _payments(rule, instance: Instance) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GainReport:
-    """Outcome of one pair check: how much the manipulation gained."""
+    """Outcome of one check: the scored payment ``before`` and ``after`` the
+    manipulation, the ``gain`` the verdict is judged on, and the axiom's
+    ``bound``. Each verifier's docstring says what it scores."""
 
     axiom: AxiomId
     rule: str
     gain: float
     bound: float
+    before: float
+    after: float
 
     @property
     def margin(self) -> float:
@@ -180,15 +182,23 @@ def split_instance(instance: Instance, spec: SybilSplitSpec) -> Instance:
 
 
 # ---------------------------------------------------------------------------
-# pair verifiers
+# verifiers
+
+
+def _worst_artist(axiom, rule, before, after, gain, bound: float) -> GainReport:
+    """Report the artist with the largest ``gain`` entry."""
+    k = int(np.argmax(gain))
+    return GainReport(
+        axiom, rule_name(rule), float(gain[k]), bound, float(before[k]), float(after[k])
+    )
 
 
 def verify_fraud_pair(rule, base: Instance, manipulated: Instance, target_set) -> GainReport:
     """Gain of ``target_set`` when ``manipulated`` appends fake users to ``base``.
 
     ``manipulated`` must extend ``base``: same artists, same alpha, original
-    rows bit-identical, at least one appended row. The allowed bound is the
-    number of added users.
+    rows bit-identical, at least one appended row, and be a valid instance.
+    The allowed bound is the number of added users.
     """
     if manipulated.n_artists != base.n_artists:
         raise NotAnExtensionError("artist sets differ")
@@ -199,40 +209,48 @@ def verify_fraud_pair(rule, base: Instance, manipulated: Instance, target_set) -
         raise NotAnExtensionError("manipulated instance adds no users")
     if not np.array_equal(manipulated.weights[: base.n_users], base.weights):
         raise NotAnExtensionError("an original row was edited")
+    core.validate(manipulated)
     before = core.subset_payment(_payments(rule, base), target_set)
     after = core.subset_payment(_payments(rule, manipulated), target_set)
-    return GainReport(AxiomId.FRAUD_PROOF, rule_name(rule), after - before, float(added))
+    return GainReport(
+        AxiomId.FRAUD_PROOF, rule_name(rule), after - before, float(added), before, after
+    )
 
 
 def _changed_rows(base: Instance, manipulated: Instance) -> np.ndarray:
+    """Indices of the rewritten rows of a valid same-shape pair."""
     if manipulated.n_users != base.n_users or manipulated.n_artists != base.n_artists:
         raise PremiseError("instances must share both dimensions")
     if manipulated.alpha != base.alpha:
         raise PremiseError("alpha differs between the instances")
-    return np.flatnonzero(np.any(manipulated.weights != base.weights, axis=1))
+    changed = np.flatnonzero(np.any(manipulated.weights != base.weights, axis=1))
+    if changed.size == 0:
+        raise NoRowsChangedError("instances are identical")
+    core.validate(manipulated)
+    return changed
 
 
 def verify_bribery_pair(rule, base: Instance, manipulated: Instance, target_set) -> GainReport:
     """Gain of ``target_set`` when k existing rows are rewritten (bound k)."""
     changed = _changed_rows(base, manipulated)
-    if changed.size == 0:
-        raise NoRowsChangedError("instances are identical")
     before = core.subset_payment(_payments(rule, base), target_set)
     after = core.subset_payment(_payments(rule, manipulated), target_set)
     return GainReport(
-        AxiomId.BRIBERY_PROOF, rule_name(rule), after - before, float(changed.size)
+        AxiomId.BRIBERY_PROOF, rule_name(rule), after - before, float(changed.size),
+        before, after,
     )
 
 
 def verify_click_fraud(rule, base: Instance, manipulated: Instance) -> GainReport:
-    """Largest per-artist payment swing caused by a single rewritten row."""
+    """Largest per-artist payment swing caused by a single rewritten row
+    (bound 1), reported on the artist that swung most."""
     changed = _changed_rows(base, manipulated)
-    if changed.size == 0:
-        raise NoRowsChangedError("instances are identical")
     if changed.size > 1:
         raise PremiseError(f"{changed.size} rows changed; this is a single-user check")
-    swing = np.abs(_payments(rule, manipulated) - _payments(rule, base))
-    return GainReport(AxiomId.CLICK_FRAUD_PROOF, rule_name(rule), float(swing.max()), 1.0)
+    before, after = _payments(rule, base), _payments(rule, manipulated)
+    return _worst_artist(
+        AxiomId.CLICK_FRAUD_PROOF, rule, before, after, np.abs(after - before), 1.0
+    )
 
 
 def verify_sybil(rule, instance: Instance, spec: SybilSplitSpec) -> GainReport:
@@ -241,7 +259,9 @@ def verify_sybil(rule, instance: Instance, spec: SybilSplitSpec) -> GainReport:
     j, r = int(spec.split_artist), spec.parts.shape[1]
     before = float(_payments(rule, instance)[j])
     after = float(_payments(rule, manipulated)[j : j + r].sum())
-    return GainReport(AxiomId.SYBIL_PROOF, rule_name(rule), abs(after - before), 0.0)
+    return GainReport(
+        AxiomId.SYBIL_PROOF, rule_name(rule), abs(after - before), 0.0, before, after
+    )
 
 
 def _common_masks(base: Instance, manipulated: Instance, cstar):
@@ -252,6 +272,13 @@ def _common_masks(base: Instance, manipulated: Instance, cstar):
     keep_b = np.isin(np.arange(base.n_artists), cstar)
     keep_m = np.isin(np.arange(manipulated.n_artists), cstar)
     return cstar, keep_b, keep_m
+
+
+def _group_change(axiom, rule, base, manipulated, keep_b, keep_m) -> GainReport:
+    """Absolute change of the payment to the artists outside ``cstar``."""
+    before = float(_payments(rule, base)[~keep_b].sum())
+    after = float(_payments(rule, manipulated)[~keep_m].sum())
+    return GainReport(axiom, rule_name(rule), abs(after - before), 0.0, before, after)
 
 
 def verify_sybil_pair(rule, base: Instance, manipulated: Instance, cstar) -> GainReport:
@@ -276,9 +303,7 @@ def verify_sybil_pair(rule, base: Instance, manipulated: Instance, cstar) -> Gai
     mass_m = manipulated.weights[:, ~keep_m].sum(axis=1)
     if np.any(np.abs(mass_b - mass_m) > PREMISE_TOL):
         raise PremiseError("a user's mass on the manipulated artists changed")
-    before = float(_payments(rule, base)[~keep_b].sum())
-    after = float(_payments(rule, manipulated)[~keep_m].sum())
-    return GainReport(AxiomId.SYBIL_PROOF, rule_name(rule), abs(after - before), 0.0)
+    return _group_change(AxiomId.SYBIL_PROOF, rule, base, manipulated, keep_b, keep_m)
 
 
 def verify_strong_sybil(rule, base: Instance, manipulated: Instance, cstar) -> GainReport:
@@ -299,14 +324,20 @@ def verify_strong_sybil(rule, base: Instance, manipulated: Instance, cstar) -> G
         raise PremiseError("an untouched artist's column total changed")
     if abs(tot_b[~keep_b].sum() - tot_m[~keep_m].sum()) > PREMISE_TOL:
         raise PremiseError("total mass on the manipulated artists changed")
-    before = float(_payments(rule, base)[~keep_b].sum())
-    after = float(_payments(rule, manipulated)[~keep_m].sum())
-    return GainReport(
-        AxiomId.STRONG_SYBIL_PROOF, rule_name(rule), abs(after - before), 0.0
-    )
+    return _group_change(AxiomId.STRONG_SYBIL_PROOF, rule, base, manipulated, keep_b, keep_m)
 
 
-def _em_drop(rule, base: Instance, manipulated: Instance, jstar: int) -> float:
+def _one_artist_drop(axiom, rule, base, manipulated, artist: int) -> GainReport:
+    before = float(_payments(rule, base)[artist])
+    after = float(_payments(rule, manipulated)[artist])
+    return GainReport(axiom, rule_name(rule), before - after, 0.0, before, after)
+
+
+def verify_engagement_monotone(
+    rule, base: Instance, manipulated: Instance, jstar: int
+) -> GainReport:
+    """Drop of ``jstar``'s payment when engagement with ``jstar`` rises and
+    with every other artist falls (bound 0)."""
     if manipulated.n_users != base.n_users or manipulated.n_artists != base.n_artists:
         raise PremiseError("instances must share both dimensions")
     if manipulated.alpha != base.alpha:
@@ -319,14 +350,7 @@ def _em_drop(rule, base: Instance, manipulated: Instance, jstar: int) -> float:
     others = np.arange(base.n_artists) != jstar
     if np.any(w2[:, others] > w[:, others] + PREMISE_TOL):
         raise PremiseError("engagement with another artist increased")
-    before = float(_payments(rule, base)[jstar])
-    after = float(_payments(rule, manipulated)[jstar])
-    return before - after
-
-
-def verify_engagement_monotone(rule, base: Instance, manipulated: Instance, jstar: int) -> bool:
-    """True when boosting ``jstar`` (and nothing else) does not lower its payment."""
-    return _em_drop(rule, base, manipulated, jstar) <= MONOTONE_TOL
+    return _one_artist_drop(AxiomId.ENGAGEMENT_MONOTONE, rule, base, manipulated, jstar)
 
 
 def _pd_apply(instance: Instance, transfer) -> tuple[Instance, int]:
@@ -351,34 +375,34 @@ def _pd_apply(instance: Instance, transfer) -> tuple[Instance, int]:
     return Instance(w2, instance.alpha), artist
 
 
-def _pd_drop(rule, instance: Instance, transfer) -> tuple[float, Instance]:
+def verify_pigou_dalton(rule, instance: Instance, transfer) -> GainReport:
+    """Drop of an artist's payment under the equalizing transfer
+    ``(donor, recipient, artist, delta)`` of its engagement (bound 0)."""
     manipulated, artist = _pd_apply(instance, transfer)
-    before = float(_payments(rule, instance)[artist])
-    after = float(_payments(rule, manipulated)[artist])
-    return before - after, manipulated
+    return _one_artist_drop(AxiomId.PIGOU_DALTON, rule, instance, manipulated, artist)
 
 
-def verify_pigou_dalton(rule, instance: Instance, transfer) -> bool:
-    """True when an equalizing transfer ``(donor, recipient, artist, delta)``
-    does not lower the artist's payment."""
-    drop, _ = _pd_drop(rule, instance, transfer)
-    return drop <= MONOTONE_TOL
-
-
-def verify_user_addition_monotone(rule, instance: Instance, profile) -> bool:
-    """True when adding one user weakly raises every artist's payment."""
+def verify_user_addition_monotone(rule, instance: Instance, profile) -> GainReport:
+    """Largest drop of any artist's payment when one valid user with
+    ``profile`` joins (bound 0), reported on the worst-hit artist."""
     manipulated = core.add_user(instance, profile)
+    core.validate(manipulated)
     before = _payments(rule, instance)
     after = _payments(rule, manipulated)
-    return bool(np.all(before <= after + MONOTONE_TOL))
+    return _worst_artist(
+        AxiomId.USER_ADDITION_MONOTONE, rule, before, after, before - after, 0.0
+    )
 
 
 def verify_no_free_ridership(rule, instance: Instance) -> GainReport:
-    """Largest payment granted to an artist nobody engages with (bound 0)."""
+    """Largest payment granted to an artist nobody engages with (bound 0).
+
+    ``before`` is the 0 such an artist is owed, ``after`` what it gets.
+    """
     payments = _payments(rule, instance)
     dead = instance.artist_totals() == 0
     gain = float(payments[dead].max()) if dead.any() else 0.0
-    return GainReport(AxiomId.NO_FREE_RIDERSHIP, rule_name(rule), gain, 0.0)
+    return GainReport(AxiomId.NO_FREE_RIDERSHIP, rule_name(rule), gain, 0.0, 0.0, gain)
 
 
 def _check_permutation(perm, size: int) -> np.ndarray:
@@ -388,28 +412,31 @@ def _check_permutation(perm, size: int) -> np.ndarray:
     return perm
 
 
-def verify_anonymity(rule, instance: Instance, perm) -> bool:
-    """True when shuffling user rows leaves every payment unchanged."""
+def verify_anonymity(rule, instance: Instance, perm) -> GainReport:
+    """Largest absolute change of a payment when user rows are shuffled
+    (bound 0), reported on the artist that moved most."""
     perm = _check_permutation(perm, instance.n_users)
     shuffled = Instance(instance.weights[perm], instance.alpha)
-    return bool(
-        np.allclose(_payments(rule, instance), _payments(rule, shuffled), atol=MONOTONE_TOL)
-    )
+    before, after = _payments(rule, instance), _payments(rule, shuffled)
+    return _worst_artist(AxiomId.ANONYMITY, rule, before, after, np.abs(after - before), 0.0)
 
 
-def verify_neutrality(rule, instance: Instance, perm) -> bool:
-    """True when relabeling artists relabels the payments the same way."""
+def verify_neutrality(rule, instance: Instance, perm) -> GainReport:
+    """Largest absolute difference between the payments of relabeled artists
+    and the relabeled payments (bound 0), reported on the worst label."""
     perm = _check_permutation(perm, instance.n_artists)
     relabeled = Instance(instance.weights[:, perm], instance.alpha)
-    expected = _payments(rule, instance)[perm]
-    return bool(np.allclose(_payments(rule, relabeled), expected, atol=MONOTONE_TOL))
+    before = _payments(rule, instance)[perm]
+    after = _payments(rule, relabeled)
+    return _worst_artist(AxiomId.NEUTRALITY, rule, before, after, np.abs(after - before), 0.0)
 
 
-#: Every axiom tag dispatches to exactly one verifier.
+#: Every axiom tag dispatches to exactly one verifier. Each takes the rule
+#: and the base instance first, then the manipulation.
 VERIFIERS: dict[AxiomId, Callable] = {
     AxiomId.FRAUD_PROOF: verify_fraud_pair,
     AxiomId.BRIBERY_PROOF: verify_bribery_pair,
-    AxiomId.SYBIL_PROOF: verify_sybil,
+    AxiomId.SYBIL_PROOF: verify_sybil_pair,
     AxiomId.STRONG_SYBIL_PROOF: verify_strong_sybil,
     AxiomId.NO_FREE_RIDERSHIP: verify_no_free_ridership,
     AxiomId.ANONYMITY: verify_anonymity,
@@ -758,8 +785,8 @@ def _em_trial(rule, inst, rng, n_random):
     others = np.arange(m) != jstar
     w[:, others] *= rng.uniform(0.2, 1.0, size=(n, int(others.sum())))
     manipulated = Instance(w, inst.alpha)
-    drop = _em_drop(rule, inst, manipulated, jstar)
-    return (drop, drop, 0.0, inst, manipulated, (jstar,), None)
+    report = verify_engagement_monotone(rule, inst, manipulated, jstar)
+    return (report.margin, report.gain, 0.0, inst, manipulated, (jstar,), None)
 
 
 def _pd_trial(rule, inst, rng, n_random):
@@ -776,8 +803,9 @@ def _pd_trial(rule, inst, rng, n_random):
         if delta <= 0:
             continue
         transfer = (int(donor), int(recipient), j, delta)
-        drop, manipulated = _pd_drop(rule, inst, transfer)
-        return (drop, drop, 0.0, inst, manipulated, (j,), None)
+        report = verify_pigou_dalton(rule, inst, transfer)
+        manipulated, _ = _pd_apply(inst, transfer)
+        return (report.margin, report.gain, 0.0, inst, manipulated, (j,), None)
     return None
 
 

@@ -20,18 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import axioms, core
-from .axioms import (
-    AxiomId,
-    GainReport,
-    SybilSplitSpec,
-    split_instance,
-    verify_bribery_pair,
-    verify_fraud_pair,
-    verify_strong_sybil,
-    verify_sybil,
-    verify_sybil_pair,
-)
+from . import core
+from .axioms import VERIFIERS, AxiomId, GainReport
 from .core import BadAlphaError, Instance
 from .rules import user_prop
 
@@ -44,8 +34,11 @@ class DomainError(ValueError):
 class Fixture:
     """One pinned manipulation with its expected outcome.
 
-    ``expected_before``/``expected_after`` are the scored group's payments on
-    the two sides; ``expected_gain`` is what the verifier must report. The
+    The manipulation is given by the fields its axiom's verifier takes
+    after the base instance, in field order: ``manipulated`` with
+    ``target_set`` or ``cstar``, a ``transfer``, or a ``profile``.
+    ``expected_before``/``expected_after`` are the scored payments on the
+    two sides; ``expected_gain`` is what the verifier must report. The
     ``note`` explains the mechanics in plain words.
     """
 
@@ -55,9 +48,8 @@ class Fixture:
     base: Instance
     manipulated: Optional[Instance] = None
     target_set: Optional[tuple] = None
-    split: Optional[SybilSplitSpec] = None
-    transfer: Optional[tuple] = None
     cstar: Optional[tuple] = None
+    transfer: Optional[tuple] = None
     profile: Optional[tuple] = None
     expected_before: Optional[float] = None
     expected_after: Optional[float] = None
@@ -69,79 +61,13 @@ class Fixture:
 
 def verify_fixture(fixture: Fixture) -> GainReport:
     """Run a fixture through its axiom's verifier and return the report."""
-    a = fixture.axiom
-    if a is AxiomId.FRAUD_PROOF:
-        return verify_fraud_pair(
-            fixture.rule, fixture.base, fixture.manipulated, fixture.target_set
-        )
-    if a is AxiomId.BRIBERY_PROOF:
-        return verify_bribery_pair(
-            fixture.rule, fixture.base, fixture.manipulated, fixture.target_set
-        )
-    if a is AxiomId.SYBIL_PROOF:
-        if fixture.split is not None:
-            return verify_sybil(fixture.rule, fixture.base, fixture.split)
-        return verify_sybil_pair(
-            fixture.rule, fixture.base, fixture.manipulated, fixture.cstar
-        )
-    if a is AxiomId.STRONG_SYBIL_PROOF:
-        return verify_strong_sybil(
-            fixture.rule, fixture.base, fixture.manipulated, fixture.cstar
-        )
-    if a is AxiomId.PIGOU_DALTON:
-        drop, _ = axioms._pd_drop(fixture.rule, fixture.base, fixture.transfer)
-        return GainReport(a, axioms.rule_name(fixture.rule), drop, 0.0)
-    if a is AxiomId.USER_ADDITION_MONOTONE:
-        before = axioms._payments(fixture.rule, fixture.base)
-        added = core.add_user(fixture.base, fixture.profile)
-        after = axioms._payments(fixture.rule, added)
-        return GainReport(
-            a, axioms.rule_name(fixture.rule), float((before - after).max()), 0.0
-        )
-    raise ValueError(f"no fixture dispatch for axiom {a!r}")
-
-
-def fixture_sides(fixture: Fixture) -> tuple:
-    """Scored group's payment before and after the manipulation.
-
-    For the transfer and user-addition fixtures this is the payment of the
-    worst-hit artist.
-    """
-
-    def pay(inst):
-        return axioms._payments(fixture.rule, inst)
-
-    a = fixture.axiom
-    if a in (AxiomId.FRAUD_PROOF, AxiomId.BRIBERY_PROOF):
-        return (
-            core.subset_payment(pay(fixture.base), fixture.target_set),
-            core.subset_payment(pay(fixture.manipulated), fixture.target_set),
-        )
-    if a is AxiomId.SYBIL_PROOF and fixture.split is not None:
-        j, r = int(fixture.split.split_artist), fixture.split.parts.shape[1]
-        manipulated = split_instance(fixture.base, fixture.split)
-        return float(pay(fixture.base)[j]), float(pay(manipulated)[j : j + r].sum())
-    if a in (AxiomId.SYBIL_PROOF, AxiomId.STRONG_SYBIL_PROOF):
-        _, keep_b, keep_m = axioms._common_masks(
-            fixture.base, fixture.manipulated, fixture.cstar
-        )
-        return (
-            float(pay(fixture.base)[~keep_b].sum()),
-            float(pay(fixture.manipulated)[~keep_m].sum()),
-        )
-    if a is AxiomId.PIGOU_DALTON:
-        manipulated, artist = axioms._pd_apply(fixture.base, fixture.transfer)
-        return float(pay(fixture.base)[artist]), float(pay(manipulated)[artist])
-    if a is AxiomId.USER_ADDITION_MONOTONE:
-        before = pay(fixture.base)
-        after = pay(core.add_user(fixture.base, fixture.profile))
-        worst = int(np.argmax(before - after))
-        return float(before[worst]), float(after[worst])
-    raise ValueError(f"no fixture dispatch for axiom {a!r}")
-
-
-def _rows(*rows) -> list:
-    return [list(r) for r in rows]
+    manipulation = (
+        fixture.manipulated, fixture.target_set, fixture.cstar,
+        fixture.transfer, fixture.profile,
+    )
+    return VERIFIERS[fixture.axiom](
+        fixture.rule, fixture.base, *(x for x in manipulation if x is not None)
+    )
 
 
 def fixtures() -> dict:
@@ -191,7 +117,8 @@ def fixtures() -> dict:
         axiom=AxiomId.SYBIL_PROOF,
         rule="usereq",
         base=Instance([[1.0, 1.0]], 1.0),
-        split=SybilSplitSpec(1, [[0.5, 0.5]]),
+        manipulated=Instance([[1.0, 0.5, 0.5]], 1.0),
+        cstar=(0,),
         expected_before=0.5, expected_after=2.0 / 3.0, expected_gain=1.0 / 6.0,
         note="support-counting pays per distinct artist, so splitting into "
              "two identities grows the family share from 1/2 to 2/3",
@@ -410,7 +337,8 @@ def fixtures() -> dict:
         axiom=AxiomId.SYBIL_PROOF,
         rule="max",
         base=Instance([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], 1.0),
-        split=SybilSplitSpec(1, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        manipulated=Instance([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 1.0),
+        cstar=(0,),
         expected_before=1.5, expected_after=2.0, expected_gain=0.5,
         note="giving each fan their own sybil keeps every column maximum at "
              "one, so the family collects a share per identity",
@@ -444,11 +372,12 @@ def fixtures() -> dict:
         axiom=AxiomId.SYBIL_PROOF,
         rule="med",
         base=Instance([[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]], 1.0),
-        split=SybilSplitSpec(0, [[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]]),
+        manipulated=Instance([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 1.0, 0.0]], 1.0),
+        cstar=(1,),
         expected_before=1.5, expected_after=0.0, expected_gain=1.5,
-        note="splitting the column scatters its supporters so each sybil's "
-             "median collapses to zero; equality fails in the losing "
-             "direction",
+        note="splitting column 0 into columns 0 and 2 scatters its "
+             "supporters so each sybil's median collapses to zero; equality "
+             "fails in the losing direction",
     ))
     put(Fixture(
         name="util-sybil",
@@ -483,10 +412,10 @@ def fixtures() -> dict:
         axiom=AxiomId.SYBIL_PROOF,
         rule="indmkt",
         base=Instance([[1.0, 0.0]] * 4 + [[0.0, 1.0]], 1.0),
-        split=SybilSplitSpec(
-            1,
-            [[0.0] * 4, [0.0] * 4, [0.0] * 4, [0.0] * 4, [0.25, 0.25, 0.25, 0.25]],
+        manipulated=Instance(
+            [[1.0, 0.0, 0.0, 0.0, 0.0]] * 4 + [[0.0, 0.25, 0.25, 0.25, 0.25]], 1.0
         ),
+        cstar=(0,),
         expected_before=1.0, expected_after=2.5, expected_gain=1.5,
         note="four sybil markets each collect a phantom median instead of one",
     ))

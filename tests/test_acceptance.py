@@ -38,7 +38,7 @@ from streamshare import (
     verify_fixture,
 )
 from streamshare.axioms import random_instance
-from streamshare.fixtures import approval_majority, fixture_sides, minority_floor
+from streamshare.fixtures import approval_majority, minority_floor
 from streamshare.portioning import normalize
 
 PORTIONING_NAMES = ("avg", "max", "min", "med", "geo", "util", "egal", "indmkt")
@@ -108,10 +108,10 @@ def test_criterion_03_named_witnesses_certify():
 
     pd_up = fx["userprop-pigoudalton"]
     a = pd_up.base.alpha
-    before, after = fixture_sides(pd_up)
-    close("userprop transfer before", before, 2.0 * a / 3.0)
-    close("userprop transfer after", after, 3.0 * a / 5.0)
-    if not verify_fixture(pd_up).violation:
+    pd_report = verify_fixture(pd_up)
+    close("userprop transfer before", pd_report.before, 2.0 * a / 3.0)
+    close("userprop transfer after", pd_report.after, 3.0 * a / 5.0)
+    if not pd_report.violation:
         problems.append("userprop-pigoudalton did not certify")
     if not verify_fixture(fx["scaledup-pigoudalton"]).violation:
         problems.append("scaledup-pigoudalton did not certify")
@@ -276,7 +276,7 @@ def test_criterion_08_market_medians():
     sol = market_solution(normalize(fraud.manipulated).weights)
     expected_t = 1.0 / (2.0 * fraud.base.n_users)
     sybil = fixtures()["indmkt-sybil"]
-    _, after = fixture_sides(sybil)
+    after = verify_fixture(sybil).after
     expected_pay = sybil.base.n_users * sybil.base.alpha / 2.0
 
     ok = worst <= 1e-9 and abs(sol.t_star - expected_t) <= 1e-9 and abs(after - expected_pay) <= 1e-9

@@ -1,5 +1,7 @@
 """Verifiers, the fixture library, pathological rules, and the random suites."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from streamshare import (
     SUITE_GRID,
     AxiomId,
     BadAlphaError,
+    GainReport,
+    NegativeWeightError,
     RuleId,
     SybilSplitSpec,
     ViolationWitness,
@@ -20,6 +24,7 @@ from streamshare import (
     evaluate,
     fixtures,
     pathological_rules,
+    replace_user,
     run_suite,
     search_bribery,
     search_fraud,
@@ -51,7 +56,7 @@ from streamshare.axioms import (
     verify_sybil_pair,
     verify_user_addition_monotone,
 )
-from streamshare.fixtures import DomainError, fixture_sides
+from streamshare.fixtures import DomainError
 
 DEFAULT_TOL = 1e-9
 
@@ -237,7 +242,7 @@ def test_engagement_monotone_holds_for_main_rules(rule, inst):
     jstar = 0
     w = inst.weights.copy()
     w[:, jstar] += rng.exponential(1.0, size=inst.n_users)
-    assert verify_engagement_monotone(rule, inst, make(w, inst.alpha), jstar)
+    assert not verify_engagement_monotone(rule, inst, make(w, inst.alpha), jstar).violation
 
 
 def test_pigou_dalton_premise_guards():
@@ -260,8 +265,8 @@ def test_pigou_dalton_verdicts_on_the_known_split():
     # so globalprop cannot move
     inst = make([[1, 2], [9, 0]])
     transfer = (0, 1, 1, 1.0)
-    assert verify_pigou_dalton("globalprop", inst, transfer)
-    assert not verify_pigou_dalton("userprop", inst, transfer)
+    assert not verify_pigou_dalton("globalprop", inst, transfer).violation
+    assert verify_pigou_dalton("userprop", inst, transfer).violation
 
 
 @given(inst=instances(max_users=5))
@@ -270,13 +275,13 @@ def test_user_addition_monotone_for_userprop(inst):
     """Adding a user adds a nonnegative contribution on top of everyone
     else's, so user-local rules can only go up."""
     profile = np.ones(inst.n_artists)
-    assert verify_user_addition_monotone("userprop", inst, profile)
-    assert verify_user_addition_monotone("usereq", inst, profile)
+    assert not verify_user_addition_monotone("userprop", inst, profile).violation
+    assert not verify_user_addition_monotone("usereq", inst, profile).violation
 
 
 def test_user_addition_monotone_fails_for_globalprop():
     inst = make([[1, 0]] * 5)
-    assert not verify_user_addition_monotone("globalprop", inst, (0, 5))
+    assert verify_user_addition_monotone("globalprop", inst, (0, 5)).violation
 
 
 @pytest.mark.parametrize("rule", MAIN_RULES)
@@ -289,8 +294,8 @@ def test_no_free_ridership_reports_dead_artists(rule):
 
 def test_anonymity_and_neutrality():
     inst = make([[3, 1], [0, 1], [2, 2]], alpha=0.6)
-    assert verify_anonymity("scaledup", inst, [2, 0, 1])
-    assert verify_neutrality("scaledup", inst, [1, 0])
+    assert not verify_anonymity("scaledup", inst, [2, 0, 1]).violation
+    assert not verify_neutrality("scaledup", inst, [1, 0]).violation
     with pytest.raises(PremiseError):
         verify_anonymity("scaledup", inst, [0, 0, 1])
     with pytest.raises(PremiseError):
@@ -299,6 +304,81 @@ def test_anonymity_and_neutrality():
 
 def test_verifier_table_covers_every_axiom():
     assert set(VERIFIERS) == set(AxiomId)
+
+
+def test_every_verifier_returns_a_gain_report():
+    for verify in VERIFIERS.values():
+        assert inspect.signature(verify).return_annotation in (GainReport, "GainReport")
+
+
+def test_reports_carry_both_sides():
+    base = make([[1, 1], [1, 1]])
+    em = verify_engagement_monotone("globalprop", base, make([[2, 1], [1, 1]]), 0)
+    assert (em.before, em.bound) == (1.0, 0.0) and em.after == pytest.approx(1.2)
+    assert em.gain == em.before - em.after and not em.violation
+    ones = make([[1, 0]] * 5)
+    click = verify_click_fraud("globalprop", ones, replace_user(ones, 4, [1, 5]))
+    assert (click.before, click.after, click.gain, click.bound) == (5.0, 2.5, 2.5, 1.0)
+
+    def even(inst):
+        return np.full(inst.n_artists, inst.budget / inst.n_artists)
+
+    nfr = verify_no_free_ridership(even, make([[1, 0], [2, 0]]))
+    assert (nfr.before, nfr.after, nfr.gain) == (0.0, 1.0, 1.0) and nfr.violation
+
+
+def test_anonymity_catches_a_small_absolute_leak():
+    """A row swap that moves artist 0's payment by 1e-5 is a violation,
+    however large the payment is relative to the leak."""
+
+    def leaky(inst):
+        p = user_prop(inst)
+        return p + np.array([1e-5, -1e-5]) if inst.weights[0, 0] == 0 else p
+
+    report = verify_anonymity(leaky, make([[3, 1], [0, 1], [2, 2]]), [1, 0, 2])
+    assert report.violation
+    assert report.after - report.before == pytest.approx(1e-5, abs=1e-12)
+
+
+def test_neutrality_catches_a_small_absolute_leak():
+    def leaky(inst):
+        p = user_prop(inst)
+        return p + np.array([1e-5, -1e-5]) if inst.weights[0, 0] < inst.weights[0, 1] else p
+
+    report = verify_neutrality(leaky, make([[3, 1], [0, 1], [2, 2]]), [1, 0])
+    assert report.violation
+    assert report.gain == pytest.approx(1e-5, abs=1e-12)
+
+
+_INVALID = make([[3, 1], [0, 1], [2, 2]])
+
+
+@pytest.mark.parametrize(
+    "check, error",
+    [
+        (lambda: verify_fraud_pair("userprop", _INVALID, add_user(_INVALID, [0, 0]), (0,)),
+         ZeroRowError),
+        (lambda: verify_fraud_pair("globalprop", _INVALID, add_user(_INVALID, [-3, 0]), (1,)),
+         NegativeWeightError),
+        (lambda: verify_bribery_pair(
+            "userprop", _INVALID, replace_user(_INVALID, 0, [0, 0]), (1,)), ZeroRowError),
+        (lambda: verify_bribery_pair(
+            "globalprop", _INVALID, replace_user(_INVALID, 0, [-3, 0]), (1,)),
+         NegativeWeightError),
+        (lambda: verify_click_fraud("userprop", _INVALID, replace_user(_INVALID, 0, [0, 0])),
+         ZeroRowError),
+        (lambda: verify_user_addition_monotone("userprop", _INVALID, [0, 0]), ZeroRowError),
+        (lambda: verify_user_addition_monotone("globalprop", _INVALID, [-1, 0]),
+         NegativeWeightError),
+    ],
+    ids=["fraud-zero", "fraud-negative", "bribery-zero", "bribery-negative",
+         "clickfraud-zero", "uam-zero", "uam-negative"],
+)
+def test_invalid_manipulated_rows_raise(check, error):
+    """An all-zero or negative manipulated row is an input error, not a
+    verdict: unchecked it gives NaN gains or spurious violations."""
+    with pytest.raises(error):
+        check()
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +412,7 @@ def test_fixture_certifies(name):
     )
     assert report.bound == fixture.bound
     if fixture.expected_before is not None:
-        before, after = fixture_sides(fixture)
+        before, after = report.before, report.after
         assert abs(before - fixture.expected_before) <= tol, f"{name} before {before}"
         assert abs(after - fixture.expected_after) <= tol, f"{name} after {after}"
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import make
-from streamshare import save_document
-from streamshare.cli import main
+from streamshare import fixtures, save_document
+from streamshare.cli import _AXIOM_ALIASES, main
 
 
 def _doc(tmp_path, rows, alpha=1.0, name="inst.json"):
@@ -70,6 +70,111 @@ def test_check_fixtures_witness_exit(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fixture=globalprop-fraud" in out
     assert "margin=2" in out and "violation=True" in out
+
+
+# stdout and exit code of ``check --fixtures`` for every (axiom, rule) pair
+# the fixture library covers under a CLI rule name
+CHECK_FIXTURES_GOLDEN = [
+    ("bribery", "egal", 2, [
+        "fixture=egal-bribery gain=1.25 bound=1 margin=0.249999999997 violation=True",
+    ]),
+    ("bribery", "geo", 2, [
+        "fixture=geo-bribery gain=1.5 bound=1 margin=0.5 violation=True",
+    ]),
+    ("bribery", "globalprop", 2, [
+        "fixture=globalprop-bribery gain=2.5 bound=1 margin=1.5 violation=True",
+    ]),
+    ("bribery", "indmkt", 2, [
+        "fixture=indmkt-bribery gain=2.77777777778 bound=1 margin=1.77777777778 violation=True",
+    ]),
+    ("bribery", "max", 2, [
+        "fixture=max-bribery gain=1.16666666667 bound=1 margin=0.166666666667 violation=True",
+    ]),
+    ("bribery", "med", 2, [
+        "fixture=med-bribery gain=3 bound=1 margin=2 violation=True",
+    ]),
+    ("bribery", "min", 2, [
+        "fixture=min-bribery gain=1.5 bound=1 margin=0.5 violation=True",
+    ]),
+    ("bribery", "util", 2, [
+        "fixture=util-bribery gain=5 bound=1 margin=4 violation=True",
+    ]),
+    ("fraud", "egal", 2, [
+        "fixture=egal-fraud gain=1.75 bound=1 margin=0.749999999997 violation=True",
+    ]),
+    ("fraud", "geo", 2, [
+        "fixture=geo-fraud gain=2 bound=1 margin=1 violation=True",
+    ]),
+    ("fraud", "globalprop", 2, [
+        "fixture=globalprop-fraud gain=3 bound=1 margin=2 violation=True",
+    ]),
+    ("fraud", "indmkt", 2, [
+        "fixture=indmkt-fraud gain=2.5 bound=1 margin=1.5 violation=True",
+    ]),
+    ("fraud", "max", 2, [
+        "fixture=max-fraud gain=1.83333333333 bound=1 margin=0.833333333333 violation=True",
+    ]),
+    ("fraud", "med", 2, [
+        "fixture=med-fraud gain=2 bound=1 margin=1 violation=True",
+    ]),
+    ("fraud", "min", 2, [
+        "fixture=min-fraud gain=2 bound=1 margin=1 violation=True",
+    ]),
+    ("fraud", "util", 2, [
+        "fixture=util-fraud gain=3 bound=1 margin=2 violation=True",
+    ]),
+    ("pigou-dalton", "scaledup", 2, [
+        "fixture=scaledup-pigoudalton gain=0.0555555555556 bound=0 margin=0.0555555555556 violation=True",
+    ]),
+    ("pigou-dalton", "userprop", 2, [
+        "fixture=userprop-pigoudalton gain=0.0666666666667 bound=0 margin=0.0666666666667 violation=True",
+    ]),
+    ("strong-sybil", "userprop", 2, [
+        "fixture=userprop-strongsybil gain=0.2 bound=0 margin=0.2 violation=True",
+    ]),
+    ("sybil", "egal", 2, [
+        "fixture=egal-sybil gain=0.499999999995 bound=0 margin=0.499999999995 violation=True",
+    ]),
+    ("sybil", "geo", 2, [
+        "fixture=geo-sybil gain=1.17157287525 bound=0 margin=1.17157287525 violation=True",
+    ]),
+    ("sybil", "indmkt", 2, [
+        "fixture=indmkt-sybil gain=1.5 bound=0 margin=1.5 violation=True",
+    ]),
+    ("sybil", "max", 2, [
+        "fixture=max-sybil gain=0.5 bound=0 margin=0.5 violation=True",
+    ]),
+    ("sybil", "med", 2, [
+        "fixture=med-sybil gain=1.5 bound=0 margin=1.5 violation=True",
+    ]),
+    ("sybil", "min", 2, [
+        "fixture=min-sybil gain=1 bound=0 margin=1 violation=True",
+    ]),
+    ("sybil", "usereq", 2, [
+        "fixture=usereq-sybil gain=0.166666666667 bound=0 margin=0.166666666667 violation=True",
+    ]),
+    ("sybil", "util", 2, [
+        "fixture=util-sybil gain=1 bound=0 margin=1 violation=True",
+    ]),
+    ("user-addition-monotone", "globalprop", 2, [
+        "fixture=globalprop-uam gain=2 bound=0 margin=2 violation=True",
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "axiom, rule, code, lines", CHECK_FIXTURES_GOLDEN,
+    ids=[f"{a}-{r}" for a, r, _, _ in CHECK_FIXTURES_GOLDEN],
+)
+def test_check_fixtures_golden(axiom, rule, code, lines, capsys):
+    assert main(["check", "--axiom", axiom, "--rule", rule, "--fixtures"]) == code
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_check_fixtures_golden_covers_every_named_rule_fixture():
+    golden = {(_AXIOM_ALIASES[a], r) for a, r, _, _ in CHECK_FIXTURES_GOLDEN}
+    named = {(f.axiom, f.rule) for f in fixtures().values() if isinstance(f.rule, str)}
+    assert golden == named and len(golden) == 28
 
 
 def test_check_random_trials_pass(capsys):

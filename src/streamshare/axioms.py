@@ -324,6 +324,7 @@ def verify_strong_sybil(rule, base: Instance, manipulated: Instance, cstar) -> G
         raise PremiseError("an untouched artist's column total changed")
     if abs(tot_b[~keep_b].sum() - tot_m[~keep_m].sum()) > PREMISE_TOL:
         raise PremiseError("total mass on the manipulated artists changed")
+    core.validate_rows(manipulated)
     return _group_change(AxiomId.STRONG_SYBIL_PROOF, rule, base, manipulated, keep_b, keep_m)
 
 
@@ -350,6 +351,7 @@ def verify_engagement_monotone(
     others = np.arange(base.n_artists) != jstar
     if np.any(w2[:, others] > w[:, others] + PREMISE_TOL):
         raise PremiseError("engagement with another artist increased")
+    core.validate_rows(manipulated)
     return _one_artist_drop(AxiomId.ENGAGEMENT_MONOTONE, rule, base, manipulated, jstar)
 
 
@@ -818,6 +820,9 @@ _TRIALS = {
     AxiomId.ENGAGEMENT_MONOTONE: _em_trial,
     AxiomId.PIGOU_DALTON: _pd_trial,
 }
+
+#: The axioms that have a randomized suite for :func:`run_suite`.
+SUITE_AXIOMS = frozenset(_TRIALS)
 
 
 def run_suite(

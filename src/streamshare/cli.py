@@ -13,6 +13,7 @@ import sys
 import time
 
 from .axioms import (
+    SUITE_AXIOMS,
     AxiomId,
     run_suite,
     witness_line,
@@ -158,6 +159,12 @@ def _cmd_check(args) -> int:
             )
         return EXIT_WITNESS if worst is not None else EXIT_OK
 
+    if axiom not in SUITE_AXIOMS:
+        with_suite = sorted(a for a, ax in _AXIOM_ALIASES.items() if ax in SUITE_AXIOMS)
+        raise ValueError(
+            f"axiom {args.axiom!r} has no randomized suite; "
+            f"--random-trials takes {', '.join(with_suite)}"
+        )
     result = run_suite(axiom, rule, trials=args.random_trials, seed=args.seed)
     if result.witness is not None:
         print(witness_line(result.witness))

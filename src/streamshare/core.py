@@ -103,6 +103,18 @@ def validate(instance: Instance) -> None:
         raise InstanceError("weights must be finite")
     if not 0.0 < instance.alpha <= 1.0:
         raise BadAlphaError(f"alpha must be in (0, 1], got {instance.alpha}")
+    validate_rows(instance)
+
+
+def validate_rows(instance: Instance) -> None:
+    """The last two checks of :func:`validate`: negative weights, then zero rows.
+
+    For an instance whose shape, finiteness and alpha are already known to
+    be valid, such as one rewritten from a validated instance.
+    """
+    w = instance.weights
+    if w.min() >= 0 and w.max(axis=1).min() > 0:
+        return  # the usual case, settled by two reductions
     if np.any(w < 0):
         i, j = np.argwhere(w < 0)[0]
         raise NegativeWeightError(int(i), int(j))

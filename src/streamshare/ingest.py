@@ -4,14 +4,23 @@ Input is the minimal triple shape `user, artist, count` (tab or comma
 separated, optional header). Aggregation keys stay sparse until the final
 densification, which refuses to materialize matrices above a cell budget.
 Instances round-trip through a small versioned JSON document that carries
-the id tables alongside the weights.
+the id tables alongside the weights. Loading one parses everything but the
+weights with the standard json decoder. The weight matrix, mostly "0.0" in
+the documents this package writes, is read by a vectorized scan over blocks
+of rows that writes the zeros without parsing them and hands every other
+entry to the same decoder (a matrix with few zeros goes to the decoder
+whole), so the loaded weights are bit for bit those of json.load followed
+by np.array, and every document that loaded or failed to load before does
+so the same way.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
+from json.decoder import scanstring
 
 import numpy as np
 
@@ -178,7 +187,7 @@ def load_document(path) -> IngestResult:
     """Read a JSON instance document back; inverse of save_document."""
     with open(path) as fh:
         try:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            doc = _decode_document(fh.read())
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -189,7 +198,7 @@ def load_document(path) -> IngestResult:
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
     try:
-        w = np.array(doc["weights"], dtype=float)
+        w = np.asarray(doc["weights"], dtype=float)
         alpha = float(doc["alpha"])
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad numeric payload: {exc}") from exc
@@ -208,3 +217,176 @@ def load_document(path) -> IngestResult:
 
 def _reject_constant(name: str):
     raise SchemaError(f"non-finite literal {name} is not allowed")
+
+
+# JSON's four whitespace characters, as json.decoder matches them.
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+# The first "]" followed by a second one: where a matrix value ends.
+_MATRIX_END = re.compile(r"\][ \t\n\r]*\]")
+# A "]" followed by a comma: where a row ends and another follows.
+_ROW_END = re.compile(r"\][ \t\n\r]*,")
+_COMMA, _OPEN, _CLOSE, _DOT, _ZERO = b",[].0"
+# How much of a matrix value is sampled for its share of "0.0" entries.
+_SAMPLE_CHARS = 1 << 16
+# Rows are read in blocks of about this many characters, so that the
+# scan's temporary arrays stay small next to the matrix itself.
+_BLOCK_CHARS = 1 << 16
+
+
+def _decode_document(text: str):
+    """json.loads(text) with every "weights" member read by _read_matrix.
+
+    The top-level object is walked the way the standard decoder walks it,
+    with its scanstring and scan_once, so every other value and every
+    accept or reject is the standard decoder's, with the same error
+    positions. A root that is not an object goes to json.loads.
+    """
+    end = _WHITESPACE.match(text).end()
+    if text[end : end + 1] != "{":
+        return json.loads(text, parse_constant=_reject_constant)
+    scan_once = json.JSONDecoder(parse_constant=_reject_constant).scan_once
+    pairs = []
+    end = _WHITESPACE.match(text, end + 1).end()
+    if text[end : end + 1] == "}":
+        end += 1
+    else:
+        while True:
+            if text[end : end + 1] != '"':
+                raise json.JSONDecodeError(
+                    "Expecting property name enclosed in double quotes", text, end
+                )
+            key, end = scanstring(text, end + 1)
+            end = _WHITESPACE.match(text, end).end()
+            if text[end : end + 1] != ":":
+                raise json.JSONDecodeError("Expecting ':' delimiter", text, end)
+            end = _WHITESPACE.match(text, end + 1).end()
+            read = _read_matrix(text, end) if key == "weights" else None
+            if read is None:
+                try:
+                    read = scan_once(text, end)
+                except StopIteration as err:
+                    raise json.JSONDecodeError("Expecting value", text, err.value) from None
+            value, end = read
+            pairs.append((key, value))
+            end = _WHITESPACE.match(text, end).end()
+            delimiter = text[end : end + 1]
+            end += 1
+            if delimiter == "}":
+                break
+            if delimiter != ",":
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, end - 1)
+            end = _WHITESPACE.match(text, end).end()
+    end = _WHITESPACE.match(text, end).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return dict(pairs)
+
+
+def _read_matrix(text: str, start: int):
+    """(weights, end) for a rectangular JSON matrix of numbers at text[start],
+    or None when the value is anything else.
+
+    Equal to np.array(json value, dtype=float) bit for bit. Every canonical
+    "0.0" becomes +0.0 without being parsed; the other entries are joined
+    into one flat JSON array that the standard decoder parses, so they are
+    checked against the JSON number grammar and converted exactly as
+    before. Anything this reader does not take (strings, literals, ragged
+    rows, other depths, a number json reads but np.array cannot convert) is
+    left to the standard decoder and np.array, so it is rejected or
+    accepted as before. So is a matrix whose entries, in its first 64K
+    characters, are less than three quarters "0.0": skipping zeros saves
+    nothing there, and the scan would only add its own cost.
+    """
+    if text[start : start + 1] != "[":
+        return None
+    found = _MATRIX_END.search(text, start, start + _SAMPLE_CHARS)
+    sample = text[start : found.end() if found else start + _SAMPLE_CHARS]
+    if 4 * sample.count("0.0") < 3 * (sample.count(",") + 1):
+        return None
+    found = found or _MATRIX_END.search(text, start)
+    if found is None:
+        return None
+    last = found.start() + 1  # just after the last row's "]"
+    pos = start + 1
+    m, n, nonzero, tokens = None, 0, [], []
+    while True:
+        cut = _ROW_END.search(text, pos + _BLOCK_CHARS, last)
+        block = _read_rows(text[pos : (cut.start() + 1 if cut else last)], m)
+        if block is None:
+            return None
+        rows, m, flat, joined = block
+        nonzero.append(flat + n * m)
+        if joined:
+            tokens.append(joined)
+        n += rows
+        if cut is None:
+            break
+        pos = cut.end()
+    try:
+        values = np.array(json.loads(b"[" + b",".join(tokens) + b"]"), dtype=float)
+    except (ValueError, OverflowError):
+        return None
+    weights = np.zeros((n, m))
+    weights.ravel()[np.concatenate(nonzero)] = values
+    return weights, found.end()
+
+
+def _read_rows(text: str, m):
+    """(rows, m, flat indices of the entries that are not "0.0", those
+    entries joined by commas) for text that is whole matrix rows separated
+    by commas, "[t, ..., t], ..., [t, ..., t]", each of m entries (m is
+    taken from the first row when None); None for anything else."""
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    # Dropping whitespace must not join two tokens ("1 2" is not "12"), so
+    # count the runs of token bytes before it goes: one per matrix entry.
+    r = np.frombuffer(raw, dtype=np.uint8)
+    token_byte = r > 32
+    for c in (_COMMA, _OPEN, _CLOSE):
+        token_byte &= r != c
+    runs = np.count_nonzero(token_byte[:-1] > token_byte[1:])
+    raw = raw.translate(None, b" \t\n\r")
+    first_row_end = raw.find(b"]")
+    if first_row_end < 0:
+        return None
+    if m is None:
+        m = raw.count(b",", 0, first_row_end) + 1
+
+    # Per row: "[", m - 1 commas, "]" and a comma (none after the last
+    # row), with one token between each "[" or comma and the next delimiter
+    # and nothing, not even a control character, anywhere else.
+    b = np.frombuffer(raw, dtype=np.uint8)
+    delimiter = b == _COMMA
+    delimiter |= b == _OPEN
+    delimiter |= b == _CLOSE
+    pos = np.flatnonzero(delimiter)
+    n = (pos.size + 1) // (m + 2)
+    if n * (m + 2) != pos.size + 1 or runs != n * m:
+        return None
+    grid = np.append(pos, b.size).reshape(n, m + 2)
+    layout = np.full(m + 1, _COMMA, dtype=np.uint8)
+    layout[0], layout[m] = _OPEN, _CLOSE
+    if not (
+        grid[0, 0] == 0
+        and (b[grid[:, :-1]] == layout).all()
+        and (b[grid[:-1, -1]] == _COMMA).all()
+        and (grid[:, -1] - grid[:, -2] == 1).all()
+        and (grid[1:, 0] - grid[:-1, -1] == 1).all()
+    ):
+        return None
+    starts = grid[:, :m] + 1
+    ends = grid[:, 1 : m + 1]
+    zero_at = b[:-2] == _ZERO
+    zero_at &= b[1:-1] == _DOT
+    zero_at &= b[2:] == _ZERO
+    # a one-byte last token starts past zero_at; clipped, its length decides
+    flat = np.flatnonzero((ends - starts != 3) | ~zero_at.take(starts, mode="clip"))
+    joined = b",".join(
+        [raw[i:j] for i, j in zip(starts.ravel()[flat].tolist(), ends.ravel()[flat].tolist())]
+    )
+    # Number characters only, so each token is one JSON number or an error.
+    if joined.translate(None, b"0123456789+-.eE,"):
+        return None
+    return n, m, flat, joined

@@ -125,24 +125,23 @@ def psp_value(instance: Instance, artist_set, user_set) -> float:
     return paid - counterfactual - len(v)
 
 
-def _removal_groups(instance: Instance, artist_set):
+def _removal_groups(instance: Instance, artist_set, tau: np.ndarray):
     """Collapse users into (streams-into-U, total) groups, dropping users at
-    the minimum total. Removing a minimum-total user changes the target
-    payment by at most alpha, never covering its unit cost when alpha <= 1,
-    so such users are never needed in an optimal removal set."""
+    the minimum total ``tau``. Removing a minimum-total user changes the
+    target payment by at most alpha, never covering its unit cost when
+    alpha <= 1, so such users are never needed in an optimal removal set."""
     w = instance.weights
     s = w[:, list(artist_set)].sum(axis=1)
-    tau = instance.user_totals()
     keep = tau > tau.min()
     pairs = np.stack([s[keep], tau[keep]], axis=1)
     if pairs.shape[0] == 0:
-        return np.empty((0, 2)), np.empty(0, dtype=int), [], s, tau
+        return np.empty((0, 2)), np.empty(0, dtype=int), [], s
     values, inverse, counts = np.unique(
         pairs, axis=0, return_inverse=True, return_counts=True
     )
     kept_idx = np.flatnonzero(keep)
     members = [kept_idx[inverse == g] for g in range(values.shape[0])]
-    return values, counts, members, s, tau
+    return values, counts, members, s
 
 
 def psp_exact(instance: Instance, artist_set) -> PspResult:
@@ -155,7 +154,13 @@ def psp_exact(instance: Instance, artist_set) -> PspResult:
     """
     validate(instance)
     u = _clean_artist_set(instance, artist_set)
-    values, counts, members, s, tau = _removal_groups(instance, u)
+    return _psp_exact(instance, u, instance.user_totals())
+
+
+def _psp_exact(instance: Instance, u: tuple, tau: np.ndarray) -> PspResult:
+    """psp_exact for a validated instance, a clean artist set ``u`` and the
+    user totals ``tau``."""
+    values, counts, members, s = _removal_groups(instance, u, tau)
     n = instance.n_users
     alpha = instance.alpha
     a_u = float(s.sum())
@@ -222,9 +227,13 @@ def psp_greedy(instance: Instance, artist_set) -> PspResult:
     removal most increases the profit, until no removal improves it."""
     validate(instance)
     u = _clean_artist_set(instance, artist_set)
-    w = instance.weights
-    s = w[:, list(u)].sum(axis=1)
-    tau = instance.user_totals()
+    return _psp_greedy(instance, u, instance.user_totals())
+
+
+def _psp_greedy(instance: Instance, u: tuple, tau: np.ndarray) -> PspResult:
+    """psp_greedy for a validated instance, a clean artist set ``u`` and the
+    user totals ``tau``."""
+    s = instance.weights[:, list(u)].sum(axis=1)
     n = instance.n_users
     alpha = instance.alpha
     a_u = float(s.sum())
@@ -269,31 +278,25 @@ def _exchangeable(w: np.ndarray, x: int, y: int) -> bool:
     diff = np.flatnonzero(w[:, x] != w[:, y])
     if diff.size == 0:
         return True
-    if diff.size == 2:
-        a, b = int(diff[0]), int(diff[1])
-        if (
-            w[a, x] == w[b, y]
-            and w[a, y] == w[b, x]
-            and np.array_equal(np.delete(w[a], [x, y]), np.delete(w[b], [x, y]))
-        ):
-            return True
+    perm = np.arange(w.shape[1])
+    perm[x], perm[y] = y, x
+    # two differing users that are each other's image under the swap
+    if diff.size == 2 and np.array_equal(w[diff[0], perm], w[diff[1]]):
+        return True
     swapped = Counter()
     original = Counter()
-    cols = np.arange(w.shape[1])
-    perm = cols.copy()
-    perm[x], perm[y] = y, x
     for i in diff:
         original[w[i].tobytes()] += 1
         swapped[w[i][perm].tobytes()] += 1
     return swapped == original
 
 
-def _artist_orbits(instance: Instance) -> list:
-    """Partition artists into interchangeability classes. Only artists whose
-    column value/total multisets match are ever compared, so generic
-    instances fall straight through to singleton orbits."""
+def _artist_orbits(instance: Instance, tau: np.ndarray) -> list:
+    """Partition artists into interchangeability classes, given the user
+    totals ``tau``. Only artists whose column value/total multisets match
+    are ever compared, so generic instances fall straight through to
+    singleton orbits."""
     w = instance.weights
-    tau = instance.user_totals()
     buckets = {}
     for j in range(instance.n_artists):
         buckets.setdefault(_column_signature(w, tau, j), []).append(j)
@@ -318,7 +321,8 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
     Exact mode enumerates coalitions up to interchangeability of artists
     (smallest first, ties keep the lexicographically first coalition) and
     solves each with psp_exact. Greedy mode grows the coalition one artist
-    at a time by best psp_greedy profit and reports the best prefix.
+    at a time by best psp_greedy profit and reports the best prefix. The
+    instance is validated and its user totals are summed once per search.
     """
     validate(instance)
     if k < 0 or k > instance.n_artists:
@@ -327,6 +331,7 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
         raise ParameterError(f"unknown mode {mode!r}")
     if k == 0:
         return (), PspResult((), (), 0.0)
+    tau = instance.user_totals()
 
     if mode == "greedy":
         chosen = []
@@ -335,7 +340,7 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
         for _ in range(k):
             step_best = None
             for a in remaining:
-                res = psp_greedy(instance, chosen + [a])
+                res = _psp_greedy(instance, tuple(sorted(chosen + [a])), tau)
                 if step_best is None or res.profit > step_best.profit:
                     step_best = res
                     step_artist = a
@@ -345,7 +350,7 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
                 best = step_best
         return best.artist_set, best
 
-    orbits = _artist_orbits(instance)
+    orbits = _artist_orbits(instance, tau)
     candidates = []
     sizes = [len(o) for o in orbits]
     for total in range(1, k + 1):
@@ -362,7 +367,7 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
     best = None
     best_u = ()
     for u in candidates:
-        res = psp_exact(instance, u)
+        res = _psp_exact(instance, u, tau)
         if best is None or res.profit > best.profit:
             best = res
             best_u = u

@@ -370,9 +370,20 @@ _INVALID = make([[3, 1], [0, 1], [2, 2]])
         (lambda: verify_user_addition_monotone("userprop", _INVALID, [0, 0]), ZeroRowError),
         (lambda: verify_user_addition_monotone("globalprop", _INVALID, [-1, 0]),
          NegativeWeightError),
+        (lambda: verify_strong_sybil(
+            "userprop", make([[1, 0], [0, 2]]), make([[0, 0], [1, 2]]), (0,)), ZeroRowError),
+        (lambda: verify_strong_sybil(
+            "userprop", make([[1, 0], [0, 2]]), make([[1, 3], [0, -1]]), (0,)),
+         NegativeWeightError),
+        (lambda: verify_engagement_monotone(
+            "userprop", make([[0, 1], [1, 1]]), make([[0, 0], [1, 1]]), 0), ZeroRowError),
+        (lambda: verify_engagement_monotone(
+            "userprop", make([[1, 1], [1, 1]]), make([[2, -1], [1, 1]]), 0),
+         NegativeWeightError),
     ],
     ids=["fraud-zero", "fraud-negative", "bribery-zero", "bribery-negative",
-         "clickfraud-zero", "uam-zero", "uam-negative"],
+         "clickfraud-zero", "uam-zero", "uam-negative", "strongsybil-zero",
+         "strongsybil-negative", "em-zero", "em-negative"],
 )
 def test_invalid_manipulated_rows_raise(check, error):
     """An all-zero or negative manipulated row is an input error, not a

@@ -72,6 +72,20 @@ def test_check_fixtures_witness_exit(tmp_path, capsys):
     assert "margin=2" in out and "violation=True" in out
 
 
+
+@pytest.mark.parametrize(
+    "axiom", ["anonymity", "neutrality", "click-fraud", "user-addition-monotone"]
+)
+def test_check_random_trials_refuses_axioms_without_suite(axiom, capsys):
+    code = main(["check", "--axiom", axiom, "--rule", "userprop", "--random-trials", "5"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: axiom '{axiom}' has no randomized suite; --random-trials takes bribery, "
+        "engagement-monotone, fraud, nfr, no-free-ridership, pigou-dalton, strong-sybil, "
+        "sybil\n"
+    )
+
 # stdout and exit code of ``check --fixtures`` for every (axiom, rule) pair
 # the fixture library covers under a CLI rule name
 CHECK_FIXTURES_GOLDEN = [

@@ -9,15 +9,19 @@ from helpers import make
 from streamshare import (
     CellBudgetError,
     EmptyAfterFilterError,
+    Instance,
     ParseError,
     SchemaError,
     TripleRecord,
     default_ids,
+    ingest,
     ingest_triples,
     load_document,
     read_triples,
     save_document,
+    validate,
 )
+from streamshare.cli import main
 
 SAMPLE = [
     "user\tartist\tcount",
@@ -186,3 +190,199 @@ def test_load_document_runs_instance_validation(tmp_path):
     }
     with pytest.raises(ValueError):  # zero row comes from core validation
         load_document(_write(tmp_path, doc))
+
+
+# ---------------------------------------------------------------------------
+# the vectorized weights reader against json.load + np.array
+
+
+def _reference_load(path):
+    """The document loader before the vectorized weights reader: json.load
+    parses the whole document, then np.array converts the weights."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh, parse_constant=ingest._reject_constant)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError("document root must be an object")
+    if doc.get("version") != 1:
+        raise SchemaError(f"unsupported document version {doc.get('version')!r}")
+    for key in ("alpha", "user_ids", "artist_ids", "weights"):
+        if key not in doc:
+            raise SchemaError(f"missing field {key!r}")
+    try:
+        w = np.array(doc["weights"], dtype=float)
+        alpha = float(doc["alpha"])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad numeric payload: {exc}") from exc
+    if w.ndim != 2:
+        raise SchemaError(f"weights must be a matrix, got ndim {w.ndim}")
+    if not np.all(np.isfinite(w)):
+        raise SchemaError("weights must be finite")
+    users = tuple(str(u) for u in doc["user_ids"])
+    artists = tuple(str(a) for a in doc["artist_ids"])
+    if len(users) != w.shape[0] or len(artists) != w.shape[1]:
+        raise SchemaError("id table lengths do not match the weight matrix")
+    instance = Instance(w, alpha)
+    validate(instance)
+    return ingest.IngestResult(instance, users, artists)
+
+
+def _outcome(load, path):
+    """The weights' bits and the other fields, or the exception's class and text."""
+    try:
+        res = load(path)
+    except Exception as exc:  # the outcome under test, compared class for class
+        return type(exc), str(exc)
+    w = res.instance.weights
+    return w.shape, w.view(np.int64).tobytes(), res.instance.alpha, res.user_ids, res.artist_ids
+
+
+def _zero_rows(*entries, width=32):
+    """A two-row matrix, mostly "0.0" so that the vectorized reader takes
+    it, with the given entries at the start of the first row."""
+    first = list(entries) + ["0.0"] * (width - len(entries) - 1) + ["1.0"]
+    second = ["2.0"] + ["0.0"] * (width - 1)
+    return "[[" + ", ".join(first) + "], [" + ", ".join(second) + "]]"
+
+
+def _members(**fields):
+    """Every member but the weights, for a two-row, 32-column matrix."""
+    members = {"version": 1, "alpha": 1.0, "user_ids": ["u0", "u1"],
+               "artist_ids": [f"a{j}" for j in range(32)], **fields}
+    return ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in members.items())
+
+
+def _document(weights, **fields):
+    return "{" + _members(**fields) + ', "weights": ' + weights + "}"
+
+
+# the tokens the JSON number grammar accepts, each of which the reader
+# must take; and every other spelling, which the standard decoder rejects
+NUMBERS = ["-0", "-0.0", "0", "1E400", "5e-324", "1e-400", "1e+5", "1E-05", "0.5e0",
+           "0.05", "10.0", "0.0e5", "9007199254740993", "18446744073709551617",
+           "1" + "0" * 308, "2.5"]
+# integers json reads but np.array cannot convert to a float
+HUGE = ["1" * 400, "-" + "1" * 400, "1" + "0" * 309]
+SPELLINGS = ["01", "1.", ".5", "+1", "1e", "-", "1_0", "0x10", "NaN", "Infinity",
+             "-Infinity", "00", "-01", "1.e5", "1e5.5", "1.2.3", "--1", "1-2", "1 2", "0. 0"]
+CORPUS = (
+    [(f"number {t[:12]}", _document(_zero_rows(t))) for t in NUMBERS]
+    + [(f"huge {t[:5]}", _document(_zero_rows(t))) for t in HUGE]
+    + [(f"spelling {t}", _document(_zero_rows(t))) for t in SPELLINGS]
+    + [(f"last {t}", _document(_zero_rows().replace("1.0]", t + "]", 1)))
+       for t in ("-0", "7", "01", "1e")]
+    + [(f"value {v}", _document(_zero_rows(v)))
+       for v in ("true", "false", "null", '"1.5"', '"x"', '"1,5"', "[1.0]", "{}")]
+    + [(f"shape {label}", _document(w)) for label, w in [
+        ("empty", "[]"), ("empty-row", "[[]]"), ("flat", "[1.0, 2.0]"),
+        ("ragged", _zero_rows()[:-2] + ", 0.0]]"), ("string with comma in both rows",
+                                                      _zero_rows('"1,5"').replace("[2.0", '["2,5"')),
+        ("depth-3", "[[" + _zero_rows() + "]]"), ("row-of-rows", "[" + _zero_rows() + "]"),
+        ("trailing-comma", _zero_rows()[:-1] + ",]"), ("no-comma", _zero_rows().replace("], [", "] [")),
+        ("control character after a row", _zero_rows().replace("], [", "]\x01, [")),
+        ("control character before a row", _zero_rows().replace("], [", "], \x01[")),
+        ("bracket between rows", _zero_rows().replace("], [", "][[")),
+        ("control character before the first row", "[\x01" + _zero_rows()[1:]),
+        ("mostly nonzero", "[[" + ", ".join(["1.5"] * 32) + "], [" + ", ".join(["2.5"] * 32) + "]]"),
+        ("unclosed", _zero_rows()[:-1])]]
+    + [("tabs and CRLF", _document(_zero_rows().replace(", ", ",\t").replace("], ", "],\r\n"))),
+       ("weights first", "{" + '"weights": ' + _zero_rows() + ", " + _members() + "}"),
+       ("non-ASCII ids", _document(_zero_rows(), user_ids=["ü", "ß"],
+                                   artist_ids=[f"ä{j}" for j in range(32)])),
+       ("weights first, non-ASCII ids", "{" + '"weights": ' + _zero_rows() + ", "
+        + _members(user_ids=["ü", "ß"]) + "}"),
+       ("repeated weights", _document(_zero_rows("3.0"))[:-1] + ', "weights": '
+        + _zero_rows("4.0") + "}"),
+       ("repeated weights, first invalid", _document(_zero_rows("NaN"))[:-1]
+        + ', "weights": ' + _zero_rows() + "}"),
+       ("negative", _document(_zero_rows("-1.0"))),
+       ("zero row", _document(_zero_rows().replace("[2.0", "[0.0"))),
+       ("too few ids", _document(_zero_rows(), user_ids=["u0"])),
+       ("version 2", _document(_zero_rows(), version=2)),
+       ("extra data", _document(_zero_rows()) + " x"),
+       ("missing comma after weights", _document(_zero_rows())[:-1] + ' "x": 1}'),
+       ("byte-order mark", "﻿" + _document(_zero_rows())),
+       ("array root", "[" + _zero_rows() + "]")]
+)
+
+
+# corpus documents whose weights (all of them, for a repeated key) the
+# vectorized reader must take rather than leave to the standard decoder
+READ_BY_SCAN = {f"number {t[:12]}" for t in NUMBERS} | {
+    "last -0", "last 7", "tabs and CRLF", "weights first", "non-ASCII ids",
+    "weights first, non-ASCII ids", "repeated weights", "negative", "zero row",
+    "too few ids", "version 2", "extra data", "missing comma after weights"}
+
+
+@pytest.mark.parametrize("block", [ingest._BLOCK_CHARS, 1], ids=["one-block", "row-blocks"])
+@pytest.mark.parametrize("label, text", CORPUS, ids=[label for label, _ in CORPUS])
+def test_load_document_matches_json_and_np_array(tmp_path, monkeypatch, label, text, block):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    expected = _outcome(_reference_load, path)
+    monkeypatch.setattr(ingest, "_BLOCK_CHARS", block)
+    reads = []
+    read = ingest._read_matrix
+    monkeypatch.setattr(ingest, "_read_matrix", lambda t, i: reads.append(read(t, i)) or reads[-1])
+    assert _outcome(load_document, path) == expected
+    assert (reads != [] and None not in reads) == (label in READ_BY_SCAN)
+
+
+@pytest.mark.parametrize("token", NUMBERS)
+def test_matrix_reader_takes_json_numbers(token):
+    text = _zero_rows(token)
+    weights, end = ingest._read_matrix(text, 0)
+    assert end == len(text)
+    expected = np.array(json.loads(text), dtype=float)
+    assert np.array_equal(weights.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("token", SPELLINGS + HUGE + ["true", '"1.5"'])
+def test_matrix_reader_leaves_the_rest_to_json(token):
+    assert ingest._read_matrix(_zero_rows(token), 0) is None
+
+
+def _extreme(rng, shape):
+    mantissa = rng.exponential(1.0, size=shape)
+    w = mantissa * 10.0 ** rng.integers(-320, 308, size=shape)
+    w.flat[: 4] = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1]
+    return w
+
+
+@pytest.mark.parametrize("kind", ["sparse", "dense", "extreme"])
+def test_save_then_load_is_bit_identical(tmp_path, kind):
+    rng = np.random.default_rng(20240)
+    w = rng.exponential(1.0, size=(60, 40))
+    if kind == "sparse":
+        w *= rng.random(w.shape) < 0.05
+        w[:, 0] += 1.0
+    elif kind == "extreme":
+        w = _extreme(rng, w.shape)
+    path = tmp_path / "doc.json"
+    save_document(path, make(w, alpha=0.3))
+    loaded = load_document(path)
+    assert np.array_equal(loaded.instance.weights.view(np.int64), w.view(np.int64))
+    assert _outcome(load_document, path) == _outcome(_reference_load, path)
+
+
+def test_generated_documents_load_as_before(tmp_path):
+    """Documents written by ``gen`` and ``reduce-ssbve`` go through the
+    vectorized reader and load bit for bit as json.load + np.array does."""
+    graph = tmp_path / "graph.txt"
+    graph.write_text("3 3\n0 0\n0 1\n1 1\n2 2\n")
+    docs = []
+    for seed, (n, m) in enumerate([(300, 30), (800, 80)]):
+        docs.append(tmp_path / f"gen{seed}.json")
+        assert main(["gen", "--users", str(n), "--artists", str(m), "--seed", str(seed),
+                     "--alpha", "0.7", "--out", str(docs[-1])]) == 0
+    for ell, delta in [(1, 2), (2, 1)]:
+        docs.append(tmp_path / f"reduction{ell}{delta}.json")
+        assert main(["reduce-ssbve", "--graph", str(graph), "--ell", str(ell),
+                     "--delta", str(delta), "--out", str(docs[-1])]) == 0
+    for path in docs:
+        text = path.read_text()
+        start = text.index('"weights": ') + len('"weights": ')
+        assert ingest._read_matrix(text, start) is not None, path.name
+        assert _outcome(load_document, path) == _outcome(_reference_load, path)

@@ -113,8 +113,6 @@ def validate_rows(instance: Instance) -> None:
     be valid, such as one rewritten from a validated instance.
     """
     w = instance.weights
-    if w.min() >= 0 and w.max(axis=1).min() > 0:
-        return  # the usual case, settled by two reductions
     if np.any(w < 0):
         i, j = np.argwhere(w < 0)[0]
         raise NegativeWeightError(int(i), int(j))

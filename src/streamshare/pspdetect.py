@@ -125,23 +125,24 @@ def psp_value(instance: Instance, artist_set, user_set) -> float:
     return paid - counterfactual - len(v)
 
 
-def _removal_groups(instance: Instance, artist_set, tau: np.ndarray):
+def _removal_groups(instance: Instance, artist_set):
     """Collapse users into (streams-into-U, total) groups, dropping users at
-    the minimum total ``tau``. Removing a minimum-total user changes the
-    target payment by at most alpha, never covering its unit cost when
-    alpha <= 1, so such users are never needed in an optimal removal set."""
+    the minimum total. Removing a minimum-total user changes the target
+    payment by at most alpha, never covering its unit cost when alpha <= 1,
+    so such users are never needed in an optimal removal set."""
     w = instance.weights
     s = w[:, list(artist_set)].sum(axis=1)
+    tau = instance.user_totals()
     keep = tau > tau.min()
     pairs = np.stack([s[keep], tau[keep]], axis=1)
     if pairs.shape[0] == 0:
-        return np.empty((0, 2)), np.empty(0, dtype=int), [], s
+        return np.empty((0, 2)), np.empty(0, dtype=int), [], s, tau
     values, inverse, counts = np.unique(
         pairs, axis=0, return_inverse=True, return_counts=True
     )
     kept_idx = np.flatnonzero(keep)
     members = [kept_idx[inverse == g] for g in range(values.shape[0])]
-    return values, counts, members, s
+    return values, counts, members, s, tau
 
 
 def psp_exact(instance: Instance, artist_set) -> PspResult:
@@ -154,13 +155,7 @@ def psp_exact(instance: Instance, artist_set) -> PspResult:
     """
     validate(instance)
     u = _clean_artist_set(instance, artist_set)
-    return _psp_exact(instance, u, instance.user_totals())
-
-
-def _psp_exact(instance: Instance, u: tuple, tau: np.ndarray) -> PspResult:
-    """psp_exact for a validated instance, a clean artist set ``u`` and the
-    user totals ``tau``."""
-    values, counts, members, s = _removal_groups(instance, u, tau)
+    values, counts, members, s, tau = _removal_groups(instance, u)
     n = instance.n_users
     alpha = instance.alpha
     a_u = float(s.sum())
@@ -227,13 +222,9 @@ def psp_greedy(instance: Instance, artist_set) -> PspResult:
     removal most increases the profit, until no removal improves it."""
     validate(instance)
     u = _clean_artist_set(instance, artist_set)
-    return _psp_greedy(instance, u, instance.user_totals())
-
-
-def _psp_greedy(instance: Instance, u: tuple, tau: np.ndarray) -> PspResult:
-    """psp_greedy for a validated instance, a clean artist set ``u`` and the
-    user totals ``tau``."""
-    s = instance.weights[:, list(u)].sum(axis=1)
+    w = instance.weights
+    s = w[:, list(u)].sum(axis=1)
+    tau = instance.user_totals()
     n = instance.n_users
     alpha = instance.alpha
     a_u = float(s.sum())
@@ -291,12 +282,12 @@ def _exchangeable(w: np.ndarray, x: int, y: int) -> bool:
     return swapped == original
 
 
-def _artist_orbits(instance: Instance, tau: np.ndarray) -> list:
-    """Partition artists into interchangeability classes, given the user
-    totals ``tau``. Only artists whose column value/total multisets match
-    are ever compared, so generic instances fall straight through to
-    singleton orbits."""
+def _artist_orbits(instance: Instance) -> list:
+    """Partition artists into interchangeability classes. Only artists whose
+    column value/total multisets match are ever compared, so generic
+    instances fall straight through to singleton orbits."""
     w = instance.weights
+    tau = instance.user_totals()
     buckets = {}
     for j in range(instance.n_artists):
         buckets.setdefault(_column_signature(w, tau, j), []).append(j)
@@ -321,8 +312,7 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
     Exact mode enumerates coalitions up to interchangeability of artists
     (smallest first, ties keep the lexicographically first coalition) and
     solves each with psp_exact. Greedy mode grows the coalition one artist
-    at a time by best psp_greedy profit and reports the best prefix. The
-    instance is validated and its user totals are summed once per search.
+    at a time by best psp_greedy profit and reports the best prefix.
     """
     validate(instance)
     if k < 0 or k > instance.n_artists:
@@ -331,7 +321,6 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
         raise ParameterError(f"unknown mode {mode!r}")
     if k == 0:
         return (), PspResult((), (), 0.0)
-    tau = instance.user_totals()
 
     if mode == "greedy":
         chosen = []
@@ -340,7 +329,7 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
         for _ in range(k):
             step_best = None
             for a in remaining:
-                res = _psp_greedy(instance, tuple(sorted(chosen + [a])), tau)
+                res = psp_greedy(instance, chosen + [a])
                 if step_best is None or res.profit > step_best.profit:
                     step_best = res
                     step_artist = a
@@ -350,7 +339,7 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
                 best = step_best
         return best.artist_set, best
 
-    orbits = _artist_orbits(instance, tau)
+    orbits = _artist_orbits(instance)
     candidates = []
     sizes = [len(o) for o in orbits]
     for total in range(1, k + 1):
@@ -367,7 +356,7 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
     best = None
     best_u = ()
     for u in candidates:
-        res = _psp_exact(instance, u, tau)
+        res = psp_exact(instance, u)
         if best is None or res.profit > best.profit:
             best = res
             best_u = u

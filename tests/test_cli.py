@@ -72,7 +72,6 @@ def test_check_fixtures_witness_exit(tmp_path, capsys):
     assert "margin=2" in out and "violation=True" in out
 
 
-
 @pytest.mark.parametrize(
     "axiom", ["anonymity", "neutrality", "click-fraud", "user-addition-monotone"]
 )
@@ -85,6 +84,7 @@ def test_check_random_trials_refuses_axioms_without_suite(axiom, capsys):
         "engagement-monotone, fraud, nfr, no-free-ridership, pigou-dalton, strong-sybil, "
         "sybil\n"
     )
+
 
 # stdout and exit code of ``check --fixtures`` for every (axiom, rule) pair
 # the fixture library covers under a CLI rule name

@@ -286,6 +286,11 @@ CORPUS = (
         ("bracket between rows", _zero_rows().replace("], [", "][[")),
         ("control character before the first row", "[\x01" + _zero_rows()[1:]),
         ("mostly nonzero", "[[" + ", ".join(["1.5"] * 32) + "], [" + ", ".join(["2.5"] * 32) + "]]"),
+        # "0 .0" is two runs of token bytes and the empty entry none, so
+        # together they have as many runs as entries
+        ("split zero and empty entry", "[[0 .0, , " + ", ".join(["0.0"] * 30) + "]]"),
+        ("split zero and empty entry, then a nonzero row",
+         "[[0 .0, , " + ", ".join(["0.0"] * 30) + "], [" + ", ".join(["2.0"] + ["0.0"] * 31) + "]]"),
         ("unclosed", _zero_rows()[:-1])]]
     + [("tabs and CRLF", _document(_zero_rows().replace(", ", ",\t").replace("], ", "],\r\n"))),
        ("weights first", "{" + '"weights": ' + _zero_rows() + ", " + _members() + "}"),

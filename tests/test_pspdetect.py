@@ -130,8 +130,7 @@ def test_psp_exact_prefers_fewer_removals():
 
 
 def test_min_total_users_are_never_removed():
-    inst = _stated_example()
-    values, counts, members, s = _removal_groups(inst, (1,), inst.user_totals())
+    values, counts, members, s, tau = _removal_groups(_stated_example(), (1,))
     pruned = set(range(6)) - {i for ms in members for i in ms}
     assert pruned == {0, 1, 2, 3, 4}, "all five minimum-total users drop out"
 
@@ -178,13 +177,13 @@ def test_not_exchangeable_when_totals_differ():
 
 def test_orbits_on_symmetric_instance():
     inst = make([[1, 1, 5], [1, 1, 5]])
-    orbits = _artist_orbits(inst, inst.user_totals())
+    orbits = _artist_orbits(inst)
     assert orbits == [[0, 1], [2]]
 
 
 def test_orbits_fall_to_singletons_on_generic_weights():
     inst = make([[1, 2, 3], [4, 5, 6]])
-    assert _artist_orbits(inst, inst.user_totals()) == [[0], [1], [2]]
+    assert _artist_orbits(inst) == [[0], [1], [2]]
 
 
 # ---------------------------------------------------------------------------

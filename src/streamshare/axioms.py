@@ -842,6 +842,8 @@ def run_suite(
     track the largest single-artist payment swing, whose bound of one is the
     click-fraud condition.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     try:
         trial_fn = _TRIALS[AxiomId(axiom)]
     except KeyError:

@@ -372,6 +372,7 @@ def main(argv=None) -> int:
         FileNotFoundError,
         KeyError,
         ValueError,
+        OverflowError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -32,6 +32,9 @@ COMBO_CAP = 1 << 22
 # Cap on candidate artist sets enumerated by the exact coalition search.
 CANDIDATE_CAP = 1 << 17
 
+# Removal combinations scored per vectorized step of the exact enumeration.
+_CHUNK = 1 << 18
+
 THRESHOLD_SLACK = 1e-9
 
 
@@ -145,6 +148,24 @@ def _removal_groups(instance: Instance, artist_set):
     return values, counts, members, s, tau
 
 
+def _removal_profit(instance: Instance, s: np.ndarray, tau: np.ndarray):
+    """Profit of a removal set from the per-user streams into the artist set
+    (``s``) and the user totals (``tau``): a function of the removed count r
+    and the removed streams v_u into the set and v_t in total. ``du`` and
+    ``dt`` subtract one more user's pair after those sums, as the greedy
+    step does, without re-rounding them."""
+    n = instance.n_users
+    alpha = instance.alpha
+    a_u = float(s.sum())
+    total = float(tau.sum())
+    base = alpha * n * a_u / total
+
+    def profit(r, v_u, v_t, du=0.0, dt=0.0):
+        return base - alpha * (n - r) * (a_u - v_u - du) / (total - v_t - dt) - r
+
+    return profit
+
+
 def psp_exact(instance: Instance, artist_set) -> PspResult:
     """Maximum removal-set profit for one artist set, by grouped enumeration.
 
@@ -156,65 +177,38 @@ def psp_exact(instance: Instance, artist_set) -> PspResult:
     validate(instance)
     u = _clean_artist_set(instance, artist_set)
     values, counts, members, s, tau = _removal_groups(instance, u)
-    n = instance.n_users
-    alpha = instance.alpha
-    a_u = float(s.sum())
-    total = float(tau.sum())
-    base = alpha * n * a_u / total
-
-    n_combos = 1
-    for c in counts:
-        n_combos *= int(c) + 1
-        if n_combos > COMBO_CAP:
-            raise TooLargeError(
-                f"{n_combos}+ removal combinations exceed the cap {COMBO_CAP}"
-            )
+    radices = counts + 1
+    n_combos = math.prod(radices.tolist())
+    if n_combos > COMBO_CAP:
+        raise TooLargeError(
+            f"{len(counts)} user groups give more than {COMBO_CAP} removal combinations"
+        )
     if n_combos == 1:
         return PspResult(u, (), 0.0)
+    strides = n_combos // np.cumprod(radices)
+    profit_of = _removal_profit(instance, s, tau)
 
-    radices = counts + 1
-    strides = np.ones(len(counts), dtype=np.int64)
-    for g in range(len(counts) - 2, -1, -1):
-        strides[g] = strides[g + 1] * radices[g + 1]
-    group_u = values[:, 0]
-    group_t = values[:, 1]
-
-    best_profit = 0.0
-    best_key = None  # (removed count, flat index)
-    best_digits = np.zeros(len(counts), dtype=np.int64)
-    chunk = 1 << 18
-    for start in range(0, n_combos, chunk):
-        idx = np.arange(start, min(start + chunk, n_combos), dtype=np.int64)
-        digits = (idx[:, None] // strides[None, :]) % radices[None, :]
+    # (-profit, removed count, flat index); only a positive profit beats it
+    best_key = (0.0, 0, -1)
+    best_digits = None
+    for start in range(0, n_combos, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, n_combos), dtype=np.int64)
+        digits = (idx[:, None] // strides) % radices
         r = digits.sum(axis=1)
-        v_u = digits @ group_u
-        v_t = digits @ group_t
-        profit = base - alpha * (n - r) * (a_u - v_u) / (total - v_t) - r
+        profit = profit_of(r, digits @ values[:, 0], digits @ values[:, 1])
         top = float(profit.max())
-        if top > best_profit:
-            ties = np.flatnonzero(profit == top)
-            pick = ties[np.argmin(r[ties])]
-            inner = ties[r[ties] == r[pick]]
-            pick = inner.min()
-            best_profit = top
-            best_key = (int(r[pick]), int(idx[pick]))
-            best_digits = digits[pick]
-        elif top == best_profit and best_profit > 0.0:
-            ties = np.flatnonzero(profit == top)
-            pick = ties[np.argmin(r[ties])]
-            inner = ties[r[ties] == r[pick]]
-            pick = inner.min()
-            key = (int(r[pick]), int(idx[pick]))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_digits = digits[pick]
+        ties = np.flatnonzero(profit == top)
+        pick = ties[np.argmin(r[ties])]
+        key = (-top, int(r[pick]), start + int(pick))
+        if key < best_key:
+            best_key, best_digits = key, digits[pick]
 
-    if best_profit <= 0.0:
+    if best_digits is None:
         return PspResult(u, (), 0.0)
     removed = []
     for g, take in enumerate(best_digits):
         removed.extend(int(i) for i in members[g][: int(take)])
-    return PspResult(u, tuple(sorted(removed)), float(best_profit))
+    return PspResult(u, tuple(sorted(removed)), -best_key[0])
 
 
 def psp_greedy(instance: Instance, artist_set) -> PspResult:
@@ -222,14 +216,10 @@ def psp_greedy(instance: Instance, artist_set) -> PspResult:
     removal most increases the profit, until no removal improves it."""
     validate(instance)
     u = _clean_artist_set(instance, artist_set)
-    w = instance.weights
-    s = w[:, list(u)].sum(axis=1)
+    s = instance.weights[:, list(u)].sum(axis=1)
     tau = instance.user_totals()
+    profit_of = _removal_profit(instance, s, tau)
     n = instance.n_users
-    alpha = instance.alpha
-    a_u = float(s.sum())
-    total = float(tau.sum())
-    base = alpha * n * a_u / total
 
     removed_mask = np.zeros(n, dtype=bool)
     r = 0
@@ -238,11 +228,7 @@ def psp_greedy(instance: Instance, artist_set) -> PspResult:
     profit = 0.0
     while r < n - 1:
         with np.errstate(divide="ignore", invalid="ignore"):
-            cand_profit = (
-                base
-                - alpha * (n - r - 1) * (a_u - v_u - s) / (total - v_t - tau)
-                - (r + 1)
-            )
+            cand_profit = profit_of(r + 1, v_u, v_t, s, tau)
         cand_profit[removed_mask] = -np.inf
         pick = int(np.argmax(cand_profit))
         if cand_profit[pick] <= profit:

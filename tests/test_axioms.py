@@ -623,6 +623,12 @@ def test_run_suite_rejects_unknown_axiom():
         run_suite(AxiomId.ANONYMITY, "userprop", trials=5)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_run_suite_rejects_trials_below_one(trials):
+    with pytest.raises(ValueError, match="trials"):
+        run_suite(AxiomId.FRAUD_PROOF, "userprop", trials=trials)
+
+
 def test_run_suite_with_custom_generator():
     gen = lambda rng: make([[1, 0]] * 5)
     result = run_suite(AxiomId.FRAUD_PROOF, "globalprop", trials=30, seed=0, instance_gen=gen)

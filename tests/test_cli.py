@@ -210,6 +210,17 @@ def test_check_random_trials_witness(capsys):
     assert capsys.readouterr().out.startswith("axiom=FraudProof rule=globalprop")
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_check_random_trials_below_one_is_a_usage_error(trials, capsys):
+    code = main([
+        "check", "--axiom", "fraud", "--rule", "userprop", "--random-trials", trials,
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "trials" in captured.err
+
+
 def test_check_unknown_axiom(capsys):
     assert main(["check", "--axiom", "fairness", "--rule", "userprop", "--fixtures"]) == 1
     assert "unknown axiom" in capsys.readouterr().err
@@ -240,6 +251,18 @@ def test_numeric_failure_exit(tmp_path, capsys):
     path = _doc(tmp_path, [[1, 0], [0, 1]])
     assert main(["divide", "--rule", "min", "--instance", path]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_divide_weight_beyond_float_range(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "version": 1, "alpha": 1.0, "user_ids": ["u0"], "artist_ids": ["a0", "a1"],
+        "weights": [[int("9" * 400), 1]],
+    }))
+    assert main(["divide", "--rule", "globalprop", "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_missing_file(capsys):

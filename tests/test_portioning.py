@@ -11,7 +11,9 @@ from streamshare import (
     DegenerateAggregateError,
     PORTIONING_RULES,
     PortioningId,
+    SynthConfig,
     evaluate,
+    gen_synthetic,
     market_solution,
     portioning_payment,
     user_prop,
@@ -158,35 +160,28 @@ def test_egal_minimax_beats_random_simplex_points(inst):
 
 def _scipy_stage(norm, caps, active):
     """Reference LP for one minimax stage, solved with scipy. Variables are
-    the share vector p, per-entry deviations e, and the level z."""
+    the share vector p, per-entry deviations e, and the level z. The
+    constraint matrix is sparse, so catalog-sized stages fit in memory."""
+    from scipy import sparse
     from scipy.optimize import linprog
 
     n, m = norm.shape
     cols = m + n * m + 1
-    a_ub, b_ub = [], []
-    for sign in (1.0, -1.0):
-        for i in range(n):
-            for j in range(m):
-                row = np.zeros(cols)
-                row[j] = sign
-                row[m + i * m + j] = -1.0
-                a_ub.append(row)
-                b_ub.append(sign * norm[i, j])
-    for i in range(n):
-        row = np.zeros(cols)
-        row[m + i * m : m + (i + 1) * m] = 1.0
-        if active[i]:
-            row[-1] = -1.0
-            b_ub.append(0.0)
-        else:
-            b_ub.append(caps[i])
-        a_ub.append(row)
+    share = sparse.kron(np.ones((n, 1)), sparse.identity(m))  # p_j in row (i, j)
+    dev = sparse.identity(n * m)
+    row_sums = sparse.kron(sparse.identity(n), np.ones((1, m)))
+    level = sparse.csr_matrix(-active.astype(float)[:, None])
+    a_ub = sparse.bmat(
+        [[share, -dev, None], [-share, -dev, None], [None, row_sums, level]],
+        format="csr",
+    )
+    b_ub = np.concatenate([norm.ravel(), -norm.ravel(), np.where(active, 0.0, caps)])
     a_eq = np.zeros((1, cols))
     a_eq[0, :m] = 1.0
     c = np.zeros(cols)
     c[-1] = 1.0
     res = linprog(
-        c, A_ub=np.array(a_ub), b_ub=np.array(b_ub), A_eq=a_eq, b_eq=[1.0],
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
         bounds=[(0.0, None)] * (cols - 1) + [(0.0, 2.0)], method="highs",
     )
     assert res.success, res.message
@@ -228,6 +223,21 @@ def test_frozen_stage_level_matches_scipy(inst):
     _, z2, _ = _minimax_stage(norm, caps, active, p)
     expected = _scipy_stage(norm, caps, active)
     assert abs(z2 - expected) <= 1e-8, f"frozen level {z2} vs scipy {expected}"
+
+
+@pytest.mark.parametrize(
+    "n, m, seed", [(50, 20, s) for s in range(5)] + [(100, 30, s) for s in range(4)]
+)
+def test_minimax_stage_level_matches_scipy_on_catalogs(n, m, seed):
+    """First egal stage on generated catalogs against HiGHS."""
+    from streamshare.portioning import _minimax_stage
+
+    norm = _shares(gen_synthetic(SynthConfig(n, m, (1, 10), 1.0, seed)))
+    caps = np.full(n, -1.0)
+    active = np.ones(n, dtype=bool)
+    _, z, _ = _minimax_stage(norm, caps, active, np.full(m, 1.0 / m))
+    expected = _scipy_stage(norm, caps, active)
+    assert abs(z - expected) <= 1e-9, f"stage level {z} vs scipy {expected}"
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,39 @@ def test_psp_exact_prefers_fewer_removals():
             assert psp_value(inst, (0,), v) < best - 1e-12
 
 
+def _two_artist_draw(t):
+    rng = np.random.default_rng([97, t])
+    n = int(rng.integers(4, 12))
+    w = rng.integers(0, 4, size=(n, 2)).astype(float)
+    w[w.sum(axis=1) == 0, 1] = 1.0
+    return make(w)
+
+
+def test_psp_exact_is_chunk_invariant(monkeypatch):
+    """Chunks of 1, 3 and 7 combinations put tied optima in different chunks;
+    the cross-chunk tie-break must pick what one default chunk picks."""
+    import streamshare.pspdetect as pspdetect
+
+    checked = tied = 0
+    for t in range(600):
+        inst = _two_artist_draw(t)
+        _, counts, members, _, _ = _removal_groups(inst, (0,))
+        expected = psp_exact(inst, (0,))
+        if counts.max(initial=0) < 2 or expected.profit <= 0.0:
+            continue
+        for size in (1, 3, 7):
+            monkeypatch.setattr(pspdetect, "_CHUNK", size)
+            assert psp_exact(inst, (0,)) == expected, f"draw {t}, chunk {size}"
+        monkeypatch.undo()
+        checked += 1
+        optima = 0
+        for combo in itertools.product(*(range(int(c) + 1) for c in counts)):
+            v = [i for ms, c in zip(members, combo) for i in ms[:c]]
+            optima += abs(psp_value(inst, (0,), v) - expected.profit) < 1e-12
+        tied += optima > 1
+    assert checked >= 50 and tied >= 3, (checked, tied)
+
+
 def test_min_total_users_are_never_removed():
     values, counts, members, s, tau = _removal_groups(_stated_example(), (1,))
     pruned = set(range(6)) - {i for ms in members for i in ms}

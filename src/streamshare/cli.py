@@ -8,6 +8,7 @@ was found, 3 a numeric solver failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -283,7 +284,9 @@ def _cmd_reduce_ssbve(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="streamshare",
         description="Divide subscription revenue among artists and probe the rules.",

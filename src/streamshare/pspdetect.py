@@ -4,9 +4,10 @@ Given an artist set U, the profit of a removal set V of users is what U is
 paid on the full instance, minus what U would have been paid without V,
 minus one subscription fee per removed user. Three layers live here:
 
-* exact maximization over removal sets (``psp_exact``), feasible because
-  the profit depends on a user only through two numbers, so identical
-  users collapse into count groups;
+* exact maximization over removal sets (``psp_exact``): the profit depends
+  on a user only through two numbers, so identical users form count
+  groups, and for each removal count a parametric (Dinkelbach) solve over
+  the groups finds the best set, with no cap on the removal sets;
 * a greedy hill-climb lower bound (``psp_greedy``);
 * a hard-instance generator that embeds a small-set bipartite vertex
   expansion question into a payment instance (``ssbve_reduction``), with
@@ -25,21 +26,17 @@ import numpy as np
 from .core import Instance, subset_payment, validate
 from .rules import global_prop
 
-# Cap on enumerated removal sets per exact call. With all-distinct user rows
-# this is the classic 2^n wall at n = 22; duplicate rows compress far below it.
-COMBO_CAP = 1 << 22
-
 # Cap on candidate artist sets enumerated by the exact coalition search.
 CANDIDATE_CAP = 1 << 17
 
-# Removal combinations scored per vectorized step of the exact enumeration.
-_CHUNK = 1 << 18
+# (removal count, user group) cells per step of the exact solve; bounds its memory.
+_SOLVE_CELLS = 1 << 20
 
 THRESHOLD_SLACK = 1e-9
 
 
 class TooLargeError(ValueError):
-    """Exact enumeration would exceed its work cap."""
+    """The exact coalition search would exceed its candidate cap."""
 
 
 class ParameterError(ValueError):
@@ -129,35 +126,31 @@ def psp_value(instance: Instance, artist_set, user_set) -> float:
 
 
 def _removal_groups(instance: Instance, artist_set):
-    """Collapse users into (streams-into-U, total) groups, dropping users at
-    the minimum total. Removing a minimum-total user changes the target
-    payment by at most alpha, never covering its unit cost when alpha <= 1,
-    so such users are never needed in an optimal removal set."""
+    """Collapse users into (streams-into-U, total) groups, ascending, with
+    ascending members. Users at the minimum total are dropped: removing one
+    changes the target payment by at most alpha, never covering its unit
+    cost when alpha <= 1, so no optimal removal set needs them."""
     w = instance.weights
     s = w[:, list(artist_set)].sum(axis=1)
     tau = instance.user_totals()
-    keep = tau > tau.min()
-    pairs = np.stack([s[keep], tau[keep]], axis=1)
-    if pairs.shape[0] == 0:
+    kept = np.flatnonzero(tau > tau.min())
+    if kept.size == 0:
         return np.empty((0, 2)), np.empty(0, dtype=int), [], s, tau
-    values, inverse, counts = np.unique(
-        pairs, axis=0, return_inverse=True, return_counts=True
-    )
-    kept_idx = np.flatnonzero(keep)
-    members = [kept_idx[inverse == g] for g in range(values.shape[0])]
-    return values, counts, members, s, tau
+    order = kept[np.lexsort((tau[kept], s[kept]))]
+    ss, tt = s[order], tau[order]
+    starts = np.flatnonzero(np.concatenate(([True], (ss[1:] != ss[:-1]) | (tt[1:] != tt[:-1]))))
+    ends = np.append(starts[1:], order.size)
+    members = [order[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+    return np.column_stack((ss[starts], tt[starts])), ends - starts, members, s, tau
 
 
-def _removal_profit(instance: Instance, s: np.ndarray, tau: np.ndarray):
-    """Profit of a removal set from the per-user streams into the artist set
-    (``s``) and the user totals (``tau``): a function of the removed count r
-    and the removed streams v_u into the set and v_t in total. ``du`` and
-    ``dt`` subtract one more user's pair after those sums, as the greedy
-    step does, without re-rounding them."""
+def _removal_profit(instance: Instance, a_u: float, total: float):
+    """Profit of removing r users with v_u of the artist set's ``a_u`` streams
+    and v_t of all ``total`` streams. ``du`` and ``dt`` subtract one more
+    user's pair after those sums, as the greedy step does, without
+    re-rounding them."""
     n = instance.n_users
     alpha = instance.alpha
-    a_u = float(s.sum())
-    total = float(tau.sum())
     base = alpha * n * a_u / total
 
     def profit(r, v_u, v_t, du=0.0, dt=0.0):
@@ -166,49 +159,55 @@ def _removal_profit(instance: Instance, s: np.ndarray, tau: np.ndarray):
     return profit
 
 
-def psp_exact(instance: Instance, artist_set) -> PspResult:
-    """Maximum removal-set profit for one artist set, by grouped enumeration.
+def _best_takes(r, counts, values, a_u, total):
+    """Users to take from each group, for each removal count in ``r``, that
+    leave the least ratio (a_u - v_u) / (total - v_t). Dinkelbach's method:
+    at ratio lam the best r-set holds the r users with the largest
+    s - lam * tau, and that set's ratio is the next lam. The key is scaled
+    by the ratio's denominator, so exact data keeps exact ties, which go to
+    the earlier group. It stops when no ratio falls (the takes repeat)."""
+    s_g, t_g, have_g = values[:, 0], values[:, 1], counts.astype(float)
+    rows, want = np.arange(r.size)[:, None], r[:, None]
+    num, den = np.full(r.size, a_u), np.full(r.size, total)  # removing nobody
+    best = np.full(r.size, np.inf)
+    while True:
+        order = np.argsort(t_g * num[:, None] - s_g * den[:, None], axis=1, kind="stable")
+        have = have_g[order]
+        take = np.empty_like(have)
+        take[rows, order] = np.minimum(np.maximum(want - have.cumsum(axis=1) + have, 0.0), have)
+        num, den = a_u - take @ s_g, total - take @ t_g
+        ratio = num / den
+        if (ratio >= best).all():
+            return take
+        best = np.minimum(best, ratio)
 
-    Enumerates every count combination over the user groups (product of
-    group sizes plus one), vectorized in chunks. Raises TooLargeError when
-    that product exceeds COMBO_CAP. Ties prefer fewer removed users, then
-    the lowest-indexed ones.
-    """
+
+def psp_exact(instance: Instance, artist_set) -> PspResult:
+    """Maximum removal-set profit for one artist set, by a parametric solve.
+
+    For each removal count r the best set leaves the least ratio
+    (a_U - v_U) / (T - v_T), found exactly by ``_best_takes``. Removing r
+    users costs r and wins back at most the set's payment, which bounds r;
+    no cap on the removal sets. Ties prefer fewer removed users, then the
+    group of least (streams, total), then the lowest-indexed users."""
     validate(instance)
     u = _clean_artist_set(instance, artist_set)
     values, counts, members, s, tau = _removal_groups(instance, u)
-    radices = counts + 1
-    n_combos = math.prod(radices.tolist())
-    if n_combos > COMBO_CAP:
-        raise TooLargeError(
-            f"{len(counts)} user groups give more than {COMBO_CAP} removal combinations"
-        )
-    if n_combos == 1:
+    a_u, total = float(s.sum()), float(tau.sum())
+    # one more r than the payment bound absorbs rounding
+    r_max = min(int(counts.sum()), int(instance.alpha * instance.n_users * a_u / total) + 1)
+    if r_max == 0:
         return PspResult(u, (), 0.0)
-    strides = n_combos // np.cumprod(radices)
-    profit_of = _removal_profit(instance, s, tau)
-
-    # (-profit, removed count, flat index); only a positive profit beats it
-    best_key = (0.0, 0, -1)
-    best_digits = None
-    for start in range(0, n_combos, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, n_combos), dtype=np.int64)
-        digits = (idx[:, None] // strides) % radices
-        r = digits.sum(axis=1)
-        profit = profit_of(r, digits @ values[:, 0], digits @ values[:, 1])
-        top = float(profit.max())
-        ties = np.flatnonzero(profit == top)
-        pick = ties[np.argmin(r[ties])]
-        key = (-top, int(r[pick]), start + int(pick))
-        if key < best_key:
-            best_key, best_digits = key, digits[pick]
-
-    if best_digits is None:
+    r = np.arange(1, r_max + 1)
+    step = max(1, _SOLVE_CELLS // counts.size)
+    take = np.concatenate([_best_takes(r[i : i + step], counts, values, a_u, total)
+                           for i in range(0, r_max, step)])
+    profit = _removal_profit(instance, a_u, total)(r, take @ values[:, 0], take @ values[:, 1])
+    pick = int(np.argmax(profit))
+    if profit[pick] <= 0.0:
         return PspResult(u, (), 0.0)
-    removed = []
-    for g, take in enumerate(best_digits):
-        removed.extend(int(i) for i in members[g][: int(take)])
-    return PspResult(u, tuple(sorted(removed)), -best_key[0])
+    removed = [int(i) for ms, t in zip(members, take[pick]) for i in ms[: int(t)]]
+    return PspResult(u, tuple(sorted(removed)), float(profit[pick]))
 
 
 def psp_greedy(instance: Instance, artist_set) -> PspResult:
@@ -218,7 +217,7 @@ def psp_greedy(instance: Instance, artist_set) -> PspResult:
     u = _clean_artist_set(instance, artist_set)
     s = instance.weights[:, list(u)].sum(axis=1)
     tau = instance.user_totals()
-    profit_of = _removal_profit(instance, s, tau)
+    profit_of = _removal_profit(instance, float(s.sum()), float(tau.sum()))
     n = instance.n_users
 
     removed_mask = np.zeros(n, dtype=bool)
@@ -242,54 +241,58 @@ def psp_greedy(instance: Instance, artist_set) -> PspResult:
     return PspResult(u, users, max(profit, 0.0))
 
 
-def _column_signature(w: np.ndarray, tau: np.ndarray, j: int) -> tuple:
-    nz = np.flatnonzero(w[:, j])
-    pairs = sorted((float(w[i, j]), float(tau[i])) for i in nz)
-    return tuple(pairs)
-
-
 def _exchangeable(w: np.ndarray, x: int, y: int) -> bool:
     """True when swapping columns x and y extends to a relabeling of users
     that leaves the weight matrix unchanged, so the two artists play
     identical roles in every coalition."""
-    diff = np.flatnonzero(w[:, x] != w[:, y])
-    if diff.size == 0:
-        return True
-    perm = np.arange(w.shape[1])
-    perm[x], perm[y] = y, x
-    # two differing users that are each other's image under the swap
-    if diff.size == 2 and np.array_equal(w[diff[0], perm], w[diff[1]]):
-        return True
-    swapped = Counter()
-    original = Counter()
-    for i in diff:
-        original[w[i].tobytes()] += 1
-        swapped[w[i][perm].tobytes()] += 1
-    return swapped == original
+    rows = w[w[:, x] != w[:, y]]  # the users the swap changes
+    swapped = rows.copy()
+    swapped[:, [x, y]] = rows[:, [y, x]]
+    return Counter(r.tobytes() for r in rows) == Counter(r.tobytes() for r in swapped)
+
+
+def _signature_buckets(w: np.ndarray, tau: np.ndarray) -> list:
+    """Columns grouped by the sorted (weight, user total) pairs of their
+    nonzero entries, each group ascending. Interchangeable artists always
+    share a group, since relabeling users permutes those pairs."""
+    i, j = np.nonzero(w)
+    o = np.lexsort((tau[i], w[i, j], j))
+    i, j = i[o], j[o]
+    pos = np.arange(j.size) - np.searchsorted(j, j)  # rank within the column
+    # one row per column: its pairs in order, zero-padded (weights are nonzero)
+    sig = np.zeros((w.shape[1], 2 * int(pos.max(initial=-1)) + 2))
+    sig[j, 2 * pos], sig[j, 2 * pos + 1] = w[i, j], tau[i]
+    o = np.lexsort(sig.T[::-1])  # stable, so each bucket stays ascending
+    return np.split(o, np.flatnonzero((sig[o[1:]] != sig[o[:-1]]).any(axis=1)) + 1)
 
 
 def _artist_orbits(instance: Instance) -> list:
-    """Partition artists into interchangeability classes. Only artists whose
-    column value/total multisets match are ever compared, so generic
-    instances fall straight through to singleton orbits."""
+    """Partition artists into interchangeability classes. Within a signature
+    bucket the lowest column is compared with all others at once: no
+    differing user means identical columns, two a swapped pair of users,
+    and more go to ``_exchangeable``. Interchangeability is an equivalence,
+    so peeling off that column's class and repeating gives the partition."""
     w = instance.weights
-    tau = instance.user_totals()
-    buckets = {}
-    for j in range(instance.n_artists):
-        buckets.setdefault(_column_signature(w, tau, j), []).append(j)
     orbits = []
-    for _, js in sorted(buckets.items(), key=lambda kv: kv[1][0]):
-        reps = []  # [representative, members] pairs within this bucket
-        for j in js:
-            for entry in reps:
-                if _exchangeable(w, entry[0], j):
-                    entry[1].append(j)
-                    break
-            else:
-                reps.append((j, [j]))
-        orbits.extend(members for _, members in reps)
-    orbits.sort(key=lambda ms: ms[0])
-    return orbits
+    for rest in _signature_buckets(w, instance.user_totals()):
+        while rest.size > 1:
+            rep, others = rest[0], rest[1:]
+            diff = w[:, others] != w[:, [rep]]
+            n_diff = diff.sum(axis=0)
+            joined = n_diff == 0
+            pairs = np.flatnonzero(n_diff == 2)
+            if pairs.size:  # a swap maps user a to b: they differ only there
+                a, b = np.nonzero(diff[:, pairs].T)[1].reshape(-1, 2).T
+                j = others[pairs]
+                cross = (w[a, rep] == w[b, j]) & (w[a, j] == w[b, rep])
+                joined[pairs] = cross & ((w[a] != w[b]).sum(axis=1) == 2)
+            for q in np.flatnonzero(n_diff > 2):
+                joined[q] = _exchangeable(w, rep, others[q])
+            orbits.append([int(rep)] + others[joined].tolist())
+            rest = others[~joined]
+        if rest.size:
+            orbits.append([int(rest[0])])
+    return sorted(orbits)  # by first member, as the classes are disjoint
 
 
 def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
@@ -326,39 +329,34 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
         return best.artist_set, best
 
     orbits = _artist_orbits(instance)
-    candidates = []
-    sizes = [len(o) for o in orbits]
+    candidates, sizes = [], [len(o) for o in orbits]
     for total in range(1, k + 1):
         for combo in _count_vectors(sizes, total):
-            u = []
-            for o, c in zip(orbits, combo):
-                u.extend(o[:c])
-            candidates.append(tuple(sorted(u)))
+            candidates.append(tuple(sorted(j for o, c in zip(orbits, combo) for j in o[:c])))
             if len(candidates) > CANDIDATE_CAP:
-                raise TooLargeError(
-                    f"more than {CANDIDATE_CAP} candidate coalitions"
-                )
+                raise TooLargeError(f"more than {CANDIDATE_CAP} candidate coalitions")
     candidates.sort(key=lambda u: (len(u), u))
-    best = None
-    best_u = ()
+    best_u, best = (), None
     for u in candidates:
         res = psp_exact(instance, u)
         if best is None or res.profit > best.profit:
-            best = res
-            best_u = u
+            best_u, best = u, res
     return best_u, best
 
 
 def _count_vectors(sizes, total):
-    """All ways to take `total` items from orbits with the given sizes."""
-    if not sizes:
-        if total == 0:
-            yield ()
-        return
-    first = sizes[0]
-    for c in range(min(first, total), -1, -1):
-        for rest in _count_vectors(sizes[1:], total - c):
-            yield (c,) + rest
+    """All ways to take `total` items from orbits with the given sizes, most
+    from the first orbits first. A depth-first walk on an explicit stack, so
+    the recursion limit does not bound the orbit count."""
+    room = list(itertools.accumulate(reversed(sizes), initial=0))[::-1]  # orbits i.. hold
+    stack = [((), total)]
+    while stack:
+        prefix, left = stack.pop()
+        if left == 0:
+            yield prefix + (0,) * (len(sizes) - len(prefix))
+        elif left <= room[len(prefix)]:  # the later orbits can still hold the rest
+            i = len(prefix)
+            stack.extend((prefix + (c,), left - c) for c in range(min(sizes[i], left) + 1))
 
 
 def ssbve_reduction(

@@ -41,3 +41,32 @@ def random_dense(rng, max_users=20, max_artists=8, alpha=1.0):
     m = int(rng.integers(2, max_artists + 1))
     w = rng.exponential(1.0, size=(n, m)) + 1e-3
     return Instance(w, alpha)
+
+
+def psp_enumerate(instance, artist_set):
+    """Second oracle for ``psp_exact``: score every count combination over
+    the user groups of ``_removal_groups``. Ties prefer fewer removed users,
+    then the lowest flat index, whose first digit counts the first group."""
+    from streamshare.pspdetect import (
+        PspResult,
+        _clean_artist_set,
+        _removal_groups,
+        _removal_profit,
+    )
+
+    u = _clean_artist_set(instance, artist_set)
+    values, counts, members, s, tau = _removal_groups(instance, u)
+    radices = counts + 1
+    n_combos = int(np.prod(radices))
+    idx = np.arange(n_combos, dtype=np.int64)
+    digits = (idx[:, None] // (n_combos // np.cumprod(radices))) % radices
+    r = digits.sum(axis=1)
+    profit_of = _removal_profit(instance, float(s.sum()), float(tau.sum()))
+    profit = profit_of(r, digits @ values[:, 0], digits @ values[:, 1])
+    top = float(profit.max())
+    if top <= 0.0:
+        return PspResult(u, (), 0.0)
+    ties = np.flatnonzero(profit == top)
+    pick = ties[np.argmin(r[ties])]
+    removed = [int(i) for ms, take in zip(members, digits[pick]) for i in ms[:take]]
+    return PspResult(u, tuple(sorted(removed)), top)

@@ -1,13 +1,14 @@
 """End-to-end exercises of the command-line surface, in process."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from helpers import make
 from streamshare import fixtures, save_document
-from streamshare.cli import _AXIOM_ALIASES, main
+from streamshare.cli import _AXIOM_ALIASES, build_parser, main
 
 
 def _doc(tmp_path, rows, alpha=1.0, name="inst.json"):
@@ -245,6 +246,41 @@ def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+def test_calls_in_one_process_match_a_fresh_parser(tmp_path, capsys):
+    """The parser is built once per process; a run of calls, usage errors
+    and help included, prints and exits as if each call built its own."""
+    path = _doc(tmp_path, [[1, 0]] * 5 + [[0, 5]])
+    calls = [
+        ["divide", "--rule", "usereq", "--instance", path],
+        ["divide", "--rule", "userprop"],  # missing --instance
+        ["psp", "--instance", path, "--k", "1"],
+        ["--help"],
+        ["check", "--axiom", "fraud", "--rule", "globalprop", "--fixtures"],
+        ["psp", "--help"],
+        ["pps", "--rule", "userprop", "--instance", path, "--k", "1"],
+        ["psp", "--instance", path, "--k", "1", "--mode", "other"],
+        ["gen", "--users", "6", "--artists", "3", "--out", str(tmp_path / "g.json")],
+        ["check", "--axiom", "fraud", "--rule", "userprop", "--random-trials", "3"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, re.sub(r"runtime_ms=\S+", "", out), err
+
+    in_a_row = [run(argv) for argv in calls]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert in_a_row == fresh
+    assert [code for code, _, _ in in_a_row] == [0, 1, 0, 0, 2, 0, 0, 1, 0, 0]
 
 
 def test_numeric_failure_exit(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Coalition profit search: oracle, exact enumeration, greedy, reduction."""
+"""Coalition profit search: oracles, exact solve, greedy, orbits, reduction."""
 
 import itertools
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import instances, make
+from helpers import instances, make, psp_enumerate
 from streamshare import (
     BipartiteGraph,
     ParameterError,
@@ -22,6 +22,7 @@ from streamshare import (
 from streamshare.pspdetect import (
     THRESHOLD_SLACK,
     _artist_orbits,
+    _count_vectors,
     _exchangeable,
     _removal_groups,
 )
@@ -78,7 +79,7 @@ def test_psp_value_guards():
 
 
 # ---------------------------------------------------------------------------
-# exact enumeration against brute force
+# exact solve against brute force and the grouped enumeration
 
 
 def test_psp_exact_stated_example():
@@ -137,29 +138,38 @@ def _two_artist_draw(t):
     return make(w)
 
 
-def test_psp_exact_is_chunk_invariant(monkeypatch):
-    """Chunks of 1, 3 and 7 combinations put tied optima in different chunks;
-    the cross-chunk tie-break must pick what one default chunk picks."""
-    import streamshare.pspdetect as pspdetect
-
+def test_psp_exact_matches_enumeration_on_tied_draws():
+    """Two-artist draws with duplicate users and positive profit, some with
+    more than one optimal removal set: the parametric solve returns exactly
+    what scoring every group count combination returns."""
     checked = tied = 0
     for t in range(600):
         inst = _two_artist_draw(t)
         _, counts, members, _, _ = _removal_groups(inst, (0,))
-        expected = psp_exact(inst, (0,))
+        expected = psp_enumerate(inst, (0,))
         if counts.max(initial=0) < 2 or expected.profit <= 0.0:
             continue
-        for size in (1, 3, 7):
-            monkeypatch.setattr(pspdetect, "_CHUNK", size)
-            assert psp_exact(inst, (0,)) == expected, f"draw {t}, chunk {size}"
-        monkeypatch.undo()
+        assert psp_exact(inst, (0,)) == expected, f"draw {t}"
         checked += 1
         optima = 0
         for combo in itertools.product(*(range(int(c) + 1) for c in counts)):
             v = [i for ms, c in zip(members, combo) for i in ms[:c]]
             optima += abs(psp_value(inst, (0,), v) - expected.profit) < 1e-12
         tied += optima > 1
-    assert checked >= 50 and tied >= 3, (checked, tied)
+    assert checked == 84 and tied == 9, (checked, tied)
+
+
+def test_psp_exact_matches_enumeration_on_random_instances():
+    for trial in range(300):
+        rng = np.random.default_rng([73, trial])
+        n, m = int(rng.integers(2, 12)), int(rng.integers(2, 5))
+        w = rng.integers(0, 5, size=(n, m)).astype(float)
+        if trial % 2:
+            w = rng.exponential(1.0, size=(n, m)) * (w > 1)
+        w[w.sum(axis=1) == 0, 0] = 1.0
+        inst = make(w, float(rng.choice([0.3, 0.7, 1.0])))
+        u = tuple(sorted(rng.choice(m, size=int(rng.integers(1, m)), replace=False)))
+        assert psp_exact(inst, u) == psp_enumerate(inst, u), f"trial {trial}"
 
 
 def test_min_total_users_are_never_removed():
@@ -168,12 +178,44 @@ def test_min_total_users_are_never_removed():
     assert pruned == {0, 1, 2, 3, 4}, "all five minimum-total users drop out"
 
 
-def test_psp_exact_combo_cap():
-    # 24 users with pairwise distinct totals: one is pruned as the minimum,
-    # 23 singleton groups remain, and 2^23 exceeds the enumeration cap
-    w = np.array([[i + 1.0, 1.0] for i in range(24)])
-    with pytest.raises(TooLargeError):
-        psp_exact(make(w), (0,))
+def test_psp_exact_is_invariant_to_the_solve_block(monkeypatch):
+    """Blocks of 1 and 3 removal counts per solve step give what one block
+    gives."""
+    import streamshare.pspdetect as pspdetect
+
+    insts = [_two_artist_draw(t) for t in range(40)] + [_distinct_totals(24, True)]
+    expected = [psp_exact(inst, (0,)) for inst in insts]
+    assert sum(e.profit > 0 for e in expected) >= 10
+    for cells in (1, 3 * 23):
+        monkeypatch.setattr(pspdetect, "_SOLVE_CELLS", cells)
+        assert [psp_exact(inst, (0,)) for inst in insts] == expected, cells
+
+
+def _distinct_totals(n, flip_every_third=False):
+    # n users with pairwise distinct totals: one is pruned as the minimum and
+    # n - 1 singleton groups remain, so the enumeration has 2^(n-1) sets
+    w = np.array([[i + 1.0, 1.0] for i in range(n)])
+    if flip_every_third:
+        w[::3] = w[::3, ::-1]
+    return make(w)
+
+
+def test_psp_exact_has_no_combination_cap():
+    # 2^23 removal sets, beyond what the enumeration could score
+    for flip in (False, True):
+        inst = _distinct_totals(24, flip)
+        for u in ((0,), (1,)):
+            res = psp_exact(inst, u)
+            assert abs(psp_value(inst, u, res.user_set) - res.profit) < 1e-12
+            assert res.profit >= psp_greedy(inst, u).profit
+    assert psp_exact(_distinct_totals(24, True), (0,)).profit > 1.8
+
+
+def test_psp_exact_matches_enumeration_on_sixteen_users():
+    for flip in (False, True):
+        inst = _distinct_totals(16, flip)
+        for u in ((0,), (1,)):
+            assert psp_exact(inst, u) == psp_enumerate(inst, u)
 
 
 @given(instances(max_users=8, max_artists=4, positive=True))
@@ -217,6 +259,88 @@ def test_orbits_on_symmetric_instance():
 def test_orbits_fall_to_singletons_on_generic_weights():
     inst = make([[1, 2, 3], [4, 5, 6]])
     assert _artist_orbits(inst) == [[0], [1], [2]]
+
+
+def _pairwise_orbits(inst):
+    """Reference partition: each artist joins the first class whose first
+    member it is exchangeable with."""
+    classes = []
+    for j in range(inst.n_artists):
+        for members in classes:
+            if _exchangeable(inst.weights, members[0], j):
+                members.append(j)
+                break
+        else:
+            classes.append([j])
+    return classes
+
+
+def _planted(rng, kind):
+    """Small integer instance where column 3 copies column 1 except for one
+    planted relation; the users it touches share one total, so both columns
+    keep one signature and reach the vectorized orbit step."""
+    n, m = int(rng.integers(6, 10)), int(rng.integers(5, 8))
+    w = rng.integers(0, 3, size=(n, m)).astype(float)
+    w[:, 3] = w[:, 1]
+    swap = [0, 3, 2, 1, *range(4, m)]
+    a, b, c, d = rng.choice(n, size=4, replace=False)
+    if kind == "swap":  # users a and b mirror each other
+        w[a, [1, 3]] = [1.0, 2.0]
+        w[b] = w[a, swap]
+    elif kind == "not-swap":  # users a and b differ, but not by the swap
+        w[b] = w[a]
+        w[a, :4] = [1.0, 1.0, 2.0, 2.0]
+        w[b, :4] = [2.0, 2.0, 1.0, 1.0]
+    elif kind == "three-cycle":  # users a, b, c cycle between the columns
+        w[[a, b, c]] = 0.0
+        w[[a, b, c], 0] = [3.0, 1.0, 2.0]
+        w[[a, b, c], 1] = [1.0, 2.0, 3.0]
+        w[[a, b, c], 3] = [2.0, 3.0, 1.0]
+    elif kind == "two-swaps":  # two mirrored pairs of users
+        w[a, [1, 3]] = [1.0, 0.0]
+        w[c, [1, 3]] = [2.0, 0.0]
+        w[b], w[d] = w[a, swap], w[c, swap]
+    w[w.sum(axis=1) == 0, 0] = 1.0
+    return make(w)
+
+
+@pytest.mark.parametrize("kind", ["duplicate", "swap", "not-swap", "three-cycle", "two-swaps"])
+def test_orbits_match_pairwise_reference(kind):
+    joined = 0
+    for t in range(60):
+        inst = _planted(np.random.default_rng([41, t]), kind)
+        orbits = _artist_orbits(inst)
+        assert orbits == _pairwise_orbits(inst), f"draw {t}"
+        joined += any(1 in o and 3 in o for o in orbits)
+    # planted symmetries join columns 1 and 3; the two decoys never do
+    assert joined == (0 if kind in ("not-swap", "three-cycle") else 60)
+
+
+def test_orbits_match_pairwise_reference_on_reductions():
+    for n_left, n_right in ((1, 2), (2, 2), (2, 3), (3, 2)):
+        cells = list(itertools.product(range(n_left), range(n_right)))
+        for bits in range(1, 1 << len(cells), 3):
+            edges = tuple(cells[i] for i in range(len(cells)) if bits >> i & 1)
+            graph = BipartiteGraph(n_left, n_right, edges)
+            inst = ssbve_reduction(graph, 1, n_right // 2).instance
+            assert _artist_orbits(inst) == _pairwise_orbits(inst), (n_left, n_right, bits)
+
+
+def test_count_vectors_order_matches_a_sorted_product():
+    for sizes in ([], [2], [1, 0, 3], [2, 2, 1, 3], [3, 1, 2]):
+        for total in range(sum(sizes) + 2):
+            want = sorted(
+                (c for c in itertools.product(*(range(s + 1) for s in sizes))
+                 if sum(c) == total),
+                reverse=True,
+            )
+            assert list(_count_vectors(sizes, total)) == want, (sizes, total)
+
+
+def test_count_vectors_is_not_bounded_by_recursion():
+    got = list(_count_vectors([1] * 1200, 1))
+    assert len(got) == 1200
+    assert got[0] == (1,) + (0,) * 1199 and got[-1] == (0,) * 1199 + (1,)
 
 
 # ---------------------------------------------------------------------------

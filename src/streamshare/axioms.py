@@ -63,10 +63,6 @@ class NoRowsChangedError(AxiomCheckError):
     """Bribery pairs must differ in at least one row."""
 
 
-class BadSplitError(AxiomCheckError):
-    """A sybil decomposition does not reassemble the original column."""
-
-
 class PremiseError(AxiomCheckError):
     """The structural premises of the axiom do not hold for this pair."""
 
@@ -146,41 +142,6 @@ def witness_line(witness: ViolationWitness) -> str:
     )
 
 
-@dataclass(frozen=True)
-class SybilSplitSpec:
-    """Split one artist's column into several sybil columns.
-
-    ``parts`` has one row per user and one column per sybil identity; each
-    row must sum to the user's original weight on ``split_artist``.
-    """
-
-    split_artist: int
-    parts: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", np.asarray(self.parts, dtype=float))
-
-
-def split_instance(instance: Instance, spec: SybilSplitSpec) -> Instance:
-    """Materialize the post-split instance described by ``spec``."""
-    j = int(spec.split_artist)
-    if not 0 <= j < instance.n_artists:
-        raise BadSplitError(f"split artist {j} out of range")
-    parts = spec.parts
-    if parts.ndim != 2 or parts.shape[0] != instance.n_users or parts.shape[1] < 2:
-        raise BadSplitError("parts must have shape (n_users, r) with r >= 2")
-    if np.any(parts < 0):
-        raise BadSplitError("sybil parts must be nonnegative")
-    resid = np.abs(parts.sum(axis=1) - instance.weights[:, j])
-    if np.any(resid > PREMISE_TOL):
-        bad = int(np.argmax(resid))
-        raise BadSplitError(
-            f"user {bad} parts sum off by {resid[bad]:.3g} (tolerance {PREMISE_TOL})"
-        )
-    w = instance.weights
-    return Instance(np.hstack([w[:, :j], parts, w[:, j + 1 :]]), instance.alpha)
-
-
 # ---------------------------------------------------------------------------
 # verifiers
 
@@ -253,25 +214,15 @@ def verify_click_fraud(rule, base: Instance, manipulated: Instance) -> GainRepor
     )
 
 
-def verify_sybil(rule, instance: Instance, spec: SybilSplitSpec) -> GainReport:
-    """Absolute change of the split artist's group payment (bound: none, equality)."""
-    manipulated = split_instance(instance, spec)
-    j, r = int(spec.split_artist), spec.parts.shape[1]
-    before = float(_payments(rule, instance)[j])
-    after = float(_payments(rule, manipulated)[j : j + r].sum())
-    return GainReport(
-        AxiomId.SYBIL_PROOF, rule_name(rule), abs(after - before), 0.0, before, after
-    )
-
-
 def _common_masks(base: Instance, manipulated: Instance, cstar):
-    cstar = tuple(sorted({int(c) for c in cstar}))
+    """Masks of the ``cstar`` columns in ``base`` and in ``manipulated``."""
+    cstar = np.asarray(cstar, dtype=int).reshape(-1)
     limit = min(base.n_artists, manipulated.n_artists)
-    if any(c < 0 or c >= limit for c in cstar):
+    if cstar.size and not 0 <= cstar.min() <= cstar.max() < limit:
         raise PremiseError("cstar index out of range for one of the instances")
-    keep_b = np.isin(np.arange(base.n_artists), cstar)
-    keep_m = np.isin(np.arange(manipulated.n_artists), cstar)
-    return cstar, keep_b, keep_m
+    keep = np.zeros(max(base.n_artists, manipulated.n_artists), dtype=bool)
+    keep[cstar] = True
+    return keep[: base.n_artists], keep[: manipulated.n_artists]
 
 
 def _group_change(axiom, rule, base, manipulated, keep_b, keep_m) -> GainReport:
@@ -294,14 +245,12 @@ def verify_sybil_pair(rule, base: Instance, manipulated: Instance, cstar) -> Gai
         raise PremiseError("sybil pairs keep the user set fixed")
     if manipulated.alpha != base.alpha:
         raise PremiseError("alpha differs between the instances")
-    cstar, keep_b, keep_m = _common_masks(base, manipulated, cstar)
-    if np.any(
-        np.abs(base.weights[:, keep_b] - manipulated.weights[:, keep_m]) > PREMISE_TOL
-    ):
+    keep_b, keep_m = _common_masks(base, manipulated, cstar)
+    if (np.abs(base.weights[:, keep_b] - manipulated.weights[:, keep_m]) > PREMISE_TOL).any():
         raise PremiseError("weights on untouched artists changed")
     mass_b = base.weights[:, ~keep_b].sum(axis=1)
     mass_m = manipulated.weights[:, ~keep_m].sum(axis=1)
-    if np.any(np.abs(mass_b - mass_m) > PREMISE_TOL):
+    if (np.abs(mass_b - mass_m) > PREMISE_TOL).any():
         raise PremiseError("a user's mass on the manipulated artists changed")
     return _group_change(AxiomId.SYBIL_PROOF, rule, base, manipulated, keep_b, keep_m)
 
@@ -317,7 +266,7 @@ def verify_strong_sybil(rule, base: Instance, manipulated: Instance, cstar) -> G
         raise PremiseError("strong sybil pairs keep the user set fixed")
     if manipulated.alpha != base.alpha:
         raise PremiseError("alpha differs between the instances")
-    cstar, keep_b, keep_m = _common_masks(base, manipulated, cstar)
+    keep_b, keep_m = _common_masks(base, manipulated, cstar)
     tot_b = base.weights.sum(axis=0)
     tot_m = manipulated.weights.sum(axis=0)
     if np.any(np.abs(tot_b[keep_b] - tot_m[keep_m]) > PREMISE_TOL):
@@ -738,11 +687,14 @@ def _sybil_trial(rule, inst, rng, n_random):
     j = int(rng.integers(inst.n_artists))
     r = int(rng.integers(2, 5))
     parts = inst.weights[:, j][:, None] * rng.dirichlet(np.ones(r), size=inst.n_users)
-    spec = SybilSplitSpec(j, parts)
-    report = verify_sybil(rule, inst, spec)
-    return (
-        report.margin, report.gain, 0.0, inst, split_instance(inst, spec), (j,), None,
-    )
+    # artist j keeps its column as sybil 0 and the other sybils are appended,
+    # so every untouched artist keeps its index
+    w = np.hstack([inst.weights, parts[:, 1:]])
+    w[:, j] = parts[:, 0]
+    manipulated = Instance(w, inst.alpha)
+    cstar = [c for c in range(inst.n_artists) if c != j]
+    report = verify_sybil_pair(rule, inst, manipulated, cstar)
+    return (report.margin, report.gain, 0.0, inst, manipulated, (j,), None)
 
 
 def _strong_sybil_trial(rule, inst, rng, n_random):

@@ -19,7 +19,7 @@ from .axioms import (
     run_suite,
     witness_line,
 )
-from .core import InstanceError, with_alpha
+from .core import BadAlphaError, InstanceError, with_alpha
 from .experiments import (
     SynthConfig,
     gen_synthetic,
@@ -82,15 +82,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_alpha(flag_value, document_alpha: float) -> float:
-    if flag_value is not None:
-        return float(flag_value)
+    """The payout share: ``--alpha``, else ``STREAMSHARE_ALPHA``, else the
+    document's own, checked to lie in (0, 1]."""
+    alpha = document_alpha
     env = os.environ.get(ALPHA_ENV)
-    if env is not None:
+    if flag_value is not None:
+        alpha = float(flag_value)
+    elif env is not None:
         try:
-            return float(env)
+            alpha = float(env)
         except ValueError:
             raise ValueError(f"{ALPHA_ENV} is not a number: {env!r}")
-    return document_alpha
+    if not 0.0 < alpha <= 1.0:
+        raise BadAlphaError(f"alpha must be in (0, 1], got {alpha}")
+    return alpha
 
 
 def _load_with_alpha(path, flag_alpha):
@@ -192,6 +197,7 @@ def _cmd_psp(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    alpha = _resolve_alpha(args.alpha, 1.0)
     high = args.follow_max if args.follow_max is not None else min(10, args.artists)
     config = SynthConfig(
         n_users=args.users,
@@ -200,9 +206,7 @@ def _cmd_gen(args) -> int:
         stream_lambda=args.stream_lambda,
         seed=args.seed,
     )
-    instance = gen_synthetic(config)
-    alpha = _resolve_alpha(args.alpha, 1.0)
-    instance = with_alpha(instance, alpha)
+    instance = with_alpha(gen_synthetic(config), alpha)
     save_document(args.out, instance, *default_ids(instance))
     print(
         f"wrote {instance.n_users} users x {instance.n_artists} artists "
@@ -247,7 +251,7 @@ def _cmd_sweep(args) -> int:
     write_rows_csv(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     if args.agg_out:
-        aggregates = replicate(config, rules, alphas, args.k, args.seeds)
+        aggregates = replicate(rows)
         write_aggregates_csv(args.agg_out, aggregates)
         print(f"wrote {len(aggregates)} aggregate rows to {args.agg_out}")
     return EXIT_OK

@@ -162,9 +162,9 @@ def sweep_seeds(config: SynthConfig, rules, alphas, k: int, n_seeds: int):
     return rows
 
 
-def replicate(config: SynthConfig, rules, alphas, k: int, n_seeds: int):
-    """Median and interquartile range per (rule, alpha) over seeds."""
-    rows = sweep_seeds(config, rules, alphas, k, n_seeds)
+def replicate(rows):
+    """Median and interquartile range per (rule, alpha) of sweep ``rows``,
+    taken over their seeds."""
     groups = {}
     for row in rows:
         groups.setdefault((row.rule, row.alpha), []).append(row)
@@ -177,7 +177,7 @@ def replicate(config: SynthConfig, rules, alphas, k: int, n_seeds: int):
             AggregateRow(
                 rule=rule,
                 alpha=a,
-                k=k,
+                k=cell[0].k,
                 n_seeds=len(cell),
                 top_median=float(np.median(tops)),
                 top_iqr=_iqr(tops),

@@ -17,7 +17,6 @@ from streamshare import (
     GainReport,
     NegativeWeightError,
     RuleId,
-    SybilSplitSpec,
     ViolationWitness,
     ZeroRowError,
     add_user,
@@ -34,7 +33,6 @@ from streamshare import (
 )
 from streamshare.axioms import (
     VERIFIERS,
-    BadSplitError,
     _bribes,
     _score,
     candidate_profiles,
@@ -42,7 +40,6 @@ from streamshare.axioms import (
     NotAnExtensionError,
     PremiseError,
     random_instance,
-    split_instance,
     verify_anonymity,
     verify_bribery_pair,
     verify_click_fraud,
@@ -52,7 +49,6 @@ from streamshare.axioms import (
     verify_no_free_ridership,
     verify_pigou_dalton,
     verify_strong_sybil,
-    verify_sybil,
     verify_sybil_pair,
     verify_user_addition_monotone,
 )
@@ -151,28 +147,9 @@ def test_click_fraud_is_single_row_only():
     assert report.violation
 
 
-def test_split_instance_mechanics():
-    inst = make([[1, 1], [2, 0]])
-    spec = SybilSplitSpec(0, [[0.5, 0.5], [2.0, 0.0]])
-    out = split_instance(inst, spec)
-    assert out.n_artists == 3
-    assert np.allclose(out.weights, [[0.5, 0.5, 1], [2, 0, 0]])
-
-
-def test_split_instance_guards():
-    inst = make([[1, 1], [2, 0]])
-    with pytest.raises(BadSplitError):
-        split_instance(inst, SybilSplitSpec(5, [[0.5, 0.5], [2, 0]]))
-    with pytest.raises(BadSplitError):
-        split_instance(inst, SybilSplitSpec(0, [[1.0], [2.0]]))  # r < 2
-    with pytest.raises(BadSplitError):
-        split_instance(inst, SybilSplitSpec(0, [[0.5, 0.4], [2, 0]]))  # bad sum
-    with pytest.raises(BadSplitError):
-        split_instance(inst, SybilSplitSpec(0, [[1.5, -0.5], [2, 0]]))  # negative
-
-
 def test_sybil_split_gain_usereq():
-    report = verify_sybil("usereq", make([[1, 1]]), SybilSplitSpec(1, [[0.5, 0.5]]))
+    # artist 1 splits into itself and a new column 2, each taking half
+    report = verify_sybil_pair("usereq", make([[1, 1]]), make([[1, 0.5, 0.5]]), (0,))
     assert abs(report.gain - 1 / 6) < 1e-12
     assert report.violation
 
@@ -183,8 +160,10 @@ def test_sybil_split_gain_usereq():
 def test_sybil_split_invariance(rule, inst, frac):
     """The three stream-weighted rules cannot be moved by splitting."""
     col = inst.weights[:, 0]
-    spec = SybilSplitSpec(0, np.column_stack([col * frac, col * (1 - frac)]))
-    report = verify_sybil(rule, inst, spec)
+    w = np.column_stack([inst.weights, col * (1 - frac)])
+    w[:, 0] = col * frac
+    cstar = range(1, inst.n_artists)
+    report = verify_sybil_pair(rule, inst, make(w, inst.alpha), cstar)
     assert report.gain <= 1e-9, f"{rule} moved by {report.gain}"
 
 
@@ -603,6 +582,26 @@ def test_run_suite_finds_a_dirty_cell():
     assert result.witness is not None
     assert not result.passed
     assert result.witness.source.startswith("seed:0/trial:")
+
+
+@pytest.mark.parametrize(
+    "rule, max_margin",
+    [
+        ("userprop", 8.881784197001252e-16),
+        ("scaledup", 8.881784197001252e-16),
+        ("globalprop", 8.881784197001252e-16),
+        ("usereq", 1.836922084130527),
+    ],
+)
+def test_sybil_suite_results_are_pinned(rule, max_margin):
+    result = run_suite(AxiomId.SYBIL_PROOF, rule, trials=2000, seed=7)
+    assert abs(result.max_margin - max_margin) <= 1e-15
+    if rule == "usereq":
+        assert abs(result.witness.margin - max_margin) <= 1e-15
+        assert result.witness.target_set == (0,)
+        assert result.witness.source == "seed:7/trial:1370"
+    else:
+        assert result.witness is None
 
 
 def test_run_suite_strong_sybil_search_breaks_user_rules():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import make
-from streamshare import fixtures, save_document
+from streamshare import experiments, fixtures, save_document
 from streamshare.cli import _AXIOM_ALIASES, build_parser, main
 
 
@@ -43,6 +43,27 @@ def test_divide_bad_env_alpha(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("STREAMSHARE_ALPHA", "most")
     assert main(["divide", "--rule", "globalprop", "--instance", path]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["divide", "--rule", "globalprop", "--alpha", "1.5"],
+        ["divide", "--rule", "globalprop", "--alpha", "0"],
+        ["pps", "--rule", "userprop", "--k", "1", "--alpha", "-2"],
+    ],
+)
+def test_alpha_flag_outside_unit_interval(argv, tmp_path, capsys):
+    path = _doc(tmp_path, [[1, 1], [2, 0]])
+    assert main(argv + ["--instance", path]) == 1
+    assert "alpha must be in (0, 1]" in capsys.readouterr().err
+
+
+def test_env_alpha_outside_unit_interval(tmp_path, capsys, monkeypatch):
+    path = _doc(tmp_path, [[1, 1]])
+    monkeypatch.setenv("STREAMSHARE_ALPHA", "-1")
+    assert main(["divide", "--rule", "globalprop", "--instance", path]) == 1
+    assert "alpha must be in (0, 1]" in capsys.readouterr().err
 
 
 def test_pps_report(tmp_path, capsys):
@@ -336,6 +357,15 @@ def test_gen_then_divide_round_trip(tmp_path, capsys):
     assert abs(total - 0.6 * 30) < 1e-9
 
 
+def test_gen_alpha_outside_unit_interval_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "gen.json"
+    code = main(["gen", "--users", "5", "--artists", "3", "--out", str(out),
+                 "--alpha", "1.5"])
+    assert code == 1
+    assert "alpha must be in (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_bad_follow_range(tmp_path, capsys):
     code = main(["gen", "--users", "5", "--artists", "3", "--out",
                  str(tmp_path / "x.json"), "--follow-min", "4"])
@@ -358,6 +388,21 @@ def test_sweep_round_trip(tmp_path, capsys):
     assert len(lines) == 19
     assert lines[0].startswith("rule,alpha,seed,")
     assert len(aggs_out.read_text().splitlines()) == 7
+
+
+def test_sweep_agg_out_draws_each_seed_once(tmp_path, capsys, monkeypatch):
+    drawn = []
+    real = experiments.gen_synthetic
+    monkeypatch.setattr(
+        experiments, "gen_synthetic", lambda config: drawn.append(config.seed) or real(config)
+    )
+    config = tmp_path / "sweep.cfg"
+    config.write_text("users = 40\nartists = 6\nrange = 1,3\nseed = 5\n")
+    code = main(["sweep", "--config", str(config), "--alphas", "0.3,0.7",
+                 "--k", "2", "--seeds", "3", "--out", str(tmp_path / "rows.csv"),
+                 "--agg-out", str(tmp_path / "aggs.csv")])
+    assert code == 0
+    assert drawn == [5, 6, 7]
 
 
 def test_sweep_unknown_config_key(tmp_path, capsys):

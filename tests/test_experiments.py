@@ -100,10 +100,10 @@ def test_sweep_seeds_covers_the_grid():
 
 
 def test_replicate_aggregates():
-    aggs = replicate(_small(), ["userprop", "scaledup"], [0.4, 0.8], k=2, n_seeds=4)
+    aggs = replicate(sweep_seeds(_small(), ["userprop", "scaledup"], [0.4, 0.8], k=2, n_seeds=4))
     assert len(aggs) == 4
     assert all(isinstance(a, AggregateRow) for a in aggs)
-    assert all(a.n_seeds == 4 for a in aggs)
+    assert all(a.n_seeds == 4 and a.k == 2 for a in aggs)
     keys = {(a.rule, a.alpha) for a in aggs}
     assert keys == {("userprop", 0.4), ("userprop", 0.8), ("scaledup", 0.4), ("scaledup", 0.8)}
     for a in aggs:
@@ -124,7 +124,7 @@ def test_csv_round_trip(tmp_path):
     # 12 significant digits on floats
     assert abs(float(first[4]) - rows[0].top_mean) < 1e-9
 
-    aggs = replicate(_small(), ["userprop"], [0.5], k=2, n_seeds=2)
+    aggs = replicate(sweep_seeds(_small(), ["userprop"], [0.5], k=2, n_seeds=2))
     agg_out = tmp_path / "aggs.csv"
     write_aggregates_csv(agg_out, aggs)
     head = agg_out.read_text().splitlines()[0]

@@ -252,6 +252,7 @@ def verify_sybil_pair(rule, base: Instance, manipulated: Instance, cstar) -> Gai
     mass_m = manipulated.weights[:, ~keep_m].sum(axis=1)
     if (np.abs(mass_b - mass_m) > PREMISE_TOL).any():
         raise PremiseError("a user's mass on the manipulated artists changed")
+    core.validate_rows(manipulated)
     return _group_change(AxiomId.SYBIL_PROOF, rule, base, manipulated, keep_b, keep_m)
 
 

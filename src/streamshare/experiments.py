@@ -119,6 +119,13 @@ def _measure(rule, instance: Instance, k: int):
     return top, bottom, envy, (time.perf_counter() - start) * 1e3
 
 
+def _checked_alphas(alphas) -> list:
+    alphas = [float(a) for a in alphas]
+    if any(not 0.0 < a <= 1.0 for a in alphas):
+        raise ValueError(f"alphas must lie in (0, 1], got {alphas}")
+    return alphas
+
+
 def alpha_sweep(instance: Instance, rules, alphas, k: int, seed: int = 0):
     """One ExperimentRow per (rule, alpha).
 
@@ -127,9 +134,7 @@ def alpha_sweep(instance: Instance, rules, alphas, k: int, seed: int = 0):
     user-proportional rule whose per-user caps move with alpha. So only
     that rule is re-evaluated per alpha; the others are measured once.
     """
-    alphas = [float(a) for a in alphas]
-    if any(not 0.0 < a <= 1.0 for a in alphas):
-        raise ValueError(f"alphas must lie in (0, 1], got {alphas}")
+    alphas = _checked_alphas(alphas)
     rows = []
     for rule in rules:
         rule = coerce_rule(rule)
@@ -154,6 +159,7 @@ def sweep_seeds(config: SynthConfig, rules, alphas, k: int, n_seeds: int):
     """Run the sweep on n_seeds instances seeded config.seed, +1, +2, ..."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be at least 1")
+    alphas = _checked_alphas(alphas)
     rows = []
     for offset in range(n_seeds):
         cfg = dataclasses.replace(config, seed=config.seed + offset)

@@ -12,7 +12,8 @@ scales it by the budget ``alpha * n``.
   repeatedly freezing the users pinned at the optimum and re-minimizing over
   the rest.
 * ``indmkt``: per-artist medians after padding each artist's value list with
-  the phantom bids ``min(k*t, 1)``, where t solves "medians sum to 1".
+  the phantom bids ``min(k*t, 1)``, where t solves "medians sum to 1" in
+  closed form on the piecewise-linear median sum.
 """
 
 from __future__ import annotations
@@ -99,9 +100,8 @@ def _util_share(norm: np.ndarray) -> np.ndarray:
     statistics of that artist's column. The optimal face is the box for the
     level whose interval sums bracket 1, and the max-entropy point on it clips
     a single constant into each interval."""
-    n, m = norm.shape
-    # stats[r] = (r+1)-th largest value of each column; one zero sentinel row
-    stats = np.vstack([-np.sort(-norm, axis=0), np.zeros((1, m))])
+    n = norm.shape[0]
+    stats = _sorted_columns(norm)
     bounds = stats.sum(axis=1)
     feasible = np.flatnonzero(bounds[:n] >= 1.0 - 1e-9)
     level = int(feasible[-1]) if feasible.size else 0
@@ -111,6 +111,19 @@ def _util_share(norm: np.ndarray) -> np.ndarray:
     if not 0.9 < total < 1.1:  # the face always brackets 1; this is a bug trap
         raise SolverFailure(f"util face sum {total} out of range")
     return p / total
+
+
+def _sorted_columns(norm: np.ndarray) -> np.ndarray:
+    """Row r holds the (r+1)-th largest value of each column, and one zero
+    sentinel row follows: an (n+1) x m array, sorted in place."""
+    n, m = norm.shape
+    stats = np.empty((n + 1, m))
+    body = stats[:n]
+    np.negative(norm, out=body)
+    body.sort(axis=0)
+    np.negative(body, out=body)
+    stats[n] = 0.0
+    return stats
 
 
 def _clip_to_sum(lo: np.ndarray, hi: np.ndarray, target: float) -> np.ndarray:
@@ -347,7 +360,8 @@ def _egal_share(norm: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MarketSolution:
-    """Solved phantom scale, per-artist medians there, and |sum - 1|."""
+    """Phantom scale solved in closed form, per-artist medians there, and
+    |sum - 1|."""
 
     t_star: float
     medians: np.ndarray
@@ -359,25 +373,52 @@ class MarketSolution:
 
 
 def market_solution(norm: np.ndarray) -> MarketSolution:
-    """Bisect for the phantom scale t where the 2n+1 per-artist medians
-    (n user values plus phantoms min(k*t, 1), k = 0..n) sum to 1. The sum is
-    0 at t=0, at least 1 at t=1, and nondecreasing in t."""
-    n, m = norm.shape
-    ks = np.arange(n + 1, dtype=float)
+    """Smallest phantom scale t where the 2n+1 per-artist medians (n user
+    values plus phantoms min(k*t, 1), k = 0..n) sum to at least 1.
+
+    With an artist's values sorted down as caps c_1 >= ... >= c_n, its median
+    is max_k min(c_k, k*t): it rises with slope z (its nonzero count) from 0,
+    goes flat at c_k when k*t reaches c_k and climbs again with slope k-1 from
+    t = c_k/(k-1). So the median sum F(t) is continuous, piecewise linear and
+    nondecreasing, and its breakpoints come from the nonzero caps alone. One
+    sort of those breakpoints and a running sum of their slope changes bracket
+    F = 1. The medians themselves, summed at the bracket's ends, move it when
+    the running sum's round-off left it a piece off, and the linear piece
+    gives t. If round-off keeps F below 1 everywhere, t is 1.
+    """
+    caps = _sorted_columns(norm)
+    depth = int((caps > 0.0).sum(axis=0).max())  # rows below are all zero
+    top = caps[:depth]
+    nonzero = top > 0.0
+    ks = np.arange(1, depth + 1, dtype=float)[:, None]
+    cols = np.arange(caps.shape[1])
 
     def medians(t: float) -> np.ndarray:
-        phantoms = np.minimum(ks * t, 1.0)
-        stacked = np.vstack([norm, np.broadcast_to(phantoms[:, None], (n + 1, m))])
-        return np.median(stacked, axis=0)
+        below = (ks * t < top).sum(axis=0)  # phantoms under their cap
+        return np.maximum(np.minimum(below * t, 1.0), caps[below, cols])
 
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if medians(mid).sum() >= 1.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15:
-            break
-    med = medians(hi)
-    return MarketSolution(hi, med, float(abs(med.sum() - 1.0)))
+    c = top[nonzero]
+    k = np.repeat(np.arange(1, depth + 1), nonzero.sum(axis=1))
+    climbs = k > 1
+    times = np.concatenate([c / k, c[climbs] / (k[climbs] - 1)])
+    turns = np.concatenate([-k, k[climbs] - 1])
+    order = np.argsort(times)
+    times = times[order]
+    # slope[i]: slope of F on the piece that ends at times[i]
+    slope = np.cumsum(np.concatenate([[c.size], turns[order][:-1]]))
+    reached = np.cumsum(slope * np.diff(times, prepend=0.0))
+
+    i = int(np.searchsorted(reached, 1.0))
+    while i > 0 and medians(times[i - 1]).sum() >= 1.0:
+        i -= 1
+    while i < times.size and medians(times[i]).sum() < 1.0:
+        i += 1
+    if i == times.size:
+        t = 1.0
+    else:
+        lo = float(times[i - 1]) if i else 0.0
+        gap = 1.0 - float(medians(lo).sum())
+        # a flat piece brackets 1 only when a median rounds low at its start
+        t = min(lo + gap / float(slope[i]), float(times[i])) if slope[i] else lo
+    med = medians(t)
+    return MarketSolution(t, med, float(abs(med.sum() - 1.0)))

@@ -70,3 +70,31 @@ def psp_enumerate(instance, artist_set):
     pick = ties[np.argmin(r[ties])]
     removed = [int(i) for ms, take in zip(members, digits[pick]) for i in ms[:take]]
     return PspResult(u, tuple(sorted(removed)), top)
+
+
+def market_bisect(norm):
+    """Second oracle for ``market_solution``: bisect for the phantom scale t
+    where the 2n+1 per-artist medians (n user values plus phantoms
+    min(k*t, 1), k = 0..n) sum to 1. The sum is 0 at t=0, at least 1 at t=1,
+    and nondecreasing in t."""
+    from streamshare.portioning import MarketSolution
+
+    n, m = norm.shape
+    ks = np.arange(n + 1, dtype=float)
+
+    def medians(t: float) -> np.ndarray:
+        phantoms = np.minimum(ks * t, 1.0)
+        stacked = np.vstack([norm, np.broadcast_to(phantoms[:, None], (n + 1, m))])
+        return np.median(stacked, axis=0)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if medians(mid).sum() >= 1.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-15:
+            break
+    med = medians(hi)
+    return MarketSolution(hi, med, float(abs(med.sum() - 1.0)))

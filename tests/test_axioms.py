@@ -359,10 +359,16 @@ _INVALID = make([[3, 1], [0, 1], [2, 2]])
         (lambda: verify_engagement_monotone(
             "userprop", make([[1, 1], [1, 1]]), make([[2, -1], [1, 1]]), 0),
          NegativeWeightError),
+    ] + [
+        (lambda rule=rule: verify_sybil_pair(
+            rule, make([[1, 1], [1, 0]]), make([[1, 3, -2], [1, 0, 0]]), (0,)),
+         NegativeWeightError)
+        for rule in MAIN_RULES
     ],
     ids=["fraud-zero", "fraud-negative", "bribery-zero", "bribery-negative",
          "clickfraud-zero", "uam-zero", "uam-negative", "strongsybil-zero",
-         "strongsybil-negative", "em-zero", "em-negative"],
+         "strongsybil-negative", "em-zero", "em-negative"]
+    + [f"sybil-negative-{rule.value}" for rule in MAIN_RULES],
 )
 def test_invalid_manipulated_rows_raise(check, error):
     """An all-zero or negative manipulated row is an input error, not a

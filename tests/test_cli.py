@@ -405,6 +405,21 @@ def test_sweep_agg_out_draws_each_seed_once(tmp_path, capsys, monkeypatch):
     assert drawn == [5, 6, 7]
 
 
+def test_sweep_rejects_alphas_before_drawing(tmp_path, capsys, monkeypatch):
+    drawn = []
+    real = experiments.gen_synthetic
+    monkeypatch.setattr(
+        experiments, "gen_synthetic", lambda config: drawn.append(config.seed) or real(config)
+    )
+    config = tmp_path / "sweep.cfg"
+    config.write_text("users = 40\nartists = 6\nrange = 1,3\nseed = 5\n")
+    code = main(["sweep", "--config", str(config), "--alphas", "1.5",
+                 "--k", "2", "--seeds", "3", "--out", str(tmp_path / "rows.csv")])
+    assert code == 1
+    assert "alphas must lie in (0, 1]" in capsys.readouterr().err
+    assert drawn == []
+
+
 def test_sweep_unknown_config_key(tmp_path, capsys):
     config = tmp_path / "sweep.cfg"
     config.write_text("users=5\nartists=3\nfanout=2\n")

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import instances, make
+from helpers import instances, make, market_bisect
 from streamshare import (
     BUDGET_TOL,
+    Instance,
     DegenerateAggregateError,
     PORTIONING_RULES,
     PortioningId,
@@ -18,6 +19,7 @@ from streamshare import (
     portioning_payment,
     user_prop,
 )
+from streamshare.axioms import random_instance
 from streamshare.portioning import normalize, simplex_share
 
 RNG = np.random.default_rng(23)
@@ -276,3 +278,44 @@ def test_market_median_sum_is_monotone_below_t_star(inst):
         phantoms = np.minimum(ks * t, 1.0)
         stacked = np.vstack([norm, np.broadcast_to(phantoms[:, None], (n + 1, inst.n_artists))])
         assert np.median(stacked, axis=0).sum() <= 1.0 + 1e-12
+
+
+def _assert_matches_bisection(norm):
+    sol, ref = market_solution(norm), market_bisect(norm)
+    assert abs(sol.t_star - ref.t_star) <= 1e-12, f"t* {sol.t_star} vs {ref.t_star}"
+    assert np.abs(sol.medians - ref.medians).max() <= 1e-9
+    assert sol.residual <= 1e-9
+
+
+def test_market_matches_bisection_on_random_draws():
+    rng = np.random.default_rng(8)
+    for _ in range(1000):
+        _assert_matches_bisection(normalize(random_instance(rng)).weights)
+
+
+@pytest.mark.parametrize("n, m", [(300, 30), (800, 80)])
+def test_market_matches_bisection_on_catalogs(n, m):
+    _assert_matches_bisection(_shares(gen_synthetic(SynthConfig(n, m, (1, 10), 1.0, 4))))
+
+
+def test_market_matches_bisection_on_a_dense_matrix():
+    _assert_matches_bisection(_shares(Instance(RNG.exponential(1.0, size=(200, 20)), 1.0)))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[3.0, 1.0, 0.0, 2.0]],  # one user: F is flat at the row sum from t = max
+        [[1.0, 2.0, 3.0]] * 5,  # identical users: F plateaus at 1
+        [[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [0.0, 0.0, 5.0]],  # an all-zero column
+        [[1.0, 0.0], [1.0, 0.0]],  # F reaches exactly 1 and stays there
+        [[1.0, 1.0], [1.0, 1.0]],
+        # 7 * (10/22 / 7) rounds below 10/22: F is a hair under 1 where its
+        # last plateau starts, on a piece of slope zero
+        [[10.0, 6.0, 6.0]] * 7,
+    ],
+    ids=["single-user", "identical-users", "zero-column", "plateau", "plateau-half",
+         "plateau-rounded"],
+)
+def test_market_matches_bisection_on_edge_shapes(rows):
+    _assert_matches_bisection(_shares(make(rows)))

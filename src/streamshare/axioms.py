@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -123,9 +123,10 @@ class ViolationWitness:
     source: str = ""
 
     def __post_init__(self):
-        if abs(self.margin - (self.gain - self.bound)) > 1e-9:
+        # written so that a NaN margin, gain or bound fails both guards
+        if not abs(self.margin - (self.gain - self.bound)) <= 1e-9:
             raise ValueError("margin must equal gain - bound")
-        if self.margin <= MARGIN_TOL:
+        if not self.margin > MARGIN_TOL:
             raise ValueError(
                 f"margin {self.margin:.3g} does not clear the noise floor {MARGIN_TOL}"
             )
@@ -474,44 +475,6 @@ def _candidate_payments(rule, base: Instance, rows: np.ndarray, victims=None) ->
     ]).reshape(rows.shape)
 
 
-def _best_targets(deltas: np.ndarray):
-    """Best artist subset per delta row. Subset gain is additive, so the
-    positive coordinates are the argmax over all subsets; with no positive
-    coordinate the single least-bad artist stands in."""
-    pos = deltas > 0
-    if deltas.shape[1] < 8:
-        gains = np.where(pos, deltas, 0.0).sum(axis=1)
-    else:
-        # numpy sums eight or more terms pairwise, where padding zeros would
-        # regroup the additions; add up each row's positive entries alone
-        gains = np.array([row[p].sum() for row, p in zip(deltas, pos)])
-    fallback = np.argmax(deltas, axis=1)
-    none = ~pos.any(axis=1)
-    gains[none] = deltas[none, fallback[none]]
-
-    def target_set(k):
-        if none[k]:
-            return (int(fallback[k]),)
-        return tuple(int(j) for j in np.flatnonzero(pos[k]))
-
-    return gains, target_set
-
-
-def _best_listed(deltas: np.ndarray, target_sets):
-    """Best of explicit target sets per delta row. The earliest set wins
-    ties; a row where no set scores above -inf keeps the empty set."""
-    sets = [tuple(sorted({int(j) for j in ts})) for ts in target_sets]
-    per_set = np.full((deltas.shape[0], len(sets) + 1), -np.inf)
-    for i, idx in enumerate(sets):
-        # fancy indexing lays the columns out column-major; summing each row
-        # contiguously adds in the order a single delta vector does
-        per_set[:, i] = np.ascontiguousarray(deltas[:, list(idx)]).sum(axis=1)
-    per_set[np.isnan(per_set)] = -np.inf
-    choice = np.argmax(per_set, axis=1)
-    gains = per_set[np.arange(deltas.shape[0]), choice]
-    return gains, lambda k: sets[choice[k]] if gains[k] > -np.inf else ()
-
-
 def _first_max(values: np.ndarray) -> int:
     """The index a running strict ``>`` scan keeps: the earliest maximum,
     where NaN never wins unless it comes first."""
@@ -532,7 +495,6 @@ class _Scores:
     victims: Optional[np.ndarray]
     deltas: np.ndarray
     gains: np.ndarray
-    target_sets: Callable
     best: int
 
     @property
@@ -543,7 +505,14 @@ class _Scores:
         """The best candidate's manipulated instance and target set."""
         k = self.best
         victim = None if self.victims is None else self.victims[k]
-        return _manipulate(base, self.rows[k], victim), self.target_sets(k)
+        return _manipulate(base, self.rows[k], victim), self.target_set(k)
+
+    def target_set(self, k: int) -> tuple:
+        """Candidate ``k``'s best artist subset, as :func:`_score` scores it."""
+        pos = np.flatnonzero(self.deltas[k] > 0)
+        if pos.size:
+            return tuple(int(j) for j in pos)
+        return (int(np.argmax(self.deltas[k])),)
 
     def swing(self) -> float:
         """Largest single-artist payment change over all candidates."""
@@ -551,29 +520,37 @@ class _Scores:
         return float(per_row[~np.isnan(per_row)].max(initial=-np.inf))
 
 
-def _score(rule, base: Instance, rows: np.ndarray, victims=None, target_sets=None):
+def _score(rule, base: Instance, rows: np.ndarray, victims=None):
     """Score the candidate rows of one manipulation (``victims`` None:
     each row is one added user; else each row rewrites its victim's row).
 
-    A candidate's gain is its payment delta summed over the best of
-    ``target_sets``, or over the best artist subset when none are given.
+    A candidate's gain is its payment delta summed over its best artist
+    subset. Subset gain is additive, so that subset is the positive
+    coordinates; with none, the single least-bad artist stands in.
     Returns None when there is no candidate.
     """
     base_pay = _payments(rule, base)
     if rows.shape[0] == 0:
         return None
     deltas = _candidate_payments(rule, base, rows, victims) - base_pay
-    if target_sets is None:
-        gains, sets = _best_targets(deltas)
-    else:
-        gains, sets = _best_listed(deltas, target_sets)
-    return _Scores(rows, victims, deltas, gains, sets, _first_max(gains - 1.0))
+    pos = deltas > 0
+    gains = np.where(pos, deltas, 0.0).sum(axis=1)
+    none = ~pos.any(axis=1)
+    gains[none] = deltas[none].max(axis=1)
+    return _Scores(rows, victims, deltas, gains, _first_max(gains - 1.0))
 
 
-def _search(axiom, rule, base, rows, victims, target_sets, seed) -> Optional[ViolationWitness]:
+def _search(axiom, rule, base, rows, victims, seed) -> Optional[ViolationWitness]:
+    """Best witness over the candidate rows. Raises what :func:`core.validate`
+    says of ``base``, then of the first invalid candidate's instance."""
+    core.validate(base)
+    valid = np.isfinite(rows).all(axis=1) & (rows >= 0).all(axis=1) & (rows > 0).any(axis=1)
+    if not valid.all():
+        k = int(np.argmin(valid))
+        core.validate(_manipulate(base, rows[k], None if victims is None else victims[k]))
     if not callable(rule):
         rule = coerce_rule(rule)
-    scores = _score(rule, base, rows, victims, target_sets)
+    scores = _score(rule, base, rows, victims)
     if scores is None or scores.gain - 1.0 <= MARGIN_TOL:
         return None
     manipulated, tset = scores.winner(base)
@@ -586,7 +563,6 @@ def _search(axiom, rule, base, rows, victims, target_sets, seed) -> Optional[Vio
 def search_fraud(
     rule,
     base: Instance,
-    target_sets=None,
     profiles=None,
     budget: int = 500,
     seed: int = 0,
@@ -594,23 +570,22 @@ def search_fraud(
     """Search single-added-user fraud against ``base``.
 
     Tries each of the first ``budget`` candidate profiles as one fake
-    account and scores the payment delta, either on explicit
-    ``target_sets`` or on the best subset. Returns the maximal-margin
-    witness (ties keep the earliest candidate), or None when nothing clears
-    the noise floor.
+    account and scores the payment delta on its best artist subset.
+    Returns the maximal-margin witness (ties keep the earliest candidate),
+    or None when nothing clears the noise floor. An invalid ``base`` or
+    candidate raises the :class:`core.InstanceError` of its instance.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if profiles is None:
         profiles = candidate_profiles(base, np.random.default_rng(seed))
     rows = _as_rows(profiles, base.n_artists)[:budget]
-    return _search(AxiomId.FRAUD_PROOF, rule, base, rows, None, target_sets, seed)
+    return _search(AxiomId.FRAUD_PROOF, rule, base, rows, None, seed)
 
 
 def search_bribery(
     rule,
     base: Instance,
-    target_sets=None,
     profiles=None,
     budget: int = 500,
     seed: int = 0,
@@ -622,7 +597,8 @@ def search_bribery(
     victim meets every candidate in turn, up to ``budget`` bribes in all.
     Candidates identical to the victim's row are skipped since they change
     nothing, and do not count against the budget. Returns the
-    maximal-margin witness (ties keep the earliest bribe) or None.
+    maximal-margin witness (ties keep the earliest bribe) or None, and
+    rejects invalid input as :func:`search_fraud` does.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -631,7 +607,7 @@ def search_bribery(
     if victims is None:
         victims = range(base.n_users)
     who, rows = _bribes(base, _as_rows(profiles, base.n_artists), victims, budget)
-    return _search(AxiomId.BRIBERY_PROOF, rule, base, rows, who, target_sets, seed)
+    return _search(AxiomId.BRIBERY_PROOF, rule, base, rows, who, seed)
 
 
 def random_instance(rng, n_users=(1, 6), n_artists=(2, 5), alpha=None) -> Instance:
@@ -666,15 +642,15 @@ class SuiteResult:
         return self.witness is None and self.max_margin <= MARGIN_TOL
 
 
-def _fraud_trial(rule, inst, rng, n_random):
-    scores = _score(rule, inst, candidate_profiles(inst, rng, n_random))
+def _fraud_trial(rule, inst, rng):
+    scores = _score(rule, inst, candidate_profiles(inst, rng))
     manipulated, tset = scores.winner(inst)
     return (scores.gain - 1.0, scores.gain, 1.0, inst, manipulated, tset, None)
 
 
-def _bribery_trial(rule, inst, rng, n_random):
+def _bribery_trial(rule, inst, rng):
     victim = int(rng.integers(inst.n_users))
-    who, rows = _bribes(inst, candidate_profiles(inst, rng, n_random), [victim])
+    who, rows = _bribes(inst, candidate_profiles(inst, rng), [victim])
     scores = _score(rule, inst, rows, who)
     if scores is None:
         return None
@@ -684,7 +660,7 @@ def _bribery_trial(rule, inst, rng, n_random):
     )
 
 
-def _sybil_trial(rule, inst, rng, n_random):
+def _sybil_trial(rule, inst, rng):
     j = int(rng.integers(inst.n_artists))
     r = int(rng.integers(2, 5))
     parts = inst.weights[:, j][:, None] * rng.dirichlet(np.ones(r), size=inst.n_users)
@@ -698,7 +674,7 @@ def _sybil_trial(rule, inst, rng, n_random):
     return (report.margin, report.gain, 0.0, inst, manipulated, (j,), None)
 
 
-def _strong_sybil_trial(rule, inst, rng, n_random):
+def _strong_sybil_trial(rule, inst, rng):
     n, m = inst.n_users, inst.n_artists
     k = int(rng.integers(1, m))
     cstar = tuple(sorted(rng.choice(m, size=k, replace=False).tolist()))
@@ -717,7 +693,7 @@ def _strong_sybil_trial(rule, inst, rng, n_random):
     return (report.margin, report.gain, 0.0, inst, manipulated, tuple(comp), None)
 
 
-def _nfr_trial(rule, inst, rng, n_random):
+def _nfr_trial(rule, inst, rng):
     w = inst.weights.copy()
     n, m = w.shape
     j = int(rng.integers(m))
@@ -732,7 +708,7 @@ def _nfr_trial(rule, inst, rng, n_random):
     return (report.margin, report.gain, 0.0, planted, planted, (j,), None)
 
 
-def _em_trial(rule, inst, rng, n_random):
+def _em_trial(rule, inst, rng):
     n, m = inst.n_users, inst.n_artists
     jstar = int(rng.integers(m))
     w = inst.weights.copy()
@@ -744,7 +720,7 @@ def _em_trial(rule, inst, rng, n_random):
     return (report.margin, report.gain, 0.0, inst, manipulated, (jstar,), None)
 
 
-def _pd_trial(rule, inst, rng, n_random):
+def _pd_trial(rule, inst, rng):
     if inst.n_users < 2:
         return None
     w = inst.weights
@@ -784,7 +760,6 @@ def run_suite(
     trials: int = 10_000,
     seed: int = 0,
     instance_gen=None,
-    n_random: int = 64,
 ) -> SuiteResult:
     """Drive one axiom's randomized trials for one rule.
 
@@ -809,7 +784,7 @@ def run_suite(
     cf_margin = None
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        out = trial_fn(rule, gen(rng), rng, n_random)
+        out = trial_fn(rule, gen(rng), rng)
         if out is None:
             continue
         margin, gain, bound, base, manipulated, tset, swing_margin = out

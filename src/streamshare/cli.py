@@ -19,7 +19,7 @@ from .axioms import (
     run_suite,
     witness_line,
 )
-from .core import BadAlphaError, InstanceError, with_alpha
+from .core import BadAlphaError, with_alpha
 from .experiments import (
     SynthConfig,
     gen_synthetic,
@@ -29,24 +29,10 @@ from .experiments import (
     write_rows_csv,
 )
 from .fixtures import fixtures, verify_fixture
-from .ingest import (
-    CellBudgetError,
-    EmptyAfterFilterError,
-    ParseError,
-    SchemaError,
-    default_ids,
-    load_document,
-    save_document,
-)
+from .ingest import default_ids, load_document, save_document
 from .metrics import DegenerateEnvyError, max_envy, pps, topk_bottomk_relative_pps
 from .portioning import DegenerateAggregateError, SolverFailure
-from .pspdetect import (
-    BipartiteGraph,
-    ParameterError,
-    TooLargeError,
-    find_suspicious,
-    ssbve_reduction,
-)
+from .pspdetect import BipartiteGraph, find_suspicious, ssbve_reduction
 from .rules import coerce_rule, evaluate
 
 EXIT_OK = 0
@@ -368,19 +354,9 @@ def main(argv=None) -> int:
     except (SolverFailure, DegenerateAggregateError, DegenerateEnvyError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (
-        InstanceError,
-        ParseError,
-        SchemaError,
-        EmptyAfterFilterError,
-        CellBudgetError,
-        ParameterError,
-        TooLargeError,
-        FileNotFoundError,
-        KeyError,
-        ValueError,
-        OverflowError,
-    ) as exc:
+    # every typed input error of the package is a ValueError; OSError covers
+    # a missing file, a directory where a file belongs and a denied write
+    except (OSError, KeyError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

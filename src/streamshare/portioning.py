@@ -173,7 +173,7 @@ def _primal_steps(tab, basis, max_pivots=5000):
     basis index on ratio ties, so cycling cannot occur."""
     tol = 1e-11
     n_rows = tab.shape[0] - 1
-    for _ in range(max_pivots):
+    for pivots in range(max_pivots):
         profit = tab[-1, :-1]
         eligible = np.flatnonzero(profit > tol)
         if eligible.size == 0:
@@ -182,34 +182,34 @@ def _primal_steps(tab, basis, max_pivots=5000):
         col = tab[:n_rows, enter]
         pos = col > tol
         if not pos.any():
-            raise SolverFailure("stage master unbounded")
+            raise SolverFailure(f"stage master unbounded after {pivots} primal pivots")
         ratios = np.full(n_rows, np.inf)
         ratios[pos] = tab[:n_rows, -1][pos] / col[pos]
         best = float(ratios.min())
         ties = np.flatnonzero(ratios <= best + 1e-15)
         leave = int(min(ties, key=lambda i: basis[i]))
         _pivot(tab, basis, leave, enter)
-    raise SolverFailure("stage master hit the primal pivot limit")
+    raise SolverFailure(f"stage master hit the primal pivot limit of {max_pivots}")
 
 
 def _dual_steps(tab, basis, max_pivots=5000):
     """Restore a nonnegative right-hand side after cuts arrive, keeping the
-    objective row dual-feasible."""
+    objective row dual-feasible. Returns the number of pivots made."""
     tol = 1e-11
     n_rows = tab.shape[0] - 1
-    for _ in range(max_pivots):
+    for pivots in range(max_pivots):
         rhs = tab[:n_rows, -1]
         leave = int(rhs.argmin())
         if rhs[leave] >= -tol:
-            return
+            return pivots
         row = tab[leave, :-1]
         neg = np.flatnonzero(row < -tol)
         if neg.size == 0:
-            raise SolverFailure("stage master infeasible")
+            raise SolverFailure(f"stage master infeasible after {pivots} dual pivots")
         ratios = -tab[-1, neg] / -row[neg]
         enter = int(neg[ratios.argmin()])
         _pivot(tab, basis, leave, enter)
-    raise SolverFailure("stage master hit the dual pivot limit")
+    raise SolverFailure(f"stage master hit the dual pivot limit of {max_pivots}")
 
 
 class _StageMaster:
@@ -262,8 +262,11 @@ class _StageMaster:
 
     def solve(self):
         tab = np.vstack([self.tab[: self.n_rows], self.obj])
-        _dual_steps(tab, self.basis)
-        _primal_steps(tab, self.basis)
+        dual = _dual_steps(tab, self.basis)
+        try:
+            _primal_steps(tab, self.basis)
+        except SolverFailure as exc:
+            raise SolverFailure(f"{exc}, after {dual} dual pivots") from exc
         self.tab[: self.n_rows] = tab[:-1]
         self.obj = tab[-1].copy()
         x = np.zeros(self.nv)
@@ -312,7 +315,10 @@ def _minimax_stage(norm, caps, active, p_seed):
     for i in range(n):
         cut_for(i, p_seed)
     for _ in range(500):
-        p, t_hat = master.solve()
+        try:
+            p, t_hat = master.solve()
+        except SolverFailure as exc:
+            raise SolverFailure(f"{exc}; {master.n_rows - 1} cuts") from exc
         p = np.clip(p, 0.0, None)
         overlaps = np.minimum(p[None, :], norm).sum(axis=1)
         worst = float(overlaps[active].min())
@@ -323,8 +329,8 @@ def _minimax_stage(norm, caps, active, p_seed):
         for i in np.flatnonzero((active & (overlaps < t_hat - 1e-10)) | bad_floor):
             added |= cut_for(i, p)
         if not added:
-            raise SolverFailure("stage made no progress")
-    raise SolverFailure("stage hit the cut iteration limit")
+            raise SolverFailure(f"stage made no progress; {master.n_rows - 1} cuts")
+    raise SolverFailure(f"stage hit the cut iteration limit; {master.n_rows - 1} cuts")
 
 
 def _egal_share(norm: np.ndarray) -> np.ndarray:
@@ -333,11 +339,17 @@ def _egal_share(norm: np.ndarray) -> np.ndarray:
         return norm[0].copy()
     caps = np.full(n, -1.0)  # -1 marks users whose disutility is still free
     p = np.full(m, 1.0 / m)
-    for _ in range(2 * n):
+    for stage in range(2 * n):
         active = caps < 0
         if not active.any():
             break
-        p, z, duals = _minimax_stage(norm, caps, active, p)
+        try:
+            p, z, duals = _minimax_stage(norm, caps, active, p)
+        except SolverFailure as exc:
+            frozen = n - int(active.sum())
+            raise SolverFailure(
+                f"egal on {n}x{m} failed at stage {stage} with {frozen} frozen users: {exc}"
+            ) from exc
         hit = active & (duals > 1e-9)
         if not hit.any():
             # degenerate basis with no priced cuts: freeze everyone at the

@@ -15,6 +15,7 @@ from streamshare import (
     AxiomId,
     BadAlphaError,
     GainReport,
+    InstanceError,
     NegativeWeightError,
     RuleId,
     ViolationWitness,
@@ -80,6 +81,19 @@ def test_witness_rejects_noise_floor_margin():
         ViolationWitness(
             AxiomId.FRAUD_PROOF, "globalprop", inst, inst, (0,),
             gain=1.0 + 1e-9, bound=1.0, margin=1e-9,
+        )
+
+
+@pytest.mark.parametrize(
+    "gain, bound, margin",
+    [(np.nan, 1.0, np.nan), (3.0, 1.0, np.nan), (np.nan, 1.0, 2.0), (3.0, np.nan, 2.0)],
+)
+def test_witness_rejects_nan(gain, bound, margin):
+    inst = _any_instance()
+    with pytest.raises(ValueError):
+        ViolationWitness(
+            AxiomId.FRAUD_PROOF, "globalprop", inst, inst, (0,),
+            gain=gain, bound=bound, margin=margin,
         )
 
 
@@ -497,6 +511,54 @@ def test_search_fraud_zero_row_candidate_raises_for_scaledup():
     assert err.value.user == 2
 
 
+SEARCHES = (search_fraud, search_bribery)
+
+
+@pytest.mark.parametrize("search", SEARCHES)
+@pytest.mark.parametrize("rule", ["userprop", "usereq"])
+def test_search_rejects_a_base_with_a_zero_row(search, rule):
+    # both rules divide by the zero row's total; unchecked, that made a NaN witness
+    with pytest.raises(ZeroRowError) as err:
+        search(rule, make([[0, 0], [1, 1]]), budget=50)
+    assert err.value.user == 0
+
+
+@pytest.mark.parametrize("search", SEARCHES)
+@pytest.mark.parametrize(
+    "rows, alpha, error",
+    [
+        ([[1, np.nan], [1, 1]], 1.0, InstanceError),
+        ([[1, np.inf], [1, 1]], 1.0, InstanceError),
+        ([[1, 0], [1, -1]], 1.0, NegativeWeightError),
+        ([[1, 0], [1, 1]], 3.0, BadAlphaError),
+    ],
+)
+def test_search_rejects_an_invalid_base(search, rows, alpha, error):
+    with pytest.raises(error):
+        search("globalprop", make(rows, alpha), budget=50)
+
+
+def test_search_fraud_negative_candidate_raises_what_the_verifier_raises():
+    base = make([[1, 0], [1, 0], [0, 1]])
+    with pytest.raises(NegativeWeightError) as err:
+        search_fraud("userprop", base, profiles=[[6.0, -1.0]])
+    assert (err.value.user, err.value.artist) == (3, 1)
+    with pytest.raises(NegativeWeightError) as err:
+        verify_fraud_pair("userprop", base, add_user(base, [6.0, -1.0]), (0,))
+    assert (err.value.user, err.value.artist) == (3, 1)
+
+
+@pytest.mark.parametrize("row", [[np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0], [2.0, -1.0]])
+def test_search_bribery_names_the_victim_of_an_invalid_candidate(row):
+    base = make([[1, 0], [1, 0], [0, 1]])
+    with pytest.raises(InstanceError) as searched:
+        search_bribery("userprop", base, profiles=[[5.0, 5.0], row], victims=[1])
+    with pytest.raises(InstanceError) as verified:
+        verify_bribery_pair("userprop", base, replace_user(base, 1, row), (0,))
+    assert type(searched.value) is type(verified.value)
+    assert str(searched.value) == str(verified.value)
+
+
 def test_batched_scores_equal_the_per_row_path():
     """The main rules score a trial's candidates in one kernel call; the same
     rule wrapped as a plain callable evaluates one manipulated instance per
@@ -516,23 +578,7 @@ def test_batched_scores_equal_the_per_row_path():
                 assert batched.best == looped.best, (t, rule)
                 assert batched.swing() == looped.swing(), (t, rule)
                 for k in range(cand.shape[0]):
-                    assert batched.target_sets(k) == looped.target_sets(k), (t, rule, k)
-
-
-def test_listed_target_sets_match_a_sequential_scan():
-    rng = np.random.default_rng(4)
-    base = random_instance(rng, n_users=(3, 3), n_artists=(4, 4), alpha=0.6)
-    rows = candidate_profiles(base, rng)
-    sets = [(2, 0), (), (1,), (3, 1, 2), (0,)]
-    scores = _score("usereq", base, rows, target_sets=sets)
-    for k, delta in enumerate(scores.deltas):
-        best_gain, best_set = -np.inf, ()
-        for ts in sets:
-            idx = sorted(ts)
-            if float(delta[idx].sum()) > best_gain:
-                best_gain, best_set = float(delta[idx].sum()), tuple(idx)
-        assert scores.gains[k] == best_gain
-        assert scores.target_sets(k) == best_set
+                    assert batched.target_set(k) == looped.target_set(k), (t, rule, k)
 
 
 def test_search_keeps_the_earliest_of_tied_candidates():
@@ -566,6 +612,47 @@ def test_candidate_profiles_rows():
     assert np.all(random_rows.sum(axis=1) <= 4.0 * 6.0 + 1e-12)
     kept = (random_rows > 0).mean()
     assert 0.65 < kept < 0.8, kept
+
+
+@pytest.mark.parametrize(
+    "axiom, rule, max_margin, clickfraud_margin",
+    [
+        (AxiomId.FRAUD_PROOF, "userprop", -0.0014614251385393073, None),
+        (AxiomId.FRAUD_PROOF, "usereq", -0.0014614251385394184, None),
+        (AxiomId.FRAUD_PROOF, "scaledup", 4.440892098500626e-16, None),
+        (AxiomId.BRIBERY_PROOF, "userprop", -0.002790575680923557, -0.00279057568092389),
+        (AxiomId.BRIBERY_PROOF, "usereq", -0.0027905756809242233, -0.0027905756809242233),
+        (AxiomId.BRIBERY_PROOF, "scaledup", 4.440892098500626e-16, 2.220446049250313e-16),
+    ],
+)
+def test_search_suite_results_are_pinned(axiom, rule, max_margin, clickfraud_margin):
+    result = run_suite(axiom, rule, trials=300, seed=5)
+    assert abs(result.max_margin - max_margin) <= 1e-15
+    if clickfraud_margin is None:
+        assert result.clickfraud_margin is None
+    else:
+        assert abs(result.clickfraud_margin - clickfraud_margin) <= 1e-15
+    assert result.witness is None
+
+
+def test_wide_search_witnesses_pass_their_verifiers():
+    """Instances with 8 to 14 artists, wider than the suites draw: every
+    witness the searches return is a violation its verifier confirms."""
+    checked = 0
+    for t in range(200):
+        rng = np.random.default_rng([23, t])
+        inst = random_instance(rng, n_users=(2, 6), n_artists=(8, 14))
+        for rule in MAIN_RULES:
+            for search, verify in ((search_fraud, verify_fraud_pair),
+                                   (search_bribery, verify_bribery_pair)):
+                witness = search(rule, inst, seed=t)
+                if witness is None:
+                    continue
+                report = verify(rule, inst, witness.manipulated, witness.target_set)
+                assert report.violation, (t, rule, search.__name__)
+                assert abs(report.gain - witness.gain) <= 1e-12, (t, rule, search.__name__)
+                checked += 1
+    assert checked > 100, checked
 
 
 def test_suite_grid_is_the_documented_twenty():

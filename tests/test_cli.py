@@ -327,6 +327,21 @@ def test_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["divide", "--rule", "userprop", "--instance", "{dir}"],
+        ["gen", "--users", "5", "--artists", "3", "--out", "{dir}"],
+    ],
+)
+def test_directory_in_place_of_a_file_is_a_usage_error(argv, tmp_path, capsys):
+    # IsADirectoryError is an OSError but not a FileNotFoundError
+    assert main([a.format(dir=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:"), err
+    assert "Traceback" not in err
+
+
 def test_psp_example(tmp_path, capsys):
     rows = [[1, 0]] * 5 + [[0, 5]]
     path = _doc(tmp_path, rows)

@@ -1,6 +1,9 @@
 """Portioning rules: coordinatewise aggregates, the two LP-backed rules, and
 the phantom-median market mechanism."""
 
+import functools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +22,9 @@ from streamshare import (
     portioning_payment,
     user_prop,
 )
+from streamshare import portioning
 from streamshare.axioms import random_instance
-from streamshare.portioning import normalize, simplex_share
+from streamshare.portioning import SolverFailure, normalize, simplex_share
 
 RNG = np.random.default_rng(23)
 
@@ -240,6 +244,44 @@ def test_minimax_stage_level_matches_scipy_on_catalogs(n, m, seed):
     _, z, _ = _minimax_stage(norm, caps, active, np.full(m, 1.0 / m))
     expected = _scipy_stage(norm, caps, active)
     assert abs(z - expected) <= 1e-9, f"stage level {z} vs scipy {expected}"
+
+
+EGAL_PROBE = [[3, 1, 0], [0, 2, 1], [1, 0, 4], [1, 1, 1]]
+
+
+def test_egal_failure_names_shape_stage_and_solver_work(monkeypatch):
+    # a pivot cap of one makes the first stage's first solve fail; the
+    # message must say where, not only what
+    capped = functools.partial(portioning._primal_steps, max_pivots=1)
+    monkeypatch.setattr(portioning, "_primal_steps", capped)
+    with pytest.raises(SolverFailure) as err:
+        evaluate("egal", make(EGAL_PROBE))
+    assert str(err.value) == (
+        "egal on 4x3 failed at stage 0 with 0 frozen users: stage master hit "
+        "the primal pivot limit of 1, after 0 dual pivots; 4 cuts"
+    )
+
+
+def test_egal_failure_counts_the_users_frozen_before_it(monkeypatch):
+    primal, stage = portioning._primal_steps, portioning._minimax_stage
+    stages = []
+
+    def cap_from_the_second_stage(norm, caps, active, p_seed):
+        stages.append(int((~active).sum()))
+        if len(stages) == 2:
+            capped = functools.partial(primal, max_pivots=1)
+            monkeypatch.setattr(portioning, "_primal_steps", capped)
+        return stage(norm, caps, active, p_seed)
+
+    monkeypatch.setattr(portioning, "_minimax_stage", cap_from_the_second_stage)
+    with pytest.raises(SolverFailure) as err:
+        evaluate("egal", make(EGAL_PROBE))
+    assert stages[1] > 0
+    assert str(err.value).startswith(
+        f"egal on 4x3 failed at stage 1 with {stages[1]} frozen users: "
+        "stage master hit the primal pivot limit of 1, after "
+    ), str(err.value)
+    assert re.search(r"after \d+ dual pivots; \d+ cuts$", str(err.value)), str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -541,9 +541,8 @@ def _score(rule, base: Instance, rows: np.ndarray, victims=None):
 
 
 def _search(axiom, rule, base, rows, victims, seed) -> Optional[ViolationWitness]:
-    """Best witness over the candidate rows. Raises what :func:`core.validate`
-    says of ``base``, then of the first invalid candidate's instance."""
-    core.validate(base)
+    """Best witness over the candidate rows of a validated ``base``. Raises
+    what :func:`core.validate` says of the first invalid candidate's instance."""
     valid = np.isfinite(rows).all(axis=1) & (rows >= 0).all(axis=1) & (rows > 0).any(axis=1)
     if not valid.all():
         k = int(np.argmin(valid))
@@ -577,6 +576,7 @@ def search_fraud(
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    core.validate(base)  # before the default candidates are drawn from it
     if profiles is None:
         profiles = candidate_profiles(base, np.random.default_rng(seed))
     rows = _as_rows(profiles, base.n_artists)[:budget]
@@ -602,6 +602,7 @@ def search_bribery(
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    core.validate(base)  # before the default candidates are drawn from it
     if profiles is None:
         profiles = candidate_profiles(base, np.random.default_rng(seed))
     if victims is None:

@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract for CI:
 0 success / no violation, 1 usage or input error, 2 a violation witness
-was found, 3 a numeric solver failed.
+was found, 3 a numeric solver failed, 141 (128 + SIGPIPE) the reader of
+stdout closed it early; nothing is printed on stderr then.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_WITNESS = 2
 EXIT_NUMERIC = 3
+EXIT_PIPE = 141
 
 ALPHA_ENV = "STREAMSHARE_ALPHA"
 
@@ -351,6 +353,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # send the unflushed rest to devnull, so the exit flush stays quiet
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):  # a stdout with no file descriptor
+            pass
+        return EXIT_PIPE
     except (SolverFailure, DegenerateAggregateError, DegenerateEnvyError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -29,7 +29,7 @@ from .rules import global_prop
 # Cap on candidate artist sets enumerated by the exact coalition search.
 CANDIDATE_CAP = 1 << 17
 
-# (removal count, user group) cells per step of the exact solve; bounds its memory.
+# Array cells per block of the exact solve and of the greedy climb; bounds their memory.
 _SOLVE_CELLS = 1 << 20
 
 THRESHOLD_SLACK = 1e-9
@@ -210,35 +210,39 @@ def psp_exact(instance: Instance, artist_set) -> PspResult:
     return PspResult(u, tuple(sorted(removed)), float(profit[pick]))
 
 
+def _climb(instance: Instance, artist_sets) -> list:
+    """``psp_greedy``'s hill-climb for all artist sets at once, on a validated
+    instance. Each pass removes, from every set whose last removal raised its
+    profit, the first user whose removal raises it most."""
+    tau = instance.user_totals()
+    s = np.stack([instance.weights[:, list(u)].sum(axis=1) for u in artist_sets])
+    a_u, total = s.sum(axis=1)[:, None], float(tau.sum())  # rows add as 1-D sums do
+    removed, live = np.zeros(s.shape, dtype=bool), np.arange(len(artist_sets))
+    v_u, v_t, profit = np.zeros((3, len(artist_sets), 1))  # per set, as columns
+    for r in range(1, instance.n_users):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            profit_of = _removal_profit(instance, a_u[live], total)
+            cand = profit_of(r, v_u[live], v_t[live], s[live], tau)
+        cand[removed[live]] = -np.inf
+        pick = np.argmax(cand, axis=1)
+        top = cand[np.arange(live.size), pick]
+        up = ~(top <= profit[live, 0])  # a set stops when no removal raises it; NaN does not
+        live, pick, top = live[up], pick[up], top[up]
+        if live.size == 0:
+            break
+        removed[live, pick] = True
+        v_u[live, 0] += s[live, pick]
+        v_t[live, 0] += tau[pick]
+        profit[live, 0] = top
+    return [PspResult(u, tuple(np.flatnonzero(out).tolist()), max(float(p), 0.0))
+            for u, out, p in zip(artist_sets, removed, profit[:, 0])]
+
+
 def psp_greedy(instance: Instance, artist_set) -> PspResult:
     """Hill-climb lower bound: repeatedly remove the single user whose
     removal most increases the profit, until no removal improves it."""
     validate(instance)
-    u = _clean_artist_set(instance, artist_set)
-    s = instance.weights[:, list(u)].sum(axis=1)
-    tau = instance.user_totals()
-    profit_of = _removal_profit(instance, float(s.sum()), float(tau.sum()))
-    n = instance.n_users
-
-    removed_mask = np.zeros(n, dtype=bool)
-    r = 0
-    v_u = 0.0
-    v_t = 0.0
-    profit = 0.0
-    while r < n - 1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand_profit = profit_of(r + 1, v_u, v_t, s, tau)
-        cand_profit[removed_mask] = -np.inf
-        pick = int(np.argmax(cand_profit))
-        if cand_profit[pick] <= profit:
-            break
-        removed_mask[pick] = True
-        r += 1
-        v_u += float(s[pick])
-        v_t += float(tau[pick])
-        profit = float(cand_profit[pick])
-    users = tuple(int(i) for i in np.flatnonzero(removed_mask))
-    return PspResult(u, users, max(profit, 0.0))
+    return _climb(instance, [_clean_artist_set(instance, artist_set)])[0]
 
 
 def _exchangeable(w: np.ndarray, x: int, y: int) -> bool:
@@ -301,7 +305,7 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
     Exact mode enumerates coalitions up to interchangeability of artists
     (smallest first, ties keep the lexicographically first coalition) and
     solves each with psp_exact. Greedy mode grows the coalition one artist
-    at a time by best psp_greedy profit and reports the best prefix.
+    at a time by best ``_climb`` profit and reports the best prefix.
     """
     validate(instance)
     if k < 0 or k > instance.n_artists:
@@ -312,20 +316,15 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
         return (), PspResult((), (), 0.0)
 
     if mode == "greedy":
-        chosen = []
-        best = PspResult((), (), 0.0)
-        remaining = list(range(instance.n_artists))
+        chosen, best = [], PspResult((), (), 0.0)
+        block = max(1, _SOLVE_CELLS // instance.n_users)  # sets per climb
         for _ in range(k):
-            step_best = None
-            for a in remaining:
-                res = psp_greedy(instance, chosen + [a])
-                if step_best is None or res.profit > step_best.profit:
-                    step_best = res
-                    step_artist = a
-            chosen.append(step_artist)
-            remaining.remove(step_artist)
-            if step_best.profit > best.profit:
-                best = step_best
+            sets = [tuple(sorted(chosen + [a])) for a in range(instance.n_artists) if a not in chosen]
+            results = [res for i in range(0, len(sets), block)
+                       for res in _climb(instance, sets[i : i + block])]
+            step = max(results, key=lambda res: res.profit)  # the first best extension
+            chosen = list(step.artist_set)
+            best = max(best, step, key=lambda res: res.profit)  # ties keep the shorter prefix
         return best.artist_set, best
 
     orbits = _artist_orbits(instance)

@@ -533,6 +533,7 @@ def test_search_rejects_a_base_with_a_zero_row(search, rule):
         ([[1, 0], [1, 1]], 3.0, BadAlphaError),
     ],
 )
+@pytest.mark.filterwarnings("error")  # the base is checked before any candidate is drawn
 def test_search_rejects_an_invalid_base(search, rows, alpha, error):
     with pytest.raises(error):
         search("globalprop", make(rows, alpha), budget=50)

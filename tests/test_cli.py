@@ -1,12 +1,17 @@
-"""End-to-end exercises of the command-line surface, in process."""
+"""End-to-end exercises of the command-line surface, in process unless a
+test needs a real pipe."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from helpers import make
+import streamshare
 from streamshare import experiments, fixtures, save_document
 from streamshare.cli import _AXIOM_ALIASES, build_parser, main
 
@@ -340,6 +345,23 @@ def test_directory_in_place_of_a_file_is_a_usage_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:"), err
     assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_quietly_with_the_sigpipe_status(tmp_path):
+    # 8000 payment lines overfill a 64 KiB pipe buffer, so the writer meets the closed pipe
+    path = _doc(tmp_path, np.arange(1.0, 8001.0)[None, :])
+    script = "import sys; from streamshare.cli import main; sys.exit(main())"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(streamshare.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "divide", "--rule", "userprop", "--instance", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"artist_id,payment\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_psp_example(tmp_path, capsys):

@@ -16,15 +16,19 @@ from streamshare import (
     psp_exact,
     psp_greedy,
     psp_value,
+    pspdetect,
     ssbve_brute,
     ssbve_reduction,
 )
+from streamshare.axioms import random_instance
 from streamshare.pspdetect import (
     THRESHOLD_SLACK,
+    PspResult,
     _artist_orbits,
     _count_vectors,
     _exchangeable,
     _removal_groups,
+    _removal_profit,
 )
 
 RNG = np.random.default_rng(31)
@@ -181,8 +185,6 @@ def test_min_total_users_are_never_removed():
 def test_psp_exact_is_invariant_to_the_solve_block(monkeypatch):
     """Blocks of 1 and 3 removal counts per solve step give what one block
     gives."""
-    import streamshare.pspdetect as pspdetect
-
     insts = [_two_artist_draw(t) for t in range(40)] + [_distinct_totals(24, True)]
     expected = [psp_exact(inst, (0,)) for inst in insts]
     assert sum(e.profit > 0 for e in expected) >= 10
@@ -379,6 +381,71 @@ def test_find_suspicious_greedy_le_exact():
         _, greedy = find_suspicious(inst, k, "greedy")
         _, exact = find_suspicious(inst, k, "exact")
         assert greedy.profit <= exact.profit + 1e-12
+
+
+def _greedy_by_calls(inst, k):
+    """The greedy coalition search as one psp_greedy call per remaining
+    artist and step: first best extension, best prefix on a strict gain."""
+    chosen, best, remaining = [], PspResult((), (), 0.0), list(range(inst.n_artists))
+    for _ in range(k):
+        step_best = None
+        for a in remaining:
+            res = psp_greedy(inst, chosen + [a])
+            if step_best is None or res.profit > step_best.profit:
+                step_best, step_artist = res, a
+        chosen.append(step_artist)
+        remaining.remove(step_artist)
+        if step_best.profit > best.profit:
+            best = step_best
+    return best.artist_set, best
+
+
+def _climb_one_set(inst, u):
+    """psp_greedy's hill-climb for one artist set, one user per step."""
+    s = inst.weights[:, list(u)].sum(axis=1)
+    tau = inst.user_totals()
+    profit_of = _removal_profit(inst, float(s.sum()), float(tau.sum()))
+    removed, v_u, v_t, profit = np.zeros(inst.n_users, dtype=bool), 0.0, 0.0, 0.0
+    for r in range(1, inst.n_users):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = profit_of(r, v_u, v_t, s, tau)
+        cand[removed] = -np.inf
+        pick = int(np.argmax(cand))
+        if cand[pick] <= profit:
+            break
+        removed[pick] = True
+        v_u, v_t, profit = v_u + float(s[pick]), v_t + float(tau[pick]), float(cand[pick])
+    return PspResult(tuple(u), tuple(np.flatnonzero(removed).tolist()), max(profit, 0.0))
+
+
+@pytest.mark.parametrize("cells", [None, 1, 40])  # 1: one candidate set per climb
+def test_greedy_search_equals_a_loop_of_psp_greedy_calls(cells, monkeypatch):
+    if cells is not None:
+        monkeypatch.setattr(pspdetect, "_SOLVE_CELLS", cells)
+    profitable = 0
+    for t in range(300):
+        rng = np.random.default_rng([89, t])
+        # alpha = 1 on every other draw, where removals profit more often
+        inst = random_instance(rng, (1, 14), (1, 12), alpha=1.0 if t % 2 else None)
+        k = int(rng.integers(1, inst.n_artists + 1))
+        u = tuple(sorted(rng.choice(inst.n_artists, size=int(rng.integers(1, k + 1)),
+                                    replace=False).tolist()))
+        found = find_suspicious(inst, k, "greedy")
+        assert found == _greedy_by_calls(inst, k), t
+        assert psp_greedy(inst, u) == _climb_one_set(inst, u), t
+        profitable += found[1].profit > 0
+    assert profitable >= 60  # the draws reach the hill-climb's removal steps
+
+
+def test_greedy_search_validates_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pspdetect, "validate", lambda inst: calls.append(inst))
+    monkeypatch.setattr(pspdetect, "psp_greedy", None)  # no per-candidate call
+    inst = random_instance(np.random.default_rng(5), n_users=(40, 40), n_artists=(9, 9))
+    for k in (1, 3, 9):
+        calls.clear()
+        find_suspicious(inst, k, "greedy")
+        assert calls == [inst]
 
 
 def test_find_suspicious_exact_is_a_true_maximum_over_coalitions():

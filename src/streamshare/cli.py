@@ -111,6 +111,8 @@ def _cmd_pps(args) -> int:
     instance, _, artist_ids = _load_with_alpha(args.instance, args.alpha)
     vec = pps(rule, instance)
     baseline = pps("globalprop", instance)
+    me = max_envy(rule, instance)  # before any output, so a bad --k prints nothing
+    top, bottom = topk_bottomk_relative_pps(rule, instance, args.k)
     print("artist_id,pps,relative_to_globalprop")
     for j, aid in enumerate(artist_ids):
         if vec.defined_mask[j]:
@@ -118,8 +120,6 @@ def _cmd_pps(args) -> int:
             print(f"{aid},{_fmt(vec.values[j])},{_fmt(rel)}")
         else:
             print(f"{aid},,")
-    me = max_envy(rule, instance)
-    top, bottom = topk_bottomk_relative_pps(rule, instance, args.k)
     print(f"# max_envy={_fmt(me)}")
     print(f"# top{args.k}_mean={_fmt(top)}")
     print(f"# bottom{args.k}_mean={_fmt(bottom)}")

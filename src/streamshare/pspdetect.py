@@ -29,7 +29,7 @@ from .rules import global_prop
 # Cap on candidate artist sets enumerated by the exact coalition search.
 CANDIDATE_CAP = 1 << 17
 
-# Array cells per block of the exact solve and of the greedy climb; bounds their memory.
+# Array cells per block of the exact solve, its bounds and the greedy climb; bounds their memory.
 _SOLVE_CELLS = 1 << 20
 
 THRESHOLD_SLACK = 1e-9
@@ -304,8 +304,13 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
 
     Exact mode enumerates coalitions up to interchangeability of artists
     (smallest first, ties keep the lexicographically first coalition) and
-    solves each with psp_exact. Greedy mode grows the coalition one artist
-    at a time by best ``_climb`` profit and reports the best prefix.
+    bounds every one at once by ``_profit_bounds``. It solves them with
+    psp_exact in descending bound order, a stable sort, and stops at the
+    first whose bound lies below the best profit found or at zero: no later
+    coalition can then win or tie, so the answer is the loop's over all of
+    them (the first coalition with nothing removed when none profits).
+    Greedy mode grows the coalition one artist at a time by best ``_climb``
+    profit and reports the best prefix.
     """
     validate(instance)
     if k < 0 or k > instance.n_artists:
@@ -335,12 +340,42 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
             if len(candidates) > CANDIDATE_CAP:
                 raise TooLargeError(f"more than {CANDIDATE_CAP} candidate coalitions")
     candidates.sort(key=lambda u: (len(u), u))
-    best_u, best = (), None
-    for u in candidates:
-        res = psp_exact(instance, u)
-        if best is None or res.profit > best.profit:
-            best_u, best = u, res
-    return best_u, best
+    bound = _profit_bounds(instance, candidates)
+    best_i, best = 0, PspResult(candidates[0], (), 0.0)
+    for i in np.argsort(-bound, kind="stable").tolist():
+        if bound[i] <= 0.0 or bound[i] < best.profit:  # no later set can win or tie
+            break
+        res = psp_exact(instance, candidates[i])
+        if res.profit > best.profit or (res.profit == best.profit and i < best_i):
+            best_i, best = i, res
+    return candidates[best_i], best
+
+
+def _profit_bounds(instance: Instance, candidates) -> np.ndarray:
+    """Upper bound on ``psp_exact``'s profit for each artist set. Removing
+    r users from a set U with a_U of the T streams leaves U paid at least
+    alpha (n - r)(a_U - top_r) / T, where top_r sums the r largest per-user
+    streams into U, so the profit is at most
+    P - alpha (n - r)(a_U - top_r) / T - r for some 1 <= r <= P + 1, with
+    P = alpha n a_U / T; THRESHOLD_SLACK (1 + P) more covers rounding. The
+    per-user streams of equal-size sets are gathered in blocks of at most
+    ``_SOLVE_CELLS`` cells."""
+    n, alpha = instance.n_users, instance.alpha
+    cols, total = instance.weights.T, float(instance.user_totals().sum())
+    bounds = []
+    for size, group in itertools.groupby(candidates, key=len):
+        group = list(group)
+        step = max(1, _SOLVE_CELLS // (n * size))
+        for i in range(0, len(group), step):
+            s = cols[np.array(group[i : i + step])].sum(axis=1)  # (sets, users)
+            a_u = s.sum(axis=1)
+            paid = alpha * n * a_u / total
+            r = np.arange(1, min(n, int(paid.max()) + 1) + 1)
+            top = np.sort(np.partition(s, n - r.size, axis=1)[:, n - r.size :], axis=1)
+            left = a_u[:, None] - top[:, ::-1].cumsum(axis=1)
+            profit = paid[:, None] - alpha * (n - r) * left / total - r
+            bounds.append(np.maximum(profit.max(axis=1) + THRESHOLD_SLACK * (1 + paid), 0.0))
+    return np.concatenate(bounds)
 
 
 def _count_vectors(sizes, total):

@@ -83,6 +83,15 @@ def test_pps_report(tmp_path, capsys):
     assert lines[5] == "# bottom1_mean=0.625"
 
 
+@pytest.mark.parametrize("k", ["0", "3", "1000"])
+def test_pps_rejects_k_before_printing(k, tmp_path, capsys):
+    path = _doc(tmp_path, [[3, 1], [0, 1]])
+    assert main(["pps", "--rule", "scaledup", "--instance", path, "--k", k]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: k must lie in [1, 2]")
+
+
 def test_pps_masks_streamless_column(tmp_path, capsys):
     path = _doc(tmp_path, [[2, 0]])
     assert main(["pps", "--rule", "userprop", "--instance", path, "--k", "1"]) == 0

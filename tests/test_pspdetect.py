@@ -21,12 +21,14 @@ from streamshare import (
     ssbve_reduction,
 )
 from streamshare.axioms import random_instance
+from streamshare.experiments import SynthConfig, gen_synthetic
 from streamshare.pspdetect import (
     THRESHOLD_SLACK,
     PspResult,
     _artist_orbits,
     _count_vectors,
     _exchangeable,
+    _profit_bounds,
     _removal_groups,
     _removal_profit,
 )
@@ -446,6 +448,112 @@ def test_greedy_search_validates_once(monkeypatch):
         calls.clear()
         find_suspicious(inst, k, "greedy")
         assert calls == [inst]
+
+
+def _exact_candidates(inst, k):
+    """The exact search's coalitions, one per orbit count vector, in
+    (size, lexicographic) order."""
+    orbits = _artist_orbits(inst)
+    sizes = [len(o) for o in orbits]
+    return sorted((tuple(sorted(j for o, c in zip(orbits, combo) for j in o[:c]))
+                   for total in range(1, k + 1) for combo in _count_vectors(sizes, total)),
+                  key=lambda u: (len(u), u))
+
+
+def _exact_by_calls(inst, k):
+    """The exact coalition search as one psp_exact call per candidate, in
+    order: the first best profit wins, the first candidate when none profits."""
+    best = None
+    for u in _exact_candidates(inst, k):
+        res = psp_exact(inst, u)
+        if best is None or res.profit > best.profit:
+            best = res
+    return best.artist_set, best
+
+
+def _integer_draw(rng, n_users=(2, 9), n_artists=(2, 6), alpha=1.0):
+    """Small-count weights: many equal streams, so many tied profits."""
+    n = int(rng.integers(n_users[0], n_users[1] + 1))
+    m = int(rng.integers(n_artists[0], n_artists[1] + 1))
+    w = rng.integers(0, 3, size=(n, m)).astype(float)
+    w[w.sum(axis=1) == 0, 0] = 1.0
+    return make(w, alpha)
+
+
+def _bound_cases():
+    for t in range(120):
+        rng = np.random.default_rng([97, t])
+        inst = random_instance(rng, (1, 10), (1, 6), alpha=1.0 if t % 2 else None)
+        yield inst, int(rng.integers(1, inst.n_artists + 1))
+    for t in range(60):
+        inst = _integer_draw(np.random.default_rng([101, t]))
+        yield inst, inst.n_artists
+    cells = list(itertools.product(range(2), range(3)))
+    for bits in range(1, 1 << len(cells), 5):
+        graph = BipartiteGraph(2, 3, tuple(cells[i] for i in range(len(cells)) if bits >> i & 1))
+        red = ssbve_reduction(graph, 1, bits % 3)
+        yield red.instance, red.k
+
+
+def test_profit_bounds_lie_above_the_exact_profit():
+    profitable = 0
+    for t, (inst, k) in enumerate(_bound_cases()):
+        candidates = _exact_candidates(inst, k)
+        bound = _profit_bounds(inst, candidates)
+        profit = np.array([psp_exact(inst, u).profit for u in candidates])
+        assert (bound >= profit).all(), t
+        profitable += (profit > 0).any()
+    assert profitable >= 60
+
+
+@pytest.mark.parametrize("cells", [None, 1, 40])  # 1: one candidate set per bound block
+def test_exact_search_equals_a_loop_of_psp_exact_calls(cells, monkeypatch):
+    draws = []
+    for t in range(330):
+        rng = np.random.default_rng([103, t])
+        if t % 3 == 2:
+            inst = _integer_draw(rng, alpha=float(rng.choice([0.5, 1.0])))
+        else:  # alpha = 1 on every other draw, where removals profit more often
+            inst = random_instance(rng, (1, 12), (1, 7), alpha=1.0 if t % 2 else None)
+        draws.append((inst, int(rng.integers(1, inst.n_artists + 1))))
+    expected = [_exact_by_calls(inst, k) for inst, k in draws]
+    if cells is not None:
+        monkeypatch.setattr(pspdetect, "_SOLVE_CELLS", cells)
+    for t, (inst, k) in enumerate(draws):
+        assert find_suspicious(inst, k, "exact") == expected[t], t
+    profitable = sum(res.profit > 0 for _, res in expected)
+    assert 60 <= profitable <= len(draws) - 60  # both kinds of answer are common
+
+
+def test_exact_search_keeps_the_first_of_tied_coalitions():
+    # users 5 and 6 mirror each other across artists 1 and 2, and both columns
+    # hold 8 streams, so (0, 1) and (0, 2) tie; (0, 2) has the larger bound
+    # and is solved first, yet (0, 1) comes first in (size, lexicographic) order
+    inst = make([[1, 2, 1], [1, 1, 0], [1, 1, 0], [2, 1, 2],
+                 [0, 0, 2], [2, 2, 0], [2, 0, 2], [2, 1, 1]])
+    first, later = psp_exact(inst, (0, 1)), psp_exact(inst, (0, 2))
+    assert first.profit == later.profit > 0
+    bound = _profit_bounds(inst, [(0, 1), (0, 2)])
+    assert bound[0] < bound[1]
+    assert find_suspicious(inst, 3, "exact") == ((0, 1), first) == _exact_by_calls(inst, 3)
+
+
+def test_exact_search_solves_only_candidates_that_can_win(monkeypatch):
+    inst = gen_synthetic(SynthConfig(300, 30, (1, 10), 1.0, 0))
+    expected = _exact_by_calls(inst, 2)
+    solved = []
+
+    def counted(instance, artist_set):
+        solved.append(artist_set)
+        return psp_exact(instance, artist_set)
+
+    monkeypatch.setattr(pspdetect, "psp_exact", counted)
+    assert find_suspicious(inst, 2, "exact") == expected
+    assert 0 < len(solved) <= len(_exact_candidates(inst, 2)) // 10
+    solved.clear()  # removing either user of a column costs more than it wins back
+    assert find_suspicious(make([[1, 0], [0, 1], [1, 1]], 0.5), 1, "exact") == (
+        (0,), PspResult((0,), (), 0.0))
+    assert solved == []
 
 
 def test_find_suspicious_exact_is_a_true_maximum_over_coalitions():

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import core
 from .core import Instance
-from .rules import RuleId, batch_payments, coerce_rule, evaluate
+from .rules import PortioningId, RuleId, batch_payments, coerce_rule, evaluate
 
 logger = logging.getLogger(__name__)
 
@@ -456,10 +456,10 @@ def _candidate_payments(rule, base: Instance, rows: np.ndarray, victims=None) ->
     """Payments (K, m) of ``base`` with each of the K candidate rows appended
     as a new user, or, given ``victims`` (K,), written over that user's row.
 
-    Main rules score the whole stack in one kernel call; portioning rules and
-    plain callables evaluate each manipulated instance in turn.
+    Every rule but ``egal`` scores the whole stack in one kernel call;
+    ``egal`` and plain callables evaluate each manipulated instance in turn.
     """
-    if isinstance(rule, RuleId):
+    if isinstance(rule, (RuleId, PortioningId)) and rule is not PortioningId.EGAL:
         n, m = base.weights.shape
         if victims is None:
             w = np.empty((rows.shape[0], n + 1, m))

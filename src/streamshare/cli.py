@@ -31,7 +31,7 @@ from .experiments import (
 )
 from .fixtures import fixtures, verify_fixture
 from .ingest import default_ids, load_document, save_document
-from .metrics import DegenerateEnvyError, max_envy, pps, topk_bottomk_relative_pps
+from .metrics import DegenerateEnvyError, pps, topk_bottomk_means
 from .portioning import DegenerateAggregateError, SolverFailure
 from .pspdetect import BipartiteGraph, find_suspicious, ssbve_reduction
 from .rules import coerce_rule, evaluate
@@ -111,8 +111,8 @@ def _cmd_pps(args) -> int:
     instance, _, artist_ids = _load_with_alpha(args.instance, args.alpha)
     vec = pps(rule, instance)
     baseline = pps("globalprop", instance)
-    me = max_envy(rule, instance)  # before any output, so a bad --k prints nothing
-    top, bottom = topk_bottomk_relative_pps(rule, instance, args.k)
+    me = vec.max_envy()  # before any output, so a bad --k prints nothing
+    top, bottom = topk_bottomk_means(vec.defined_values / baseline.defined_values, args.k)
     print("artist_id,pps,relative_to_globalprop")
     for j, aid in enumerate(artist_ids):
         if vec.defined_mask[j]:

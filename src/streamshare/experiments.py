@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Instance, with_alpha
-from .metrics import DegenerateEnvyError, max_envy, topk_bottomk_relative_pps
+from .metrics import DegenerateEnvyError, pps, topk_bottomk_means
 from .rules import RuleId, coerce_rule
 
 logger = logging.getLogger(__name__)
@@ -112,8 +112,10 @@ def gen_synthetic(config: SynthConfig) -> Instance:
 def _measure(rule, instance: Instance, k: int):
     start = time.perf_counter()
     try:
-        top, bottom = topk_bottomk_relative_pps(rule, instance, k)
-        envy = max_envy(rule, instance)
+        vec = pps(rule, instance)
+        baseline = pps(RuleId.GLOBAL_PROP, instance)
+        top, bottom = topk_bottomk_means(vec.defined_values / baseline.defined_values, k)
+        envy = vec.max_envy()
     except DegenerateEnvyError:
         top = bottom = envy = math.inf
     return top, bottom, envy, (time.perf_counter() - start) * 1e3

@@ -28,6 +28,20 @@ class PpsVector:
     def defined_values(self) -> np.ndarray:
         return self.values[self.defined_mask]
 
+    def max_envy(self) -> float:
+        """Ratio of the highest to the lowest defined pay-per-stream.
+
+        Returns math.inf when a streamed artist was paid exactly nothing, so
+        batch sweeps keep running through that corner instead of aborting.
+        """
+        vals = self.defined_values
+        if vals.size == 0:
+            raise DegenerateEnvyError("no artist has positive streams")
+        low = vals.min()
+        if low == 0.0:
+            return math.inf
+        return float(vals.max() / low)
+
 
 def pps(rule, instance: Instance) -> PpsVector:
     """Payment divided by column total, masked where the column total is 0."""
@@ -40,32 +54,25 @@ def pps(rule, instance: Instance) -> PpsVector:
 
 
 def max_envy(rule, instance: Instance) -> float:
-    """Ratio of the highest to the lowest defined pay-per-stream.
-
-    Returns math.inf when a streamed artist was paid exactly nothing, so
-    batch sweeps keep running through that corner instead of aborting.
-    """
-    vec = pps(rule, instance)
-    vals = vec.defined_values
-    if vals.size == 0:
-        raise DegenerateEnvyError("no artist has positive streams")
-    low = vals.min()
-    if low == 0.0:
-        return math.inf
-    return float(vals.max() / low)
+    """:meth:`PpsVector.max_envy` of the rule's pay-per-stream."""
+    return pps(rule, instance).max_envy()
 
 
 def relative_pps(rule, instance: Instance) -> np.ndarray:
     """Per-artist pay-per-stream divided by the platform-proportional rate,
     over artists with positive streams."""
-    target = pps(rule, instance)
     baseline = pps(RuleId.GLOBAL_PROP, instance)
-    return target.defined_values / baseline.defined_values
+    return pps(rule, instance).defined_values / baseline.defined_values
 
 
 def topk_bottomk_relative_pps(rule, instance: Instance, k: int):
     """Means of the k largest and k smallest relative pay-per-stream ratios."""
-    ratios = np.sort(relative_pps(rule, instance))
+    return topk_bottomk_means(relative_pps(rule, instance), k)
+
+
+def topk_bottomk_means(ratios: np.ndarray, k: int):
+    """Means of the k largest and k smallest of ``ratios``."""
+    ratios = np.sort(ratios)
     if not 1 <= k <= ratios.size:
         raise ValueError(
             f"k must lie in [1, {ratios.size}] (artists with streams), got {k}"

@@ -34,57 +34,45 @@ class SolverFailure(RuntimeError):
     """An optimization stage did not converge."""
 
 
-def normalize(instance: Instance) -> Instance:
-    """Row-normalized copy: every user's weights sum to 1."""
-    w = instance.weights
-    return Instance(w / w.sum(axis=1, keepdims=True), instance.alpha)
-
-
 def simplex_share(rule, instance: Instance) -> np.ndarray:
     """The rule's point on the artist simplex (sums to 1)."""
-    rule = PortioningId(rule)
-    norm = normalize(instance).weights
-    if instance.n_artists == 1:
-        return np.ones(1)
-    if rule in _COORDINATEWISE:
-        agg = _COORDINATEWISE[rule](norm)
-        total = agg.sum()
-        if total <= 0.0:
-            raise DegenerateAggregateError(
-                f"{rule.value} aggregate is zero on every artist"
-            )
-        return agg / total
-    if rule is PortioningId.UTIL:
-        share = _util_share(norm)
-    elif rule is PortioningId.EGAL:
-        share = _egal_share(norm)
-    elif rule is PortioningId.INDEPENDENT_MARKETS:
-        share = market_solution(norm).shares
-    else:  # pragma: no cover - exhaustive over PortioningId
-        raise KeyError(rule)
-    return share / share.sum()
+    return stack_shares(PortioningId(rule), instance.weights)
 
 
 def portioning_payment(rule, instance: Instance) -> np.ndarray:
     return finalize_payments(simplex_share(rule, instance) * instance.budget)
 
 
+def stack_shares(rule: PortioningId, w: np.ndarray) -> np.ndarray:
+    """Simplex points (..., m) of every matrix of a (..., n, m) weight stack,
+    users on axis -2. Every rule but ``egal``, which takes one (n, m)
+    matrix, is one kernel over the stack. Any degenerate matrix raises."""
+    norm = w / w.sum(axis=-1, keepdims=True)
+    if rule in _COORDINATEWISE:
+        share = _COORDINATEWISE[rule](norm)
+        if np.any(share.sum(axis=-1) <= 0.0):
+            raise DegenerateAggregateError(f"{rule.value} aggregate is zero on every artist")
+    elif rule is PortioningId.UTIL:
+        share = _util_share(norm)
+    elif rule is PortioningId.EGAL:
+        share = _egal_share(norm)
+    else:  # independent markets: one phantom scale per matrix
+        shares = [market_solution(x).shares for x in norm.reshape((-1,) + w.shape[-2:])]
+        share = np.reshape(shares, w.shape[:-2] + w.shape[-1:])
+    return share / share.sum(axis=-1, keepdims=True)
+
+
 def _geo(norm: np.ndarray) -> np.ndarray:
-    # geometric mean per column; any zero in a column zeroes it out
+    # geometric mean per column; a zero gives log -inf, and exp(-inf) is 0
     with np.errstate(divide="ignore"):
-        logs = np.log(norm)
-    means = logs.mean(axis=0)
-    out = np.zeros(norm.shape[1])
-    finite = np.isfinite(means)
-    out[finite] = np.exp(means[finite])
-    return out
+        return np.exp(np.log(norm).mean(axis=-2))
 
 
 _COORDINATEWISE = {
-    PortioningId.AVG: lambda norm: norm.mean(axis=0),
-    PortioningId.MAX: lambda norm: norm.max(axis=0),
-    PortioningId.MIN: lambda norm: norm.min(axis=0),
-    PortioningId.MED: lambda norm: np.median(norm, axis=0),
+    PortioningId.AVG: lambda norm: norm.mean(axis=-2),
+    PortioningId.MAX: lambda norm: norm.max(axis=-2),
+    PortioningId.MIN: lambda norm: norm.min(axis=-2),
+    PortioningId.MED: lambda norm: np.median(norm, axis=-2),
     PortioningId.GEO: _geo,
 }
 
@@ -99,48 +87,45 @@ def _util_share(norm: np.ndarray) -> np.ndarray:
     set at integer dual level is the interval between consecutive order
     statistics of that artist's column. The optimal face is the box for the
     level whose interval sums bracket 1, and the max-entropy point on it clips
-    a single constant into each interval."""
-    n = norm.shape[0]
+    a single constant into each interval, for every matrix of a stack."""
+    n = norm.shape[-2]
     stats = _sorted_columns(norm)
-    bounds = stats.sum(axis=1)
-    feasible = np.flatnonzero(bounds[:n] >= 1.0 - 1e-9)
-    level = int(feasible[-1]) if feasible.size else 0
-    lo, hi = stats[level + 1], stats[level]
-    p = _clip_to_sum(lo, hi, 1.0)
-    total = p.sum()
-    if not 0.9 < total < 1.1:  # the face always brackets 1; this is a bug trap
-        raise SolverFailure(f"util face sum {total} out of range")
+    feasible = stats[..., :n, :].sum(axis=-1) >= 1.0 - 1e-9
+    level = np.where(feasible, np.arange(n), 0).max(axis=-1)  # the last feasible, or 0
+    face = np.take_along_axis(stats, level[..., None, None] + np.array([[1], [0]]), axis=-2)
+    p = _clip_to_sum(face[..., 0, :], face[..., 1, :], 1.0)
+    total = p.sum(axis=-1, keepdims=True)
+    off = ~((0.9 < total) & (total < 1.1))  # the face always brackets 1; a bug trap
+    if off.any():
+        raise SolverFailure(f"util face sum {total[off][0]} out of range")
     return p / total
 
 
 def _sorted_columns(norm: np.ndarray) -> np.ndarray:
     """Row r holds the (r+1)-th largest value of each column, and one zero
-    sentinel row follows: an (n+1) x m array, sorted in place."""
-    n, m = norm.shape
-    stats = np.empty((n + 1, m))
-    body = stats[:n]
+    sentinel row follows: (..., n+1, m) for a (..., n, m) stack."""
+    n = norm.shape[-2]
+    stats = np.zeros(norm.shape[:-2] + (n + 1, norm.shape[-1]))
+    body = stats[..., :n, :]
     np.negative(norm, out=body)
-    body.sort(axis=0)
+    body.sort(axis=-2)
     np.negative(body, out=body)
-    stats[n] = 0.0
     return stats
 
 
 def _clip_to_sum(lo: np.ndarray, hi: np.ndarray, target: float) -> np.ndarray:
-    """Solve sum_j clip(theta, lo_j, hi_j) = target exactly by a knot sweep."""
-    knots = np.unique(np.concatenate([lo, hi]))
-    vals = np.clip(knots[:, None], lo[None, :], hi[None, :]).sum(axis=1)
-    i = int(np.searchsorted(vals, target))
-    if i == 0:
-        theta = knots[0]
-    elif i == len(knots):
-        theta = knots[-1]
-    else:
-        span = vals[i] - vals[i - 1]
-        if span <= 0:
-            theta = knots[i]
-        else:
-            theta = knots[i - 1] + (knots[i] - knots[i - 1]) * (target - vals[i - 1]) / span
+    """Solve sum_j clip(theta, lo_j, hi_j) = target exactly by a knot sweep,
+    per row of (..., m) bounds. A repeated knot never changes theta, so the
+    knots need only be sorted."""
+    knots = np.sort(np.concatenate([lo, hi], axis=-1), axis=-1)
+    vals = np.clip(knots[..., :, None], lo[..., None, :], hi[..., None, :]).sum(axis=-1)
+    i = (vals < target).sum(axis=-1, keepdims=True)  # searchsorted: vals ascend
+    below, above = np.maximum(i - 1, 0), np.minimum(i, knots.shape[-1] - 1)
+    k0, k1 = np.take_along_axis(knots, below, -1), np.take_along_axis(knots, above, -1)
+    v0, v1 = np.take_along_axis(vals, below, -1), np.take_along_axis(vals, above, -1)
+    span = v1 - v0  # 0 off either end, where theta is that end's knot
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.where(span > 0, k0 + (k1 - k0) * (target - v0) / span, k1)
     return np.clip(theta, lo, hi)
 
 

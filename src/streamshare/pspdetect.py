@@ -332,13 +332,10 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
             best = max(best, step, key=lambda res: res.profit)  # ties keep the shorter prefix
         return best.artist_set, best
 
-    orbits = _artist_orbits(instance)
-    candidates, sizes = [], [len(o) for o in orbits]
-    for total in range(1, k + 1):
-        for combo in _count_vectors(sizes, total):
-            candidates.append(tuple(sorted(j for o, c in zip(orbits, combo) for j in o[:c])))
-            if len(candidates) > CANDIDATE_CAP:
-                raise TooLargeError(f"more than {CANDIDATE_CAP} candidate coalitions")
+    coalitions = _coalitions(_artist_orbits(instance), k)
+    candidates = list(itertools.islice(coalitions, CANDIDATE_CAP + 1))
+    if len(candidates) > CANDIDATE_CAP:
+        raise TooLargeError(f"more than {CANDIDATE_CAP} candidate coalitions")
     candidates.sort(key=lambda u: (len(u), u))
     bound = _profit_bounds(instance, candidates)
     best_i, best = 0, PspResult(candidates[0], (), 0.0)
@@ -378,19 +375,19 @@ def _profit_bounds(instance: Instance, candidates) -> np.ndarray:
     return np.concatenate(bounds)
 
 
-def _count_vectors(sizes, total):
-    """All ways to take `total` items from orbits with the given sizes, most
-    from the first orbits first. A depth-first walk on an explicit stack, so
-    the recursion limit does not bound the orbit count."""
-    room = list(itertools.accumulate(reversed(sizes), initial=0))[::-1]  # orbits i.. hold
-    stack = [((), total)]
+def _coalitions(orbits, k):
+    """Every coalition of 1 to k artists that takes a prefix of each orbit,
+    as an ascending tuple, grown orbit by orbit on an explicit stack, so the
+    recursion limit does not bound the orbit count."""
+    stack = [((), 0)]
     while stack:
-        prefix, left = stack.pop()
-        if left == 0:
-            yield prefix + (0,) * (len(sizes) - len(prefix))
-        elif left <= room[len(prefix)]:  # the later orbits can still hold the rest
-            i = len(prefix)
-            stack.extend((prefix + (c,), left - c) for c in range(min(sizes[i], left) + 1))
+        members, start = stack.pop()
+        for i in range(start, len(orbits)):
+            for c in range(1, min(len(orbits[i]), k - len(members)) + 1):
+                u = tuple(sorted(members + tuple(orbits[i][:c])))
+                yield u
+                if len(u) < k:
+                    stack.append((u, i + 1))
 
 
 def ssbve_reduction(

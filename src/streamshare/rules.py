@@ -15,6 +15,12 @@ Four main rules:
 
 The eight portioning rules (see :mod:`streamshare.portioning`) are also
 addressable through :func:`evaluate` so callers can treat all twelve uniformly.
+
+Every rule but ``egal`` is one kernel over a stack of weight matrices of
+shape (..., n, m), users on axis -2 and artists on axis -1, returning
+payments of shape (..., m). :func:`batch_payments` scores a whole stack in
+one call and :func:`evaluate` runs the same kernel on a single (n, m)
+matrix, so batched and single-instance payments agree bit for bit.
 """
 
 from __future__ import annotations
@@ -65,13 +71,6 @@ def coerce_rule(name) -> RuleId | PortioningId:
         if member.value == text:
             return member
     raise KeyError(f"unknown rule {name!r}; choose from {[m.value for m in ALL_RULES]}")
-
-
-# Each main rule is one kernel over a stack of weight matrices: ``w`` has
-# shape (..., n, m), users on axis -2 and artists on axis -1, and the kernel
-# returns raw payments of shape (..., m). ``evaluate`` runs the same kernel on
-# a single (n, m) matrix, so batched and single-instance payments agree
-# bit for bit.
 
 
 def _global_prop(w: np.ndarray, alpha: float) -> np.ndarray:
@@ -163,12 +162,22 @@ _MAIN_KERNELS = {
 }
 
 
-def batch_payments(rule: RuleId, weights: np.ndarray, alpha: float) -> np.ndarray:
-    """Payments of a main rule on every matrix of a (..., n, m) weight stack.
+def batch_payments(rule, weights: np.ndarray, alpha: float) -> np.ndarray:
+    """Payments of any rule but ``egal`` on every matrix of a (..., n, m)
+    weight stack.
 
     The matrices share ``alpha`` and their shape. Each emitted vector is
-    clamped as :func:`~streamshare.core.finalize_payments` does.
+    clamped as :func:`~streamshare.core.finalize_payments` does. A matrix
+    on which :func:`evaluate` raises makes the whole call raise alike.
     """
+    if rule is PortioningId.EGAL:
+        raise ValueError("egal has no stack kernel; evaluate it one instance at a time")
+    if isinstance(rule, PortioningId):
+        from . import portioning
+
+        return finalize_payments(
+            portioning.stack_shares(rule, weights) * (alpha * weights.shape[-2])
+        )
     return finalize_payments(_MAIN_KERNELS[rule](weights, alpha))
 
 

@@ -10,6 +10,11 @@ def make(rows, alpha=1.0):
     return Instance(np.asarray(rows, dtype=float), alpha)
 
 
+def row_shares(inst):
+    """The instance's weights with every user's row scaled to sum to 1."""
+    return inst.weights / inst.weights.sum(axis=1, keepdims=True)
+
+
 @st.composite
 def instances(draw, max_users=6, max_artists=5, positive=False, alpha=None):
     """Random valid instance. With positive=True every weight is > 0 so the

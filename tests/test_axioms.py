@@ -11,12 +11,14 @@ from helpers import instances, make
 from streamshare import (
     MAIN_RULES,
     MARGIN_TOL,
+    PORTIONING_RULES,
     SUITE_GRID,
     AxiomId,
     BadAlphaError,
     GainReport,
     InstanceError,
     NegativeWeightError,
+    PortioningId,
     RuleId,
     ViolationWitness,
     ZeroRowError,
@@ -56,6 +58,7 @@ from streamshare.axioms import (
 from streamshare.fixtures import DomainError
 
 DEFAULT_TOL = 1e-9
+KERNEL_RULES = MAIN_RULES + tuple(r for r in PORTIONING_RULES if r is not PortioningId.EGAL)
 
 
 # ---------------------------------------------------------------------------
@@ -561,25 +564,36 @@ def test_search_bribery_names_the_victim_of_an_invalid_candidate(row):
 
 
 def test_batched_scores_equal_the_per_row_path():
-    """The main rules score a trial's candidates in one kernel call; the same
-    rule wrapped as a plain callable evaluates one manipulated instance per
-    candidate. Both must agree exactly, not approximately."""
+    """Every rule but egal scores a trial's candidates in one kernel call; the
+    same rule wrapped as a plain callable evaluates one manipulated instance
+    per candidate. Both must agree exactly, not approximately, and where the
+    per-row path raises, the kernel raises the same error."""
+    raised = 0
     for t in range(200):
         rng = np.random.default_rng([17, t])
         inst = random_instance(rng)
         rows = candidate_profiles(inst, rng)
         victims, bribe_rows = _bribes(inst, rows, [int(rng.integers(inst.n_users))])
-        for rule in MAIN_RULES:
+        # the per-row oracle is slow for portioning rules: every third trial
+        for rule in KERNEL_RULES if t % 3 == 0 else MAIN_RULES:
             per_row = lambda instance, rule=rule: evaluate(rule, instance)
             for cand, who in ((rows, None), (bribe_rows, victims)):
+                try:
+                    looped = _score(per_row, inst, cand, who)
+                except Exception as exc:
+                    with pytest.raises(type(exc)) as info:
+                        _score(rule, inst, cand, who)
+                    assert str(info.value) == str(exc), (t, rule)
+                    raised += 1
+                    continue
                 batched = _score(rule, inst, cand, who)
-                looped = _score(per_row, inst, cand, who)
                 assert np.array_equal(batched.deltas, looped.deltas), (t, rule)
                 assert np.array_equal(batched.gains, looped.gains), (t, rule)
                 assert batched.best == looped.best, (t, rule)
                 assert batched.swing() == looped.swing(), (t, rule)
                 for k in range(cand.shape[0]):
                     assert batched.target_set(k) == looped.target_set(k), (t, rule, k)
+    assert raised > 0  # min and geo degenerate on sparse draws
 
 
 def test_search_keeps_the_earliest_of_tied_candidates():

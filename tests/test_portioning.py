@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import instances, make, market_bisect
+from helpers import instances, make, market_bisect, row_shares
 from streamshare import (
     BUDGET_TOL,
     Instance,
@@ -24,13 +24,10 @@ from streamshare import (
 )
 from streamshare import portioning
 from streamshare.axioms import random_instance
-from streamshare.portioning import SolverFailure, normalize, simplex_share
+from streamshare.portioning import SolverFailure, simplex_share
+from streamshare.rules import batch_payments
 
 RNG = np.random.default_rng(23)
-
-
-def _shares(inst):
-    return inst.weights / inst.weights.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +68,7 @@ def test_med_even_rows_average_the_middle_pair(inst):
     """Median of an even count follows the numpy convention."""
     if inst.n_users % 2 == 1:
         inst = make(np.vstack([inst.weights, inst.weights[-1]]), inst.alpha)
-    agg = np.median(_shares(inst), axis=0)
+    agg = np.median(row_shares(inst), axis=0)
     expected = agg / agg.sum() * inst.budget
     assert np.allclose(portioning_payment("med", inst), expected, atol=1e-9)
 
@@ -81,6 +78,34 @@ def test_degenerate_aggregate_raises(rule):
     inst = make([[1, 0], [0, 1]])
     with pytest.raises(DegenerateAggregateError):
         portioning_payment(rule, inst)
+
+
+@pytest.mark.parametrize("config", [
+    SynthConfig(200, 12, (1, 4), 1.0, 0),  # sparse: min and geo degenerate
+    SynthConfig(120, 6, (6, 6), 20.0, 1),  # dense: every aggregate defined
+])
+def test_batch_payments_on_catalog_rows_equal_evaluate(config):
+    """A (K, n, m) stack of gen catalog rows scores, for every rule but egal,
+    exactly as evaluate on each matrix; where evaluate raises, so does the
+    whole stack, with the same error."""
+    w = gen_synthetic(config).weights
+    stack = w[np.random.default_rng(config.seed).integers(w.shape[0], size=(5, 40))]
+    raised = set()
+    for rule in PORTIONING_RULES:
+        if rule is PortioningId.EGAL:
+            with pytest.raises(ValueError, match="no stack kernel"):
+                batch_payments(rule, stack, 0.6)
+            continue
+        try:
+            want = np.array([evaluate(rule, Instance(x, 0.6)) for x in stack])
+        except DegenerateAggregateError as exc:
+            with pytest.raises(DegenerateAggregateError, match=f"^{re.escape(str(exc))}$"):
+                batch_payments(rule, stack, 0.6)
+            raised.add(rule.value)
+            continue
+        assert np.array_equal(batch_payments(rule, stack, 0.6), want), rule
+    assert raised >= ({"min", "geo"} if config.artist_count_range[0] == 1 else set())
+    assert raised <= {"min", "med", "geo"}
 
 
 @pytest.mark.parametrize("rule", PORTIONING_RULES)
@@ -130,7 +155,7 @@ def _total_disutility(share, shares):
 @given(instances(positive=True, max_users=5, max_artists=4))
 @settings(max_examples=40, deadline=None)
 def test_util_beats_random_simplex_points(inst):
-    shares = _shares(inst)
+    shares = row_shares(inst)
     p = simplex_share("util", inst)
     best = _total_disutility(p, shares)
     samples = RNG.dirichlet(np.ones(inst.n_artists), size=400)
@@ -156,7 +181,7 @@ def test_egal_protects_the_minority():
 @given(instances(positive=True, max_users=5, max_artists=4))
 @settings(max_examples=25, deadline=None)
 def test_egal_minimax_beats_random_simplex_points(inst):
-    shares = _shares(inst)
+    shares = row_shares(inst)
     p = simplex_share("egal", inst)
     worst = np.abs(shares - p[None, :]).sum(axis=1).max()
     samples = RNG.dirichlet(np.ones(inst.n_artists), size=400)
@@ -199,7 +224,7 @@ def _scipy_stage(norm, caps, active):
 def test_minimax_stage_level_matches_scipy(inst):
     from streamshare.portioning import _minimax_stage
 
-    norm = _shares(inst)
+    norm = row_shares(inst)
     n, m = norm.shape
     caps = np.full(n, -1.0)
     active = np.ones(n, dtype=bool)
@@ -216,7 +241,7 @@ def test_frozen_stage_level_matches_scipy(inst):
     cross-check the re-minimized level against the reference LP."""
     from streamshare.portioning import _minimax_stage
 
-    norm = _shares(inst)
+    norm = row_shares(inst)
     n, m = norm.shape
     caps = np.full(n, -1.0)
     active = np.ones(n, dtype=bool)
@@ -238,7 +263,7 @@ def test_minimax_stage_level_matches_scipy_on_catalogs(n, m, seed):
     """First egal stage on generated catalogs against HiGHS."""
     from streamshare.portioning import _minimax_stage
 
-    norm = _shares(gen_synthetic(SynthConfig(n, m, (1, 10), 1.0, seed)))
+    norm = row_shares(gen_synthetic(SynthConfig(n, m, (1, 10), 1.0, seed)))
     caps = np.full(n, -1.0)
     active = np.ones(n, dtype=bool)
     _, z, _ = _minimax_stage(norm, caps, active, np.full(m, 1.0 / m))
@@ -303,7 +328,7 @@ def test_market_two_agreeing_users():
 @given(instances(max_users=7, max_artists=5))
 @settings(max_examples=80, deadline=None)
 def test_market_medians_sum_to_one(inst):
-    sol = market_solution(normalize(inst).weights)
+    sol = market_solution(row_shares(inst))
     assert sol.residual <= 1e-9, f"residual {sol.residual} at t*={sol.t_star}"
     assert 0.0 <= sol.t_star <= 1.0
     assert np.all(sol.medians >= 0)
@@ -312,7 +337,7 @@ def test_market_medians_sum_to_one(inst):
 @given(instances(max_users=7, max_artists=5))
 @settings(max_examples=40, deadline=None)
 def test_market_median_sum_is_monotone_below_t_star(inst):
-    norm = normalize(inst).weights
+    norm = row_shares(inst)
     sol = market_solution(norm)
     n = inst.n_users
     ks = np.arange(n + 1, dtype=float)
@@ -332,16 +357,16 @@ def _assert_matches_bisection(norm):
 def test_market_matches_bisection_on_random_draws():
     rng = np.random.default_rng(8)
     for _ in range(1000):
-        _assert_matches_bisection(normalize(random_instance(rng)).weights)
+        _assert_matches_bisection(row_shares(random_instance(rng)))
 
 
 @pytest.mark.parametrize("n, m", [(300, 30), (800, 80)])
 def test_market_matches_bisection_on_catalogs(n, m):
-    _assert_matches_bisection(_shares(gen_synthetic(SynthConfig(n, m, (1, 10), 1.0, 4))))
+    _assert_matches_bisection(row_shares(gen_synthetic(SynthConfig(n, m, (1, 10), 1.0, 4))))
 
 
 def test_market_matches_bisection_on_a_dense_matrix():
-    _assert_matches_bisection(_shares(Instance(RNG.exponential(1.0, size=(200, 20)), 1.0)))
+    _assert_matches_bisection(row_shares(Instance(RNG.exponential(1.0, size=(200, 20)), 1.0)))
 
 
 @pytest.mark.parametrize(
@@ -360,4 +385,4 @@ def test_market_matches_bisection_on_a_dense_matrix():
          "plateau-rounded"],
 )
 def test_market_matches_bisection_on_edge_shapes(rows):
-    _assert_matches_bisection(_shares(make(rows)))
+    _assert_matches_bisection(row_shares(make(rows)))

@@ -26,7 +26,7 @@ from streamshare.pspdetect import (
     THRESHOLD_SLACK,
     PspResult,
     _artist_orbits,
-    _count_vectors,
+    _coalitions,
     _exchangeable,
     _profit_bounds,
     _removal_groups,
@@ -330,21 +330,32 @@ def test_orbits_match_pairwise_reference_on_reductions():
             assert _artist_orbits(inst) == _pairwise_orbits(inst), (n_left, n_right, bits)
 
 
-def test_count_vectors_order_matches_a_sorted_product():
-    for sizes in ([], [2], [1, 0, 3], [2, 2, 1, 3], [3, 1, 2]):
-        for total in range(sum(sizes) + 2):
-            want = sorted(
-                (c for c in itertools.product(*(range(s + 1) for s in sizes))
-                 if sum(c) == total),
-                reverse=True,
-            )
-            assert list(_count_vectors(sizes, total)) == want, (sizes, total)
+def _product_coalitions(orbits, k):
+    """Every coalition of 1 to k artists that takes a nonempty prefix of each
+    of up to k orbits, in (size, lexicographic) order: the orbits it touches,
+    then a product over how many of each it takes."""
+    return sorted(
+        (tuple(sorted(j for o, c in zip(touched, combo) for j in o[:c]))
+         for r in range(1, k + 1) for touched in itertools.combinations(orbits, r)
+         for combo in itertools.product(*(range(1, len(o) + 1) for o in touched))
+         if sum(combo) <= k),
+        key=lambda u: (len(u), u),
+    )
 
 
-def test_count_vectors_is_not_bounded_by_recursion():
-    got = list(_count_vectors([1] * 1200, 1))
-    assert len(got) == 1200
-    assert got[0] == (1,) + (0,) * 1199 and got[-1] == (0,) * 1199 + (1,)
+def test_coalitions_match_a_product_of_orbit_prefixes():
+    for orbits in ([], [[0]], [[1, 0]], [[0, 2], [1]], [[0, 3], [1], [2, 5, 4]],
+                   [[0, 4, 5], [1, 2], [3]], [[0], [1], [2], [3], [4], [5]]):
+        for k in range(sum(map(len, orbits)) + 2):
+            got = list(_coalitions(orbits, k))
+            assert all(list(u) == sorted(u) for u in got), (orbits, k)
+            assert sorted(got) == sorted(_product_coalitions(orbits, k)), (orbits, k)
+
+
+def test_coalitions_over_1200_singleton_orbits():
+    singles = [[j] for j in range(1200)]
+    assert sorted(_coalitions(singles, 1)) == [(j,) for j in range(1200)]
+    assert sum(1 for _ in _coalitions(singles, 2)) == 1200 + 1200 * 1199 // 2
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +462,8 @@ def test_greedy_search_validates_once(monkeypatch):
 
 
 def _exact_candidates(inst, k):
-    """The exact search's coalitions, one per orbit count vector, in
-    (size, lexicographic) order."""
-    orbits = _artist_orbits(inst)
-    sizes = [len(o) for o in orbits]
-    return sorted((tuple(sorted(j for o, c in zip(orbits, combo) for j in o[:c]))
-                   for total in range(1, k + 1) for combo in _count_vectors(sizes, total)),
-                  key=lambda u: (len(u), u))
+    """The exact search's coalitions, in (size, lexicographic) order."""
+    return _product_coalitions(_artist_orbits(inst), k)
 
 
 def _exact_by_calls(inst, k):

@@ -2,9 +2,9 @@
 
 Three layers:
 
-* verifiers take explicit before/after instances and return one
-  :class:`GainReport`: the scored payment on both sides, the gain, and
-  the axiom's allowed bound,
+* verifiers take explicit before/after instances, validate both, and
+  return one :class:`GainReport`: the scored payment on both sides, the
+  gain, and the axiom's allowed bound,
 * randomized searchers build single-user manipulations out of point
   masses and random rows,
 * trial suites drive the searchers over thousands of seeded random
@@ -162,6 +162,7 @@ def verify_fraud_pair(rule, base: Instance, manipulated: Instance, target_set) -
     rows bit-identical, at least one appended row, and be a valid instance.
     The allowed bound is the number of added users.
     """
+    core.validate(base)
     if manipulated.n_artists != base.n_artists:
         raise NotAnExtensionError("artist sets differ")
     if manipulated.alpha != base.alpha:
@@ -180,7 +181,8 @@ def verify_fraud_pair(rule, base: Instance, manipulated: Instance, target_set) -
 
 
 def _changed_rows(base: Instance, manipulated: Instance) -> np.ndarray:
-    """Indices of the rewritten rows of a valid same-shape pair."""
+    """Indices of the rewritten rows of a same-shape pair, both validated."""
+    core.validate(base)
     if manipulated.n_users != base.n_users or manipulated.n_artists != base.n_artists:
         raise PremiseError("instances must share both dimensions")
     if manipulated.alpha != base.alpha:
@@ -242,6 +244,7 @@ def verify_sybil_pair(rule, base: Instance, manipulated: Instance, cstar) -> Gai
     preserved. Reported gain is the absolute change of the manipulated
     group's payment.
     """
+    core.validate(base)
     if manipulated.n_users != base.n_users:
         raise PremiseError("sybil pairs keep the user set fixed")
     if manipulated.alpha != base.alpha:
@@ -253,7 +256,7 @@ def verify_sybil_pair(rule, base: Instance, manipulated: Instance, cstar) -> Gai
     mass_m = manipulated.weights[:, ~keep_m].sum(axis=1)
     if (np.abs(mass_b - mass_m) > PREMISE_TOL).any():
         raise PremiseError("a user's mass on the manipulated artists changed")
-    core.validate_rows(manipulated)
+    core.validate(manipulated)
     return _group_change(AxiomId.SYBIL_PROOF, rule, base, manipulated, keep_b, keep_m)
 
 
@@ -264,6 +267,7 @@ def verify_strong_sybil(rule, base: Instance, manipulated: Instance, cstar) -> G
     engagement, and the combined mass on the remaining columns is preserved.
     Individual users may redistribute arbitrarily.
     """
+    core.validate(base)
     if manipulated.n_users != base.n_users:
         raise PremiseError("strong sybil pairs keep the user set fixed")
     if manipulated.alpha != base.alpha:
@@ -275,7 +279,7 @@ def verify_strong_sybil(rule, base: Instance, manipulated: Instance, cstar) -> G
         raise PremiseError("an untouched artist's column total changed")
     if abs(tot_b[~keep_b].sum() - tot_m[~keep_m].sum()) > PREMISE_TOL:
         raise PremiseError("total mass on the manipulated artists changed")
-    core.validate_rows(manipulated)
+    core.validate(manipulated)
     return _group_change(AxiomId.STRONG_SYBIL_PROOF, rule, base, manipulated, keep_b, keep_m)
 
 
@@ -290,6 +294,7 @@ def verify_engagement_monotone(
 ) -> GainReport:
     """Drop of ``jstar``'s payment when engagement with ``jstar`` rises and
     with every other artist falls (bound 0)."""
+    core.validate(base)
     if manipulated.n_users != base.n_users or manipulated.n_artists != base.n_artists:
         raise PremiseError("instances must share both dimensions")
     if manipulated.alpha != base.alpha:
@@ -302,7 +307,7 @@ def verify_engagement_monotone(
     others = np.arange(base.n_artists) != jstar
     if np.any(w2[:, others] > w[:, others] + PREMISE_TOL):
         raise PremiseError("engagement with another artist increased")
-    core.validate_rows(manipulated)
+    core.validate(manipulated)
     return _one_artist_drop(AxiomId.ENGAGEMENT_MONOTONE, rule, base, manipulated, jstar)
 
 
@@ -331,13 +336,16 @@ def _pd_apply(instance: Instance, transfer) -> tuple[Instance, int]:
 def verify_pigou_dalton(rule, instance: Instance, transfer) -> GainReport:
     """Drop of an artist's payment under the equalizing transfer
     ``(donor, recipient, artist, delta)`` of its engagement (bound 0)."""
+    core.validate(instance)
     manipulated, artist = _pd_apply(instance, transfer)
+    core.validate(manipulated)
     return _one_artist_drop(AxiomId.PIGOU_DALTON, rule, instance, manipulated, artist)
 
 
 def verify_user_addition_monotone(rule, instance: Instance, profile) -> GainReport:
     """Largest drop of any artist's payment when one valid user with
     ``profile`` joins (bound 0), reported on the worst-hit artist."""
+    core.validate(instance)
     manipulated = core.add_user(instance, profile)
     core.validate(manipulated)
     before = _payments(rule, instance)
@@ -352,6 +360,7 @@ def verify_no_free_ridership(rule, instance: Instance) -> GainReport:
 
     ``before`` is the 0 such an artist is owed, ``after`` what it gets.
     """
+    core.validate(instance)
     payments = _payments(rule, instance)
     dead = instance.artist_totals() == 0
     gain = float(payments[dead].max()) if dead.any() else 0.0
@@ -368,8 +377,10 @@ def _check_permutation(perm, size: int) -> np.ndarray:
 def verify_anonymity(rule, instance: Instance, perm) -> GainReport:
     """Largest absolute change of a payment when user rows are shuffled
     (bound 0), reported on the artist that moved most."""
+    core.validate(instance)
     perm = _check_permutation(perm, instance.n_users)
     shuffled = Instance(instance.weights[perm], instance.alpha)
+    core.validate(shuffled)
     before, after = _payments(rule, instance), _payments(rule, shuffled)
     return _worst_artist(AxiomId.ANONYMITY, rule, before, after, np.abs(after - before), 0.0)
 
@@ -377,8 +388,10 @@ def verify_anonymity(rule, instance: Instance, perm) -> GainReport:
 def verify_neutrality(rule, instance: Instance, perm) -> GainReport:
     """Largest absolute difference between the payments of relabeled artists
     and the relabeled payments (bound 0), reported on the worst label."""
+    core.validate(instance)
     perm = _check_permutation(perm, instance.n_artists)
     relabeled = Instance(instance.weights[:, perm], instance.alpha)
+    core.validate(relabeled)
     before = _payments(rule, instance)[perm]
     after = _payments(rule, relabeled)
     return _worst_artist(AxiomId.NEUTRALITY, rule, before, after, np.abs(after - before), 0.0)
@@ -456,10 +469,10 @@ def _candidate_payments(rule, base: Instance, rows: np.ndarray, victims=None) ->
     """Payments (K, m) of ``base`` with each of the K candidate rows appended
     as a new user, or, given ``victims`` (K,), written over that user's row.
 
-    Every rule but ``egal`` scores the whole stack in one kernel call;
-    ``egal`` and plain callables evaluate each manipulated instance in turn.
+    A rule id scores the whole stack in one :func:`batch_payments` call; a
+    plain callable evaluates each manipulated instance in turn.
     """
-    if isinstance(rule, (RuleId, PortioningId)) and rule is not PortioningId.EGAL:
+    if isinstance(rule, (RuleId, PortioningId)):
         n, m = base.weights.shape
         if victims is None:
             w = np.empty((rows.shape[0], n + 1, m))

@@ -94,30 +94,20 @@ class Instance:
 def validate(instance: Instance) -> None:
     """Raise the first violated input invariant, or return quietly.
 
-    Checked in order: dimensions, alpha, negative weights, zero rows.
+    Checked in order: dimensions, finiteness, alpha, negative weights, zero rows.
     """
     w = instance.weights
     if w.shape[0] == 0 or w.shape[1] == 0:
         raise DimensionError(f"weights must be nonempty, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise InstanceError("weights must be finite")
     if not 0.0 < instance.alpha <= 1.0:
         raise BadAlphaError(f"alpha must be in (0, 1], got {instance.alpha}")
-    validate_rows(instance)
-
-
-def validate_rows(instance: Instance) -> None:
-    """The last two checks of :func:`validate`: negative weights, then zero rows.
-
-    For an instance whose shape, finiteness and alpha are already known to
-    be valid, such as one rewritten from a validated instance.
-    """
-    w = instance.weights
-    if np.any(w < 0):
+    if w.min() < 0:
         i, j = np.argwhere(w < 0)[0]
         raise NegativeWeightError(int(i), int(j))
     row_sums = w.sum(axis=1)
-    if np.any(row_sums == 0):
+    if row_sums.min() == 0:
         raise ZeroRowError(int(np.flatnonzero(row_sums == 0)[0]))
 
 

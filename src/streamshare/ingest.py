@@ -112,6 +112,8 @@ def ingest_triples(
     totals are re-derived over the surviving columns before the
     min_user_total cut. Users must end with positive total.
     """
+    if top_artists is not None and top_artists < 0:
+        raise ValueError(f"top_artists must be >= 0, got {top_artists}")
     by_user: dict = {}
     artist_order: dict = {}
     for rec in records:

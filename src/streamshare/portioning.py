@@ -19,11 +19,20 @@ scales it by the budget ``alpha * n``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
-from .core import Instance, finalize_payments
-from .rules import PortioningId
+
+class PortioningId(str, Enum):
+    AVG = "avg"
+    MAX = "max"
+    MIN = "min"
+    MED = "med"
+    GEO = "geo"
+    UTIL = "util"
+    EGAL = "egal"
+    INDEPENDENT_MARKETS = "indmkt"
 
 
 class DegenerateAggregateError(ValueError):
@@ -34,19 +43,11 @@ class SolverFailure(RuntimeError):
     """An optimization stage did not converge."""
 
 
-def simplex_share(rule, instance: Instance) -> np.ndarray:
-    """The rule's point on the artist simplex (sums to 1)."""
-    return stack_shares(PortioningId(rule), instance.weights)
-
-
-def portioning_payment(rule, instance: Instance) -> np.ndarray:
-    return finalize_payments(simplex_share(rule, instance) * instance.budget)
-
-
 def stack_shares(rule: PortioningId, w: np.ndarray) -> np.ndarray:
     """Simplex points (..., m) of every matrix of a (..., n, m) weight stack,
-    users on axis -2. Every rule but ``egal``, which takes one (n, m)
-    matrix, is one kernel over the stack. Any degenerate matrix raises."""
+    users on axis -2. ``egal`` and ``indmkt`` solve one matrix at a time;
+    every other rule is one kernel over the stack. Any degenerate matrix
+    raises."""
     norm = w / w.sum(axis=-1, keepdims=True)
     if rule in _COORDINATEWISE:
         share = _COORDINATEWISE[rule](norm)
@@ -54,10 +55,10 @@ def stack_shares(rule: PortioningId, w: np.ndarray) -> np.ndarray:
             raise DegenerateAggregateError(f"{rule.value} aggregate is zero on every artist")
     elif rule is PortioningId.UTIL:
         share = _util_share(norm)
-    elif rule is PortioningId.EGAL:
-        share = _egal_share(norm)
-    else:  # independent markets: one phantom scale per matrix
-        shares = [market_solution(x).shares for x in norm.reshape((-1,) + w.shape[-2:])]
+    else:  # one egal solve, or one phantom scale, per matrix
+        solve = (_egal_share if rule is PortioningId.EGAL
+                 else lambda x: market_solution(x).shares)
+        shares = [solve(x) for x in norm.reshape((-1,) + w.shape[-2:])]
         share = np.reshape(shares, w.shape[:-2] + w.shape[-1:])
     return share / share.sum(axis=-1, keepdims=True)
 

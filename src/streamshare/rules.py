@@ -16,11 +16,12 @@ Four main rules:
 The eight portioning rules (see :mod:`streamshare.portioning`) are also
 addressable through :func:`evaluate` so callers can treat all twelve uniformly.
 
-Every rule but ``egal`` is one kernel over a stack of weight matrices of
-shape (..., n, m), users on axis -2 and artists on axis -1, returning
-payments of shape (..., m). :func:`batch_payments` scores a whole stack in
-one call and :func:`evaluate` runs the same kernel on a single (n, m)
-matrix, so batched and single-instance payments agree bit for bit.
+Every rule takes a stack of weight matrices of shape (..., n, m), users on
+axis -2 and artists on axis -1, and returns payments of shape (..., m).
+:func:`batch_payments` is the one place a rule id becomes payments: it
+scores a whole stack in one call, and :func:`evaluate` sends a single
+(n, m) matrix through it, so batched and single-instance payments agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .core import (
     ZeroRowError,
     finalize_payments,
 )
+from .portioning import PortioningId, stack_shares
 
 
 class RuleId(str, Enum):
@@ -44,17 +46,6 @@ class RuleId(str, Enum):
     USER_PROP = "userprop"
     USER_EQ = "usereq"
     SCALED_USER_PROP = "scaledup"
-
-
-class PortioningId(str, Enum):
-    AVG = "avg"
-    MAX = "max"
-    MIN = "min"
-    MED = "med"
-    GEO = "geo"
-    UTIL = "util"
-    EGAL = "egal"
-    INDEPENDENT_MARKETS = "indmkt"
 
 
 MAIN_RULES = tuple(RuleId)
@@ -163,21 +154,15 @@ _MAIN_KERNELS = {
 
 
 def batch_payments(rule, weights: np.ndarray, alpha: float) -> np.ndarray:
-    """Payments of any rule but ``egal`` on every matrix of a (..., n, m)
-    weight stack.
+    """Payments of rule id ``rule`` on every matrix of a (..., n, m) weight
+    stack.
 
     The matrices share ``alpha`` and their shape. Each emitted vector is
     clamped as :func:`~streamshare.core.finalize_payments` does. A matrix
     on which :func:`evaluate` raises makes the whole call raise alike.
     """
-    if rule is PortioningId.EGAL:
-        raise ValueError("egal has no stack kernel; evaluate it one instance at a time")
     if isinstance(rule, PortioningId):
-        from . import portioning
-
-        return finalize_payments(
-            portioning.stack_shares(rule, weights) * (alpha * weights.shape[-2])
-        )
+        return finalize_payments(stack_shares(rule, weights) * (alpha * weights.shape[-2]))
     return finalize_payments(_MAIN_KERNELS[rule](weights, alpha))
 
 
@@ -201,9 +186,7 @@ def evaluate(rule, instance: Instance) -> np.ndarray:
     """Dispatch any of the twelve rules by id or name."""
     rule = coerce_rule(rule)
     if isinstance(rule, PortioningId):
-        from . import portioning
-
-        return portioning.portioning_payment(rule, instance)
+        return batch_payments(rule, instance.weights, instance.alpha)
     return _MAIN_IMPL[rule](instance)
 
 

@@ -31,6 +31,7 @@ from streamshare import (
     search_bribery,
     search_fraud,
     user_prop,
+    validate,
     verify_fixture,
     witness_line,
 )
@@ -58,7 +59,7 @@ from streamshare.axioms import (
 from streamshare.fixtures import DomainError
 
 DEFAULT_TOL = 1e-9
-KERNEL_RULES = MAIN_RULES + tuple(r for r in PORTIONING_RULES if r is not PortioningId.EGAL)
+KERNEL_RULES = MAIN_RULES + PORTIONING_RULES
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +395,40 @@ def test_invalid_manipulated_rows_raise(check, error):
         check()
 
 
+_ZERO_ROW = make([[1, 1], [0, 0]])
+_NAN = make([[np.nan, 1], [1, 0]])
+_INF = make([[np.inf, 1], [1, 1]])
+_EMPTY = make(np.zeros((0, 2)))
+_NAN_SYBIL = make([[1, 1, np.nan], [1, 2, 0]])
+_INVALID_INPUTS = [
+    (verify_fraud_pair, (_NAN, add_user(_NAN, [1, 1]), (0,)), _NAN),
+    (verify_bribery_pair, (_ZERO_ROW, make([[1, 1], [0, 3]]), (1,)), _ZERO_ROW),
+    (verify_click_fraud, (_ZERO_ROW, make([[1, 1], [0, 3]])), _ZERO_ROW),
+    (verify_sybil_pair, (make([[1, 1], [1, 2]]), _NAN_SYBIL, (0,)), _NAN_SYBIL),
+    (verify_strong_sybil, (_ZERO_ROW, make([[0.5, 0], [0.5, 1]]), (0,)), _ZERO_ROW),
+    (verify_engagement_monotone, (_ZERO_ROW, make([[2, 1], [1, 0]]), 0), _ZERO_ROW),
+    (verify_pigou_dalton, (_ZERO_ROW, (0, 1, 0, 0.25)), _ZERO_ROW),
+    (verify_user_addition_monotone, (_EMPTY, [1, 1]), _EMPTY),
+    (verify_no_free_ridership, (_INF,), _INF),
+    (verify_anonymity, (_INF, [1, 0]), _INF),
+    (verify_neutrality, (_INF, [1, 0]), _INF),
+]
+
+
+@pytest.mark.parametrize(
+    "verify, args, bad", _INVALID_INPUTS, ids=[case[0].__name__ for case in _INVALID_INPUTS]
+)
+def test_every_verifier_validates_what_it_evaluates(verify, args, bad):
+    """An invalid base or manipulated instance raises what core.validate
+    says of it, before any premise check and instead of a NaN verdict."""
+    with pytest.raises(InstanceError) as expected:
+        validate(bad)
+    with pytest.raises(InstanceError) as got:
+        verify("userprop", *args)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
 # ---------------------------------------------------------------------------
 # fixture library
 
@@ -431,8 +466,6 @@ def test_fixture_certifies(name):
 
 
 def test_fixture_bases_are_valid():
-    from streamshare import validate
-
     for name, fixture in ALL_FIXTURES.items():
         validate(fixture.base)
         if fixture.manipulated is not None:
@@ -564,18 +597,21 @@ def test_search_bribery_names_the_victim_of_an_invalid_candidate(row):
 
 
 def test_batched_scores_equal_the_per_row_path():
-    """Every rule but egal scores a trial's candidates in one kernel call; the
-    same rule wrapped as a plain callable evaluates one manipulated instance
-    per candidate. Both must agree exactly, not approximately, and where the
-    per-row path raises, the kernel raises the same error."""
+    """Every rule id scores a trial's candidates in one stack call; the same
+    rule wrapped as a plain callable evaluates one manipulated instance per
+    candidate. Both must agree exactly, not approximately, and where the
+    per-row path raises, the stack call raises the same error."""
     raised = 0
     for t in range(200):
         rng = np.random.default_rng([17, t])
         inst = random_instance(rng)
         rows = candidate_profiles(inst, rng)
         victims, bribe_rows = _bribes(inst, rows, [int(rng.integers(inst.n_users))])
-        # the per-row oracle is slow for portioning rules: every third trial
-        for rule in KERNEL_RULES if t % 3 == 0 else MAIN_RULES:
+        # the per-row oracle is slow for portioning rules: every third trial,
+        # and for egal every twentieth
+        for rule in KERNEL_RULES:
+            if rule in PORTIONING_RULES and t % (20 if rule is PortioningId.EGAL else 3):
+                continue
             per_row = lambda instance, rule=rule: evaluate(rule, instance)
             for cand, who in ((rows, None), (bribe_rows, victims)):
                 try:

@@ -100,6 +100,12 @@ def test_ingest_top_artists_tie_keeps_earlier():
     assert res.artist_ids == ("first",)
 
 
+@pytest.mark.parametrize("top", [-1, -2])
+def test_ingest_rejects_negative_top_artists(top):
+    with pytest.raises(ValueError, match="top_artists must be >= 0"):
+        ingest_triples(_sample_records(), top_artists=top)
+
+
 def test_ingest_cell_budget():
     recs = [TripleRecord(f"u{i}", f"a{i}", 1) for i in range(8)]
     with pytest.raises(CellBudgetError):

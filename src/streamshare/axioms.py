@@ -336,10 +336,17 @@ def _pd_apply(instance: Instance, transfer) -> tuple[Instance, int]:
 def verify_pigou_dalton(rule, instance: Instance, transfer) -> GainReport:
     """Drop of an artist's payment under the equalizing transfer
     ``(donor, recipient, artist, delta)`` of its engagement (bound 0)."""
+    return _pigou_dalton(rule, instance, transfer)[0]
+
+
+def _pigou_dalton(rule, instance: Instance, transfer) -> tuple[GainReport, Instance]:
+    """verify_pigou_dalton's report and the validated instance after the
+    transfer, built once."""
     core.validate(instance)
     manipulated, artist = _pd_apply(instance, transfer)
     core.validate(manipulated)
-    return _one_artist_drop(AxiomId.PIGOU_DALTON, rule, instance, manipulated, artist)
+    report = _one_artist_drop(AxiomId.PIGOU_DALTON, rule, instance, manipulated, artist)
+    return report, manipulated
 
 
 def verify_user_addition_monotone(rule, instance: Instance, profile) -> GainReport:
@@ -748,8 +755,7 @@ def _pd_trial(rule, inst, rng):
         if delta <= 0:
             continue
         transfer = (int(donor), int(recipient), j, delta)
-        report = verify_pigou_dalton(rule, inst, transfer)
-        manipulated, _ = _pd_apply(inst, transfer)
+        report, manipulated = _pigou_dalton(rule, inst, transfer)
         return (report.margin, report.gain, 0.0, inst, manipulated, (j,), None)
     return None
 

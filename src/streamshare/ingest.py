@@ -11,13 +11,18 @@ of rows that writes the zeros without parsing them and hands every other
 entry to the same decoder (a matrix with few zeros goes to the decoder
 whole), so the loaded weights are bit for bit those of json.load followed
 by np.array, and every document that loaded or failed to load before does
-so the same way.
+so the same way. Saving one writes the bytes of json.dump(doc, fh, indent=1)
+and a newline, so the format is unchanged, but it renders the weights a
+block of rows at a time: each distinct value of a block is rendered once,
+and the block is written before the next is built, so no nested list of
+the matrix is made.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from json.decoder import WHITESPACE as _WHITESPACE, scanstring
@@ -112,8 +117,14 @@ def ingest_triples(
     totals are re-derived over the surviving columns before the
     min_user_total cut. Users must end with positive total.
     """
-    if top_artists is not None and top_artists < 0:
-        raise ValueError(f"top_artists must be >= 0, got {top_artists}")
+    if top_artists is not None:
+        try:
+            count = operator.index(top_artists)
+        except TypeError:
+            count = -1
+        if count < 0:
+            raise ValueError(f"top_artists must be >= 0 and whole, got {top_artists!r}")
+        top_artists = count
     by_user: dict = {}
     artist_order: dict = {}
     for rec in records:
@@ -166,23 +177,73 @@ def default_ids(instance: Instance):
 
 
 def save_document(path, instance: Instance, user_ids=None, artist_ids=None) -> None:
-    """Write the versioned JSON document for an instance."""
+    """Write the versioned JSON document for an instance.
+
+    The bytes are those of json.dump(doc, fh, indent=1) followed by a
+    newline. The header members go through the standard encoder; the
+    weights are rendered and written one block of rows at a time.
+    """
     if user_ids is None or artist_ids is None:
         gen_users, gen_artists = default_ids(instance)
         user_ids = user_ids or gen_users
         artist_ids = artist_ids or gen_artists
     if len(user_ids) != instance.n_users or len(artist_ids) != instance.n_artists:
         raise SchemaError("id table lengths do not match the weight matrix")
-    doc = {
-        "version": DOCUMENT_VERSION,
-        "alpha": instance.alpha,
-        "user_ids": list(user_ids),
-        "artist_ids": list(artist_ids),
-        "weights": instance.weights.tolist(),
-    }
+    encoder = json.JSONEncoder(indent=1)
+    header = encoder.encode(
+        {
+            "version": DOCUMENT_VERSION,
+            "alpha": instance.alpha,
+            "user_ids": list(user_ids),
+            "artist_ids": list(artist_ids),
+        }
+    )
+    w = instance.weights
+    n, m = w.shape
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        # "weights" is the last member: it goes where the header object closes.
+        fh.write(header[: -len("\n}")] + ',\n "weights": ')
+        if n == 0:
+            fh.write("[]")
+        else:
+            fh.write("[\n")
+            rows = max(1, _SAVE_BLOCK_CELLS // max(m, 1))
+            for start in range(0, n, rows):
+                if start:
+                    fh.write(",\n")
+                fh.write(_rows_text(w[start : start + rows], encoder))
+            fh.write("\n ]")
+        fh.write("\n}\n")
+
+
+# Rows are written in blocks of at most about this many cells (one row if
+# it is wider), so that the rendered text of a block stays small.
+_SAVE_BLOCK_CELLS = 1 << 16
+
+
+def _rows_text(block: np.ndarray, encoder: json.JSONEncoder) -> str:
+    """The rows of a weight block as json.dump(..., indent=1) writes them
+    inside the weights member, separated by a comma and a newline.
+
+    Each distinct bit pattern is rendered once, as the encoder renders a
+    float (so -0.0 and 0.0 keep their own text, and non-finite values read
+    NaN, Infinity or -Infinity), and the rendered strings are gathered back
+    into place.
+    """
+    r, m = block.shape
+    if m == 0:
+        return ",\n".join(["  []"] * r)
+    patterns, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+    values = patterns.view(np.float64)
+    finite = np.isfinite(values)
+    rendered = np.empty(values.size, dtype=object)
+    rendered[finite] = list(map(float.__repr__, values[finite].tolist()))
+    rendered[~finite] = [encoder.encode(v) for v in values[~finite].tolist()]
+    cells = rendered[inverse].tolist()
+    sep = ",\n   "
+    return ",\n".join(
+        ["  [\n   " + sep.join(cells[i : i + m]) + "\n  ]" for i in range(0, r * m, m)]
+    )
 
 
 def load_document(path) -> IngestResult:

@@ -23,6 +23,7 @@ from streamshare import (
     ViolationWitness,
     ZeroRowError,
     add_user,
+    axioms,
     evaluate,
     fixtures,
     pathological_rules,
@@ -264,6 +265,49 @@ def test_pigou_dalton_verdicts_on_the_known_split():
     transfer = (0, 1, 1, 1.0)
     assert not verify_pigou_dalton("globalprop", inst, transfer).violation
     assert verify_pigou_dalton("userprop", inst, transfer).violation
+
+
+def _suite_fields(result):
+    w = result.witness
+    witness = None if w is None else (
+        w.base.weights.view(np.int64).tobytes(), w.manipulated.weights.view(np.int64).tobytes(),
+        w.target_set, w.gain, w.bound, w.margin, w.source)
+    return result.max_margin, result.clickfraud_margin, witness
+
+
+@pytest.mark.parametrize("rule", ["usereq", "userprop"])
+def test_pigou_dalton_suite_builds_each_transfer_once(monkeypatch, rule):
+    """Each trial that draws a transfer builds its manipulated instance in
+    exactly one _pd_apply call, and the suite's result (with a witness under
+    userprop) is bit for bit the one of the verifier followed by a second
+    _pd_apply for the witness."""
+    events = []
+    pd_apply, pigou_dalton = axioms._pd_apply, axioms._pigou_dalton
+
+    def counted_apply(instance, transfer):
+        events.append("apply")
+        return pd_apply(instance, transfer)
+
+    def counted_verifier(rule, instance, transfer):
+        events.append("trial")
+        return pigou_dalton(rule, instance, transfer)
+
+    monkeypatch.setattr(axioms, "_pd_apply", counted_apply)
+    monkeypatch.setattr(axioms, "_pigou_dalton", counted_verifier)
+    result = run_suite(AxiomId.PIGOU_DALTON, rule, trials=100, seed=0)
+    transfers = events.count("trial")
+    assert transfers > 50
+    assert events == ["trial", "apply"] * transfers
+
+    def built_twice(rule, instance, transfer):
+        report = pigou_dalton(rule, instance, transfer)[0]
+        return report, pd_apply(instance, transfer)[0]
+
+    monkeypatch.setattr(axioms, "_pd_apply", pd_apply)
+    monkeypatch.setattr(axioms, "_pigou_dalton", built_twice)
+    reference = run_suite(AxiomId.PIGOU_DALTON, rule, trials=100, seed=0)
+    assert (result.witness is None) == (rule == "usereq")
+    assert _suite_fields(result) == _suite_fields(reference)
 
 
 @given(inst=instances(max_users=5))

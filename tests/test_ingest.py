@@ -106,6 +106,20 @@ def test_ingest_rejects_negative_top_artists(top):
         ingest_triples(_sample_records(), top_artists=top)
 
 
+@pytest.mark.parametrize("top", [1.5, 2.0, "2"])
+def test_ingest_rejects_fractional_top_artists(top):
+    """Any count operator.index refuses gets the negative count's error,
+    even where it would never be used to cut the artist list."""
+    with pytest.raises(ValueError, match="top_artists must be >= 0"):
+        ingest_triples(_sample_records(), top_artists=top)
+
+
+@pytest.mark.parametrize("top", [np.int64(1), True])
+def test_ingest_takes_integer_like_top_artists(top):
+    assert ingest_triples(_sample_records(), top_artists=top).artist_ids == \
+        ingest_triples(_sample_records(), top_artists=1).artist_ids
+
+
 def test_ingest_cell_budget():
     recs = [TripleRecord(f"u{i}", f"a{i}", 1) for i in range(8)]
     with pytest.raises(CellBudgetError):
@@ -397,3 +411,99 @@ def test_generated_documents_load_as_before(tmp_path):
         start = text.index('"weights": ') + len('"weights": ')
         assert ingest._read_matrix(text, start) is not None, path.name
         assert _outcome(load_document, path) == _outcome(_reference_load, path)
+
+
+# ---------------------------------------------------------------------------
+# the block writer against json.dump
+
+
+def _reference_save(path, instance, user_ids=None, artist_ids=None):
+    """The document writer before the block writer: json.dump of the whole
+    document with indent=1, then a newline."""
+    if user_ids is None or artist_ids is None:
+        gen_users, gen_artists = default_ids(instance)
+        user_ids = user_ids or gen_users
+        artist_ids = artist_ids or gen_artists
+    doc = {
+        "version": 1,
+        "alpha": instance.alpha,
+        "user_ids": list(user_ids),
+        "artist_ids": list(artist_ids),
+        "weights": instance.weights.tolist(),
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def _assert_saved_as_json_dump(tmp_path, instance, user_ids=None, artist_ids=None):
+    saved, expected = tmp_path / "saved.json", tmp_path / "expected.json"
+    save_document(saved, instance, user_ids, artist_ids)
+    _reference_save(expected, instance, user_ids, artist_ids)
+    assert saved.read_bytes() == expected.read_bytes()
+
+
+def _special_values(rng, shape):
+    w = rng.exponential(1.0, size=shape) * (rng.random(shape) < 0.3)
+    w.flat[:10] = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, np.nan,
+                   np.inf, -np.inf, -1.5, 1.7976931348623157e308]
+    return w
+
+
+@pytest.mark.parametrize("kind", ["sparse", "dense", "extreme", "special"])
+@pytest.mark.parametrize("block_cells", [ingest._SAVE_BLOCK_CELLS, 7], ids=["default", "tiny"])
+def test_save_document_writes_json_dump_bytes(tmp_path, monkeypatch, kind, block_cells):
+    """Every value json.dump renders, including ones save_document does not
+    validate away (-0.0, NaN, infinities), in blocks of rows that do not
+    divide the row count (7 cells over 3-column rows) or in one block."""
+    monkeypatch.setattr(ingest, "_SAVE_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(7)
+    w = rng.exponential(1.0, size=(61, 3))
+    if kind == "sparse":
+        w *= rng.random(w.shape) < 0.05
+    elif kind == "extreme":
+        w = _extreme(rng, w.shape)
+    elif kind == "special":
+        w = _special_values(rng, w.shape)
+    _assert_saved_as_json_dump(tmp_path, Instance(w, 0.3))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (0, 0)])
+def test_save_document_edge_shapes(tmp_path, shape):
+    w = np.full(shape, 2.5)
+    _assert_saved_as_json_dump(tmp_path, Instance(w, 1.0), ("x",) * shape[0], ("y",) * shape[1])
+
+
+def test_save_document_rows_wider_than_a_block(tmp_path):
+    """Each row wider than a whole block goes out as a block of its own."""
+    rng = np.random.default_rng(3)
+    w = _special_values(rng, (2, ingest._SAVE_BLOCK_CELLS + 5))
+    _assert_saved_as_json_dump(tmp_path, Instance(w, 0.5))
+
+
+def test_save_document_escapes_ids_as_json_does(tmp_path):
+    users = ('q"uote', "back\\slash", "ünïcödé", "snow \u2603", "tab\tnew\nline", "\U0001f3b5")
+    artists = ("<a>", "'single'", "\x7f\x00")
+    w = np.arange(1, 19, dtype=float).reshape(6, 3)
+    _assert_saved_as_json_dump(tmp_path, Instance(w, 0.25), users, artists)
+
+
+def test_cli_documents_are_json_dump_bytes(tmp_path):
+    """gen catalogs at two alphas and reduce-ssbve documents re-dump, from
+    their own parsed content, to the bytes on disk."""
+    graph = tmp_path / "graph.txt"
+    graph.write_text("3 3\n0 0\n0 1\n1 1\n2 2\n")
+    docs = []
+    for seed, (n, m, alpha) in enumerate([(300, 30, "1"), (800, 80, "0.35")]):
+        docs.append(tmp_path / f"gen{seed}.json")
+        assert main(["gen", "--users", str(n), "--artists", str(m), "--seed", str(seed),
+                     "--alpha", alpha, "--out", str(docs[-1])]) == 0
+    for ell, delta in [(1, 1), (1, 2), (2, 1)]:
+        docs.append(tmp_path / f"reduction{ell}{delta}.json")
+        assert main(["reduce-ssbve", "--graph", str(graph), "--ell", str(ell),
+                     "--delta", str(delta), "--out", str(docs[-1])]) == 0
+    for path in docs:
+        res = load_document(path)
+        expected = tmp_path / "expected.json"
+        _reference_save(expected, res.instance, res.user_ids, res.artist_ids)
+        assert path.read_bytes() == expected.read_bytes(), path.name

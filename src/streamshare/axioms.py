@@ -17,6 +17,7 @@ Checkers refute or fail to refute; they never prove an axiom.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import core
 from .core import Instance
-from .rules import PortioningId, RuleId, batch_payments, coerce_rule, evaluate
+from .rules import batch_payments, coerce_rule, evaluate
 
 logger = logging.getLogger(__name__)
 
@@ -74,12 +75,6 @@ def rule_name(rule) -> str:
     if callable(rule):
         return getattr(rule, "__name__", repr(rule))
     return str(rule)
-
-
-def _payments(rule, instance: Instance) -> np.ndarray:
-    if callable(rule) and not isinstance(rule, str):
-        return np.asarray(rule(instance), dtype=float)
-    return evaluate(rule, instance)
 
 
 @dataclass(frozen=True)
@@ -173,8 +168,8 @@ def verify_fraud_pair(rule, base: Instance, manipulated: Instance, target_set) -
     if not np.array_equal(manipulated.weights[: base.n_users], base.weights):
         raise NotAnExtensionError("an original row was edited")
     core.validate(manipulated)
-    before = core.subset_payment(_payments(rule, base), target_set)
-    after = core.subset_payment(_payments(rule, manipulated), target_set)
+    before = core.subset_payment(evaluate(rule, base), target_set)
+    after = core.subset_payment(evaluate(rule, manipulated), target_set)
     return GainReport(
         AxiomId.FRAUD_PROOF, rule_name(rule), after - before, float(added), before, after
     )
@@ -197,8 +192,8 @@ def _changed_rows(base: Instance, manipulated: Instance) -> np.ndarray:
 def verify_bribery_pair(rule, base: Instance, manipulated: Instance, target_set) -> GainReport:
     """Gain of ``target_set`` when k existing rows are rewritten (bound k)."""
     changed = _changed_rows(base, manipulated)
-    before = core.subset_payment(_payments(rule, base), target_set)
-    after = core.subset_payment(_payments(rule, manipulated), target_set)
+    before = core.subset_payment(evaluate(rule, base), target_set)
+    after = core.subset_payment(evaluate(rule, manipulated), target_set)
     return GainReport(
         AxiomId.BRIBERY_PROOF, rule_name(rule), after - before, float(changed.size),
         before, after,
@@ -211,7 +206,7 @@ def verify_click_fraud(rule, base: Instance, manipulated: Instance) -> GainRepor
     changed = _changed_rows(base, manipulated)
     if changed.size > 1:
         raise PremiseError(f"{changed.size} rows changed; this is a single-user check")
-    before, after = _payments(rule, base), _payments(rule, manipulated)
+    before, after = evaluate(rule, base), evaluate(rule, manipulated)
     return _worst_artist(
         AxiomId.CLICK_FRAUD_PROOF, rule, before, after, np.abs(after - before), 1.0
     )
@@ -230,8 +225,8 @@ def _common_masks(base: Instance, manipulated: Instance, cstar):
 
 def _group_change(axiom, rule, base, manipulated, keep_b, keep_m) -> GainReport:
     """Absolute change of the payment to the artists outside ``cstar``."""
-    before = float(_payments(rule, base)[~keep_b].sum())
-    after = float(_payments(rule, manipulated)[~keep_m].sum())
+    before = float(evaluate(rule, base)[~keep_b].sum())
+    after = float(evaluate(rule, manipulated)[~keep_m].sum())
     return GainReport(axiom, rule_name(rule), abs(after - before), 0.0, before, after)
 
 
@@ -284,8 +279,8 @@ def verify_strong_sybil(rule, base: Instance, manipulated: Instance, cstar) -> G
 
 
 def _one_artist_drop(axiom, rule, base, manipulated, artist: int) -> GainReport:
-    before = float(_payments(rule, base)[artist])
-    after = float(_payments(rule, manipulated)[artist])
+    before = float(evaluate(rule, base)[artist])
+    after = float(evaluate(rule, manipulated)[artist])
     return GainReport(axiom, rule_name(rule), before - after, 0.0, before, after)
 
 
@@ -355,8 +350,8 @@ def verify_user_addition_monotone(rule, instance: Instance, profile) -> GainRepo
     core.validate(instance)
     manipulated = core.add_user(instance, profile)
     core.validate(manipulated)
-    before = _payments(rule, instance)
-    after = _payments(rule, manipulated)
+    before = evaluate(rule, instance)
+    after = evaluate(rule, manipulated)
     return _worst_artist(
         AxiomId.USER_ADDITION_MONOTONE, rule, before, after, before - after, 0.0
     )
@@ -368,7 +363,7 @@ def verify_no_free_ridership(rule, instance: Instance) -> GainReport:
     ``before`` is the 0 such an artist is owed, ``after`` what it gets.
     """
     core.validate(instance)
-    payments = _payments(rule, instance)
+    payments = evaluate(rule, instance)
     dead = instance.artist_totals() == 0
     gain = float(payments[dead].max()) if dead.any() else 0.0
     return GainReport(AxiomId.NO_FREE_RIDERSHIP, rule_name(rule), gain, 0.0, 0.0, gain)
@@ -388,7 +383,7 @@ def verify_anonymity(rule, instance: Instance, perm) -> GainReport:
     perm = _check_permutation(perm, instance.n_users)
     shuffled = Instance(instance.weights[perm], instance.alpha)
     core.validate(shuffled)
-    before, after = _payments(rule, instance), _payments(rule, shuffled)
+    before, after = evaluate(rule, instance), evaluate(rule, shuffled)
     return _worst_artist(AxiomId.ANONYMITY, rule, before, after, np.abs(after - before), 0.0)
 
 
@@ -399,8 +394,8 @@ def verify_neutrality(rule, instance: Instance, perm) -> GainReport:
     perm = _check_permutation(perm, instance.n_artists)
     relabeled = Instance(instance.weights[:, perm], instance.alpha)
     core.validate(relabeled)
-    before = _payments(rule, instance)[perm]
-    after = _payments(rule, relabeled)
+    before = evaluate(rule, instance)[perm]
+    after = evaluate(rule, relabeled)
     return _worst_artist(AxiomId.NEUTRALITY, rule, before, after, np.abs(after - before), 0.0)
 
 
@@ -466,33 +461,19 @@ def _bribes(base: Instance, rows: np.ndarray, victims, budget=None):
     return victims[vi][:budget], rows[ri][:budget]
 
 
-def _manipulate(base: Instance, row, victim=None) -> Instance:
-    if victim is None:
-        return core.add_user(base, row)
-    return core.replace_user(base, int(victim), row)
-
-
-def _candidate_payments(rule, base: Instance, rows: np.ndarray, victims=None) -> np.ndarray:
-    """Payments (K, m) of ``base`` with each of the K candidate rows appended
-    as a new user, or, given ``victims`` (K,), written over that user's row.
-
-    A rule id scores the whole stack in one :func:`batch_payments` call; a
-    plain callable evaluates each manipulated instance in turn.
-    """
-    if isinstance(rule, (RuleId, PortioningId)):
-        n, m = base.weights.shape
-        if victims is None:
-            w = np.empty((rows.shape[0], n + 1, m))
-            w[:, :n] = base.weights
-            w[:, n] = rows
-        else:
-            w = np.repeat(base.weights[None], rows.shape[0], axis=0)
-            w[np.arange(rows.shape[0]), victims] = rows
-        return batch_payments(rule, w, base.alpha)
-    return np.array([
-        _payments(rule, _manipulate(base, row, None if victims is None else victims[k]))
-        for k, row in enumerate(rows)
-    ]).reshape(rows.shape)
+def _candidates(base: Instance, rows: np.ndarray, victims=None) -> np.ndarray:
+    """Weight stack (K, n', m) of ``base`` with each of the K candidate rows
+    appended as a new user, or, given ``victims`` (K,), written over that
+    user's row."""
+    n, m = base.weights.shape
+    if victims is None:
+        w = np.empty((rows.shape[0], n + 1, m))
+        w[:, :n] = base.weights
+        w[:, n] = rows
+    else:
+        w = np.repeat(base.weights[None], rows.shape[0], axis=0)
+        w[np.arange(rows.shape[0]), victims] = rows
+    return w
 
 
 def _first_max(values: np.ndarray) -> int:
@@ -511,8 +492,8 @@ class _Scores:
     manipulated user; ties keep the earliest candidate.
     """
 
-    rows: np.ndarray
-    victims: Optional[np.ndarray]
+    stack: np.ndarray
+    alpha: float
     deltas: np.ndarray
     gains: np.ndarray
     best: int
@@ -521,11 +502,9 @@ class _Scores:
     def gain(self) -> float:
         return float(self.gains[self.best])
 
-    def winner(self, base: Instance) -> tuple[Instance, tuple]:
+    def winner(self) -> tuple[Instance, tuple]:
         """The best candidate's manipulated instance and target set."""
-        k = self.best
-        victim = None if self.victims is None else self.victims[k]
-        return _manipulate(base, self.rows[k], victim), self.target_set(k)
+        return Instance(self.stack[self.best], self.alpha), self.target_set(self.best)
 
     def target_set(self, k: int) -> tuple:
         """Candidate ``k``'s best artist subset, as :func:`_score` scores it."""
@@ -540,43 +519,52 @@ class _Scores:
         return float(per_row[~np.isnan(per_row)].max(initial=-np.inf))
 
 
-def _score(rule, base: Instance, rows: np.ndarray, victims=None):
-    """Score the candidate rows of one manipulation (``victims`` None:
-    each row is one added user; else each row rewrites its victim's row).
+def _score(rule, base: Instance, stack: np.ndarray):
+    """Score the candidate stack of one manipulation (see :func:`_candidates`).
 
     A candidate's gain is its payment delta summed over its best artist
     subset. Subset gain is additive, so that subset is the positive
     coordinates; with none, the single least-bad artist stands in.
     Returns None when there is no candidate.
     """
-    base_pay = _payments(rule, base)
-    if rows.shape[0] == 0:
+    base_pay = evaluate(rule, base)
+    if stack.shape[0] == 0:
         return None
-    deltas = _candidate_payments(rule, base, rows, victims) - base_pay
+    deltas = batch_payments(rule, stack, base.alpha) - base_pay
     pos = deltas > 0
     gains = np.where(pos, deltas, 0.0).sum(axis=1)
     none = ~pos.any(axis=1)
     gains[none] = deltas[none].max(axis=1)
-    return _Scores(rows, victims, deltas, gains, _first_max(gains - 1.0))
+    return _Scores(stack, base.alpha, deltas, gains, _first_max(gains - 1.0))
 
 
 def _search(axiom, rule, base, rows, victims, seed) -> Optional[ViolationWitness]:
     """Best witness over the candidate rows of a validated ``base``. Raises
     what :func:`core.validate` says of the first invalid candidate's instance."""
+    stack = _candidates(base, rows, victims)
     valid = np.isfinite(rows).all(axis=1) & (rows >= 0).all(axis=1) & (rows > 0).any(axis=1)
     if not valid.all():
-        k = int(np.argmin(valid))
-        core.validate(_manipulate(base, rows[k], None if victims is None else victims[k]))
-    if not callable(rule):
-        rule = coerce_rule(rule)
-    scores = _score(rule, base, rows, victims)
+        core.validate(Instance(stack[int(np.argmin(valid))], base.alpha))
+    rule = coerce_rule(rule)
+    scores = _score(rule, base, stack)
     if scores is None or scores.gain - 1.0 <= MARGIN_TOL:
         return None
-    manipulated, tset = scores.winner(base)
+    manipulated, tset = scores.winner()
     return ViolationWitness(
         axiom, rule_name(rule), base, manipulated, tset,
         scores.gain, 1.0, scores.gain - 1.0, source=f"seed:{seed}",
     )
+
+
+def _at_least_one(count, name: str) -> int:
+    """``count`` as an int; one below 1 or not whole raises ValueError."""
+    try:
+        whole = operator.index(count)
+    except TypeError:
+        whole = 0
+    if whole < 1:
+        raise ValueError(f"{name} must be at least 1 and whole, got {count!r}")
+    return whole
 
 
 def search_fraud(
@@ -594,8 +582,7 @@ def search_fraud(
     or None when nothing clears the noise floor. An invalid ``base`` or
     candidate raises the :class:`core.InstanceError` of its instance.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    budget = _at_least_one(budget, "budget")
     core.validate(base)  # before the default candidates are drawn from it
     if profiles is None:
         profiles = candidate_profiles(base, np.random.default_rng(seed))
@@ -620,8 +607,7 @@ def search_bribery(
     maximal-margin witness (ties keep the earliest bribe) or None, and
     rejects invalid input as :func:`search_fraud` does.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    budget = _at_least_one(budget, "budget")
     core.validate(base)  # before the default candidates are drawn from it
     if profiles is None:
         profiles = candidate_profiles(base, np.random.default_rng(seed))
@@ -664,18 +650,18 @@ class SuiteResult:
 
 
 def _fraud_trial(rule, inst, rng):
-    scores = _score(rule, inst, candidate_profiles(inst, rng))
-    manipulated, tset = scores.winner(inst)
+    scores = _score(rule, inst, _candidates(inst, candidate_profiles(inst, rng)))
+    manipulated, tset = scores.winner()
     return (scores.gain - 1.0, scores.gain, 1.0, inst, manipulated, tset, None)
 
 
 def _bribery_trial(rule, inst, rng):
     victim = int(rng.integers(inst.n_users))
     who, rows = _bribes(inst, candidate_profiles(inst, rng), [victim])
-    scores = _score(rule, inst, rows, who)
+    scores = _score(rule, inst, _candidates(inst, rows, who))
     if scores is None:
         return None
-    manipulated, tset = scores.winner(inst)
+    manipulated, tset = scores.winner()
     return (
         scores.gain - 1.0, scores.gain, 1.0, inst, manipulated, tset, scores.swing() - 1.0,
     )
@@ -790,15 +776,13 @@ def run_suite(
     track the largest single-artist payment swing, whose bound of one is the
     click-fraud condition.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _at_least_one(trials, "trials")
     try:
         trial_fn = _TRIALS[AxiomId(axiom)]
     except KeyError:
         raise KeyError(f"no randomized suite for axiom {axiom!r}") from None
     gen = instance_gen if instance_gen is not None else random_instance
-    if not callable(rule):
-        rule = coerce_rule(rule)
+    rule = coerce_rule(rule)
     max_margin = -np.inf
     witness = None
     cf_margin = None

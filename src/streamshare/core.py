@@ -11,6 +11,7 @@ All user and artist indices are 0-based.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,9 +119,21 @@ def finalize_payments(payments: np.ndarray) -> np.ndarray:
     return p
 
 
+def index_set(indices, error: type, what: str) -> list[int]:
+    """The distinct ``indices``, sorted; one that is not a whole number
+    raises ``error``."""
+    out = set()
+    for i in indices:
+        try:
+            out.add(operator.index(i))
+        except TypeError:
+            raise error(f"{what} index {i!r} is not a whole number") from None
+    return sorted(out)
+
+
 def subset_payment(payments: np.ndarray, artists) -> float:
     """Total payment received by a set of artists."""
-    idx = np.asarray(sorted(set(int(a) for a in artists)), dtype=int)
+    idx = np.asarray(index_set(artists, DimensionError, "artist"), dtype=int)
     if idx.size == 0:
         return 0.0
     p = np.asarray(payments, dtype=float)

@@ -140,6 +140,8 @@ def alpha_sweep(instance: Instance, rules, alphas, k: int, seed: int = 0):
     rows = []
     for rule in rules:
         rule = coerce_rule(rule)
+        if callable(rule):  # nothing says its payments are linear in alpha
+            raise TypeError(f"alpha_sweep takes rule ids or names, got {rule!r}")
         if rule is RuleId.SCALED_USER_PROP:
             for a in alphas:
                 top, bottom, envy, ms = _measure(rule, with_alpha(instance, a), k)

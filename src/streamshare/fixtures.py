@@ -9,7 +9,8 @@ the verifier is wrong.
 The two rules returned by :func:`pathological_rules` are deliberately
 lopsided: one resists row rewrites but not planted accounts, the other
 the reverse. They exist so the searchers have known-positive and
-known-negative targets.
+known-negative targets. Like the built-in rules they take a (..., n, 2)
+weight stack and alpha and return (..., 2) payments.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import core
 from .axioms import VERIFIERS, AxiomId, GainReport
 from .core import BadAlphaError, Instance
-from .rules import user_prop
+from .rules import RuleId, batch_payments
 
 
 class DomainError(ValueError):
@@ -454,14 +455,12 @@ def fixtures() -> dict:
 # handcrafted rules
 
 
-def _require_two_artists(instance: Instance) -> None:
-    if instance.n_artists != 2:
-        raise DomainError(
-            f"rule is defined for exactly 2 artists, got {instance.n_artists}"
-        )
+def _require_two_artists(weights: np.ndarray) -> None:
+    if weights.shape[-1] != 2:
+        raise DomainError(f"rule is defined for exactly 2 artists, got {weights.shape[-1]}")
 
 
-def minority_floor(instance: Instance) -> np.ndarray:
+def minority_floor(weights: np.ndarray, alpha: float) -> np.ndarray:
     """Per-user proportional payments with a floor for the trailing artist.
 
     When both artists clear the threshold ``2 * floor(budget / 20)`` the rule
@@ -470,18 +469,16 @@ def minority_floor(instance: Instance) -> np.ndarray:
     A single rewritten row moves each side by at most one, but the threshold
     is a step function of the user count, so planted accounts can jump it.
     """
-    _require_two_artists(instance)
-    p = user_prop(instance)
-    beta = 2.0 * math.floor(instance.budget / 20.0 + 1e-12)
-    if p.min() >= beta - 1e-12:
-        return p
-    j = int(np.argmin(p))
-    approvals = float(np.count_nonzero(instance.weights[:, j] > 0))
-    low = min(approvals, beta)
-    out = np.empty(2)
-    out[j] = low
-    out[1 - j] = instance.budget - low
-    return out
+    _require_two_artists(weights)
+    p = batch_payments(RuleId.USER_PROP, weights, alpha)
+    budget = alpha * weights.shape[-2]
+    beta = 2.0 * math.floor(budget / 20.0 + 1e-12)
+    # the trailing artist, the first of two equal payments
+    trailing = np.arange(2) == np.argmin(p, axis=-1)[..., None]
+    approvals = (weights > 0).sum(axis=-2).astype(float)
+    low = np.minimum((approvals * trailing).sum(axis=-1, keepdims=True), beta)
+    floored = np.where(trailing, low, budget - low)
+    return np.where(p.min(axis=-1, keepdims=True) >= beta - 1e-12, p, floored)
 
 
 def approval_majority(eps: float = 0.25):
@@ -496,22 +493,17 @@ def approval_majority(eps: float = 0.25):
     swing the majority and with it the whole bonus.
     """
 
-    def rule(instance: Instance) -> np.ndarray:
-        _require_two_artists(instance)
-        if not 0.0 < eps < 1.0 - instance.alpha:
-            raise BadAlphaError(
-                f"needs 0 < eps < 1 - alpha; got eps={eps}, alpha={instance.alpha}"
-            )
-        budget = instance.budget
-        a = (instance.weights > 0).sum(axis=0).astype(float)
-        if budget < 2.0 * (1.0 + eps) - 1e-12 or a[0] == a[1]:
-            psi = np.array([budget / 2.0, budget / 2.0])
-        else:
-            lead = int(np.argmax(a))
-            psi = np.empty(2)
-            psi[lead] = (budget + 1.0 + eps) / 2.0
-            psi[1 - lead] = (budget - 1.0 - eps) / 2.0
-        return np.maximum(np.minimum(psi, a), budget - a[::-1])
+    def rule(weights: np.ndarray, alpha: float) -> np.ndarray:
+        _require_two_artists(weights)
+        if not 0.0 < eps < 1.0 - alpha:
+            raise BadAlphaError(f"needs 0 < eps < 1 - alpha; got eps={eps}, alpha={alpha}")
+        budget = alpha * weights.shape[-2]
+        a = (weights > 0).sum(axis=-2).astype(float)
+        other = a[..., ::-1]
+        lead = np.where(a > other, (budget + 1.0 + eps) / 2.0, (budget - 1.0 - eps) / 2.0)
+        even = (a == other) | (budget < 2.0 * (1.0 + eps) - 1e-12)
+        psi = np.where(even, budget / 2.0, lead)
+        return np.maximum(np.minimum(psi, a), budget - other)
 
     rule.__name__ = f"approval_majority(eps={eps:g})"
     return rule

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Instance, subset_payment, validate
+from .core import Instance, index_set, subset_payment, validate
 from .rules import global_prop
 
 # Cap on candidate artist sets enumerated by the exact coalition search.
@@ -95,7 +95,7 @@ class SsbveReduction:
 
 
 def _clean_artist_set(instance: Instance, artist_set) -> tuple:
-    idx = sorted(set(int(a) for a in artist_set))
+    idx = index_set(artist_set, ParameterError, "artist")
     if not idx:
         raise ParameterError("artist set must be nonempty")
     if idx[0] < 0 or idx[-1] >= instance.n_artists:
@@ -112,7 +112,7 @@ def psp_value(instance: Instance, artist_set, user_set) -> float:
     serve as an independent oracle for the fast enumeration below.
     """
     u = _clean_artist_set(instance, artist_set)
-    v = sorted(set(int(i) for i in user_set))
+    v = index_set(user_set, ParameterError, "user")
     if v and (v[0] < 0 or v[-1] >= instance.n_users):
         raise ParameterError(f"user index out of range for {instance.n_users} users")
     paid = subset_payment(global_prop(instance), u)

@@ -18,10 +18,12 @@ addressable through :func:`evaluate` so callers can treat all twelve uniformly.
 
 Every rule takes a stack of weight matrices of shape (..., n, m), users on
 axis -2 and artists on axis -1, and returns payments of shape (..., m).
-:func:`batch_payments` is the one place a rule id becomes payments: it
-scores a whole stack in one call, and :func:`evaluate` sends a single
-(n, m) matrix through it, so batched and single-instance payments agree
-bit for bit.
+A plain Python callable follows the same contract, ``rule(weights, alpha)
+-> payments``, and is accepted wherever a rule id is.
+:func:`batch_payments` is the one place a rule, id or callable, becomes
+payments: it scores a whole stack in one call, and :func:`evaluate` sends
+a single (n, m) matrix through it, so batched and single-instance payments
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -53,9 +55,10 @@ PORTIONING_RULES = tuple(PortioningId)
 ALL_RULES = MAIN_RULES + PORTIONING_RULES
 
 
-def coerce_rule(name) -> RuleId | PortioningId:
-    """Map a rule name (string or id) to its enum member."""
-    if isinstance(name, (RuleId, PortioningId)):
+def coerce_rule(name):
+    """Map a rule name (string or id) to its enum member; a callable rule
+    passes through unchanged."""
+    if isinstance(name, (RuleId, PortioningId)) or callable(name):
         return name
     text = str(name).lower()
     for member in ALL_RULES:
@@ -154,16 +157,19 @@ _MAIN_KERNELS = {
 
 
 def batch_payments(rule, weights: np.ndarray, alpha: float) -> np.ndarray:
-    """Payments of rule id ``rule`` on every matrix of a (..., n, m) weight
-    stack.
+    """Payments of ``rule``, a rule id or a callable, on every matrix of a
+    (..., n, m) weight stack.
 
-    The matrices share ``alpha`` and their shape. Each emitted vector is
-    clamped as :func:`~streamshare.core.finalize_payments` does. A matrix
-    on which :func:`evaluate` raises makes the whole call raise alike.
+    The matrices share ``alpha`` and their shape. Each vector a rule id
+    emits is clamped as :func:`~streamshare.core.finalize_payments` does; a
+    callable's payments are taken as it returns them. A matrix on which
+    :func:`evaluate` raises makes the whole call raise alike.
     """
     if isinstance(rule, PortioningId):
         return finalize_payments(stack_shares(rule, weights) * (alpha * weights.shape[-2]))
-    return finalize_payments(_MAIN_KERNELS[rule](weights, alpha))
+    if isinstance(rule, RuleId):
+        return finalize_payments(_MAIN_KERNELS[rule](weights, alpha))
+    return np.asarray(rule(weights, alpha), dtype=float)
 
 
 def global_prop(instance: Instance) -> np.ndarray:
@@ -183,11 +189,12 @@ def scaled_user_prop(instance: Instance) -> np.ndarray:
 
 
 def evaluate(rule, instance: Instance) -> np.ndarray:
-    """Dispatch any of the twelve rules by id or name."""
+    """Payments of any of the twelve rules, by id or name, or of a callable
+    rule on one instance."""
     rule = coerce_rule(rule)
-    if isinstance(rule, PortioningId):
-        return batch_payments(rule, instance.weights, instance.alpha)
-    return _MAIN_IMPL[rule](instance)
+    if isinstance(rule, RuleId):
+        return _MAIN_IMPL[rule](instance)
+    return batch_payments(rule, instance.weights, instance.alpha)
 
 
 _MAIN_IMPL = {

@@ -15,6 +15,7 @@ from streamshare import (
     SUITE_GRID,
     AxiomId,
     BadAlphaError,
+    DimensionError,
     GainReport,
     InstanceError,
     NegativeWeightError,
@@ -26,6 +27,7 @@ from streamshare import (
     axioms,
     evaluate,
     fixtures,
+    pps,
     pathological_rules,
     replace_user,
     run_suite,
@@ -39,12 +41,14 @@ from streamshare import (
 from streamshare.axioms import (
     VERIFIERS,
     _bribes,
+    _candidates,
     _score,
     candidate_profiles,
     NoRowsChangedError,
     NotAnExtensionError,
     PremiseError,
     random_instance,
+    rule_name,
     verify_anonymity,
     verify_bribery_pair,
     verify_click_fraud,
@@ -361,8 +365,9 @@ def test_reports_carry_both_sides():
     click = verify_click_fraud("globalprop", ones, replace_user(ones, 4, [1, 5]))
     assert (click.before, click.after, click.gain, click.bound) == (5.0, 2.5, 2.5, 1.0)
 
-    def even(inst):
-        return np.full(inst.n_artists, inst.budget / inst.n_artists)
+    def even(weights, alpha):
+        n, m = weights.shape[-2:]
+        return np.full(weights.shape[:-2] + (m,), alpha * n / m)
 
     nfr = verify_no_free_ridership(even, make([[1, 0], [2, 0]]))
     assert (nfr.before, nfr.after, nfr.gain) == (0.0, 1.0, 1.0) and nfr.violation
@@ -372,9 +377,9 @@ def test_anonymity_catches_a_small_absolute_leak():
     """A row swap that moves artist 0's payment by 1e-5 is a violation,
     however large the payment is relative to the leak."""
 
-    def leaky(inst):
-        p = user_prop(inst)
-        return p + np.array([1e-5, -1e-5]) if inst.weights[0, 0] == 0 else p
+    def leaky(weights, alpha):
+        p = evaluate("userprop", make(weights, alpha))
+        return p + np.array([1e-5, -1e-5]) if weights[0, 0] == 0 else p
 
     report = verify_anonymity(leaky, make([[3, 1], [0, 1], [2, 2]]), [1, 0, 2])
     assert report.violation
@@ -382,9 +387,9 @@ def test_anonymity_catches_a_small_absolute_leak():
 
 
 def test_neutrality_catches_a_small_absolute_leak():
-    def leaky(inst):
-        p = user_prop(inst)
-        return p + np.array([1e-5, -1e-5]) if inst.weights[0, 0] < inst.weights[0, 1] else p
+    def leaky(weights, alpha):
+        p = evaluate("userprop", make(weights, alpha))
+        return p + np.array([1e-5, -1e-5]) if weights[0, 0] < weights[0, 1] else p
 
     report = verify_neutrality(leaky, make([[3, 1], [0, 1], [2, 2]]), [1, 0])
     assert report.violation
@@ -523,13 +528,15 @@ def test_fixture_bases_are_valid():
 def test_pathological_rules_require_two_artists():
     for rule in pathological_rules().values():
         with pytest.raises(DomainError):
-            rule(make([[1, 1, 1]]))
+            rule(make([[1, 1, 1]]).weights, 1.0)
+        with pytest.raises(DomainError):
+            rule(np.ones((4, 2, 3)), 0.5)
 
 
 def test_minority_floor_is_userprop_on_small_platforms():
     rule = pathological_rules()["minority-floor"]
     inst = make([[3, 1], [0, 1]], alpha=0.9)  # budget 1.8, threshold 0
-    assert np.allclose(rule(inst), user_prop(inst), atol=1e-12)
+    assert np.allclose(rule(inst.weights, inst.alpha), user_prop(inst), atol=1e-12)
 
 
 @given(inst=instances(max_users=60, max_artists=2))
@@ -537,22 +544,102 @@ def test_minority_floor_is_userprop_on_small_platforms():
 def test_minority_floor_budget_balance(inst):
     if inst.n_artists != 2:
         return
-    p = pathological_rules()["minority-floor"](inst)
+    p = pathological_rules()["minority-floor"](inst.weights, inst.alpha)
     assert abs(p.sum() - inst.budget) < 1e-9
 
 
 def test_approval_majority_eps_domain():
     rule = pathological_rules()["approval-majority"]
     with pytest.raises(BadAlphaError):
-        rule(make([[1, 1]], alpha=0.9))  # needs eps < 1 - alpha
+        rule(make([[1, 1]], alpha=0.9).weights, 0.9)  # needs eps < 1 - alpha
 
 
 def test_approval_majority_majority_bonus():
     rule = pathological_rules()["approval-majority"]
     inst = make([[1, 0]] * 3 + [[0, 1]] * 2, alpha=0.5)  # budget 2.5
-    p = rule(inst)
+    p = rule(inst.weights, inst.alpha)
     assert abs(p[0] - 15 / 8) < 1e-12 and abs(p[1] - 5 / 8) < 1e-12, p
     assert abs(p.sum() - inst.budget) < 1e-12
+
+
+def _minority_floor_one(inst):
+    """minority_floor on one instance, written out branch by branch, with
+    the branch it took."""
+    p = user_prop(inst)
+    beta = 2.0 * np.floor(inst.budget / 20.0 + 1e-12)
+    if p.min() >= beta - 1e-12:
+        return p, "userprop"
+    j = int(np.argmin(p))
+    low = min(float(np.count_nonzero(inst.weights[:, j] > 0)), beta)
+    out = np.empty(2)
+    out[j], out[1 - j] = low, inst.budget - low
+    return out, "floor"
+
+
+def _approval_majority_one(inst, eps=0.25):
+    """approval_majority(eps) on one instance, written out branch by branch,
+    with the branch it took."""
+    budget = inst.budget
+    a = (inst.weights > 0).sum(axis=0).astype(float)
+    if budget < 2.0 * (1.0 + eps) - 1e-12 or a[0] == a[1]:
+        psi, branch = np.array([budget / 2.0, budget / 2.0]), "even"
+    else:
+        lead = int(np.argmax(a))
+        psi, branch = np.empty(2), "bonus"
+        psi[lead] = (budget + 1.0 + eps) / 2.0
+        psi[1 - lead] = (budget - 1.0 - eps) / 2.0
+    return np.maximum(np.minimum(psi, a), budget - a[::-1]), branch
+
+
+@pytest.mark.parametrize(
+    "name, oracle, users, alphas",
+    [
+        # the floor threshold steps from 0 to 2 at budget 20 (0.5 x 40)
+        ("minority-floor", _minority_floor_one, (1, 60), (0.3, 0.5, 1.0)),
+        # the majority bonus starts at budget 2.5 (0.5 x 5) with eps = 1/4
+        ("approval-majority", _approval_majority_one, (1, 12), (0.2, 0.5, 0.74)),
+    ],
+)
+def test_fixture_rule_stacks_equal_a_per_matrix_loop(name, oracle, users, alphas):
+    """A fixture rule on a (K, n, 2) stack equals the branch-by-branch rule
+    on each matrix alone, bit for bit, on draws with tied approval counts,
+    tied payments and budgets on both sides of the rule's threshold."""
+    rule = pathological_rules()[name]
+    rng = np.random.default_rng(41)
+    branches = set()
+    for n in range(users[0], users[1] + 1):
+        for alpha in alphas:
+            # integer weights tie often; artist 0 is thinned from almost
+            # every row to none, so the minority floor binds
+            w = rng.integers(0, 3, size=(24, n, 2)).astype(float)
+            w[:, :, 0] *= rng.random((24, n)) < np.linspace(0.05, 1.0, 24)[:, None]
+            w[:, :, 1] += w.sum(axis=2) == 0
+            w[0] = rng.integers(1, 3, size=(n, 1))  # tied approvals and payments
+            w[1, :, 0] = np.arange(n) % 2
+            w[1, :, 1] = 1.0 - w[1, :, 0]  # approvals tie on even n
+            stacked = rule(w, alpha)
+            assert stacked.shape == (24, 2)
+            for k in range(w.shape[0]):
+                one, branch = oracle(make(w[k], alpha))
+                assert np.array_equal(stacked[k], one), (name, n, alpha, k)
+                assert np.array_equal(rule(w[k], alpha), one), (name, n, alpha, k)
+                branches.add(branch)
+    assert len(branches) == 2, branches
+
+
+@pytest.mark.parametrize(
+    "rule", [pathological_rules()["minority-floor"], pathological_rules()["approval-majority"]]
+)
+def test_callable_rules_are_accepted_wherever_rule_ids_are(rule):
+    base = make([[1, 0]] * 3 + [[0, 1]] * 2, alpha=0.5)
+    p = evaluate(rule, base)
+    assert np.array_equal(p, rule(base.weights, base.alpha))
+    streams = base.artist_totals()
+    assert np.array_equal(pps(rule, base).values, p / streams)
+    report = verify_fraud_pair(rule, base, add_user(base, [1, 0]), (0,))
+    after = rule(add_user(base, [1, 0]).weights, base.alpha)
+    assert (report.before, report.after) == (p[0], after[0])
+    assert report.rule == rule_name(rule)
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +728,11 @@ def test_search_bribery_names_the_victim_of_an_invalid_candidate(row):
 
 
 def test_batched_scores_equal_the_per_row_path():
-    """Every rule id scores a trial's candidates in one stack call; the same
-    rule wrapped as a plain callable evaluates one manipulated instance per
-    candidate. Both must agree exactly, not approximately, and where the
-    per-row path raises, the stack call raises the same error."""
+    """Every rule scores a trial's candidates in one stack call. The per-row
+    oracle below builds each manipulated instance with add_user or
+    replace_user and evaluates it alone. Both must agree exactly, not
+    approximately, and where the per-row path raises, the stack call raises
+    the same error."""
     raised = 0
     for t in range(200):
         rng = np.random.default_rng([17, t])
@@ -656,24 +744,46 @@ def test_batched_scores_equal_the_per_row_path():
         for rule in KERNEL_RULES:
             if rule in PORTIONING_RULES and t % (20 if rule is PortioningId.EGAL else 3):
                 continue
-            per_row = lambda instance, rule=rule: evaluate(rule, instance)
             for cand, who in ((rows, None), (bribe_rows, victims)):
+                manipulated = [
+                    add_user(inst, row) if who is None else replace_user(inst, int(who[k]), row)
+                    for k, row in enumerate(cand)
+                ]
                 try:
-                    looped = _score(per_row, inst, cand, who)
+                    base_pay = evaluate(rule, inst)
+                    looped = np.array([evaluate(rule, m) for m in manipulated]) - base_pay
                 except Exception as exc:
                     with pytest.raises(type(exc)) as info:
-                        _score(rule, inst, cand, who)
+                        _score(rule, inst, _candidates(inst, cand, who))
                     assert str(info.value) == str(exc), (t, rule)
                     raised += 1
                     continue
-                batched = _score(rule, inst, cand, who)
-                assert np.array_equal(batched.deltas, looped.deltas), (t, rule)
-                assert np.array_equal(batched.gains, looped.gains), (t, rule)
-                assert batched.best == looped.best, (t, rule)
-                assert batched.swing() == looped.swing(), (t, rule)
-                for k in range(cand.shape[0]):
-                    assert batched.target_set(k) == looped.target_set(k), (t, rule, k)
+                batched = _score(rule, inst, _candidates(inst, cand, who))
+                assert np.array_equal(batched.deltas, looped), (t, rule)
+                winner, tset = batched.winner()
+                assert np.array_equal(winner.weights, manipulated[batched.best].weights)
+                assert winner.alpha == inst.alpha
+                assert not np.shares_memory(winner.weights, batched.stack)
+                pos = np.flatnonzero(looped[batched.best] > 0)
+                assert tset == (tuple(pos) if pos.size else
+                                (int(np.argmax(looped[batched.best])),)), (t, rule)
     assert raised > 0  # min and geo degenerate on sparse draws
+
+
+@pytest.mark.parametrize("search", SEARCHES)
+@pytest.mark.parametrize("budget", [0, -2, 1.5, "5"])
+def test_search_rejects_a_budget_that_is_not_a_whole_count(search, budget):
+    with pytest.raises(ValueError, match="budget"):
+        search("globalprop", make([[1, 0]] * 5), budget=budget)
+
+
+def test_verifiers_reject_target_artists_that_are_not_whole():
+    base = make([[1, 0, 0], [0, 1, 1]])
+    # int() would have scored artist 2 here
+    with pytest.raises(DimensionError, match="whole"):
+        verify_fraud_pair("userprop", base, add_user(base, [0, 0, 5]), (2.9,))
+    with pytest.raises(DimensionError, match="whole"):
+        verify_bribery_pair("userprop", base, replace_user(base, 0, [0, 0, 5]), (2.0,))
 
 
 def test_search_keeps_the_earliest_of_tied_candidates():
@@ -810,7 +920,7 @@ def test_run_suite_rejects_unknown_axiom():
         run_suite(AxiomId.ANONYMITY, "userprop", trials=5)
 
 
-@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("trials", [0, -3, 2.5, "3"])
 def test_run_suite_rejects_trials_below_one(trials):
     with pytest.raises(ValueError, match="trials"):
         run_suite(AxiomId.FRAUD_PROOF, "userprop", trials=trials)

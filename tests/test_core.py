@@ -102,6 +102,14 @@ def test_subset_payment_dedups_and_sums():
         subset_payment(p, [-1])
 
 
+@pytest.mark.parametrize("bad", [0.9, 2.0, np.float64(1.0), "1", None])
+def test_subset_payment_rejects_indices_that_are_not_whole(bad):
+    p = np.array([1.0, 2.0, 4.0])
+    with pytest.raises(DimensionError, match="whole"):
+        subset_payment(p, [0, bad])
+    assert subset_payment(p, [np.int64(2), True]) == 6.0
+
+
 def test_add_user():
     inst = make([[1, 2]], alpha=0.4)
     out = add_user(inst, [3, 4])

@@ -83,6 +83,13 @@ def test_alpha_sweep_rejects_bad_alphas():
         alpha_sweep(inst, ["userprop"], [0.0], k=2)
 
 
+def test_alpha_sweep_rejects_callable_rules():
+    # a callable may pay amounts that are not linear in alpha, which the
+    # sweep's measure-once shortcut assumes
+    with pytest.raises(TypeError, match="rule ids"):
+        alpha_sweep(gen_synthetic(_small()), ["userprop", lambda w, a: w.sum(-2)], [0.5], k=2)
+
+
 def test_scaledup_alpha_one_collapses_to_userprop_metrics():
     inst = gen_synthetic(_small())
     rows = alpha_sweep(inst, ["userprop", "scaledup"], [1.0], k=2, seed=2)

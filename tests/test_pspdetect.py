@@ -371,6 +371,18 @@ def test_find_suspicious_stated_example():
         assert abs(res.profit - 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [0.9, 2.9, np.float64(0.0), "0"])
+def test_artist_and_user_indices_must_be_whole(bad):
+    inst = _stated_example()
+    with pytest.raises(ParameterError, match="whole"):
+        psp_exact(inst, [bad])
+    with pytest.raises(ParameterError, match="whole"):
+        psp_value(inst, [bad], ())
+    with pytest.raises(ParameterError, match="whole"):
+        psp_value(inst, (0,), [bad])
+    assert psp_value(inst, [np.int64(0)], [np.int64(5)]) == psp_value(inst, (0,), (5,))
+
+
 def test_find_suspicious_k_zero_and_guards():
     inst = _stated_example()
     assert find_suspicious(inst, 0) == ((), psp_exact(inst, (0,)).__class__((), (), 0.0))

@@ -139,46 +139,62 @@ def _clip_to_sum(lo: np.ndarray, hi: np.ndarray, target: float) -> np.ndarray:
 # O_i(p) = sum_j min(p_j, w_ij), a concave piecewise-linear maximin. Each
 # stage solves that maximin by cutting planes: at a candidate p the pattern
 # g_j = [p_j < w_ij] gives the supporting piece O_i(p') <= g.p' + const, and
-# a small dense tableau solves the master over these cuts. Eliminating
+# a simplex master over these cuts proposes the next p. Eliminating
 # p_m = 1 - sum(q) keeps the origin basis feasible, so no phase-1 is needed;
 # re-solves after new cuts start from the previous basis via dual pivots.
+#
+# The master is kept in dictionary form (Chvatal, Linear Programming, 1983).
+# Every basic column is a unit vector, so the tableau stores only the m
+# nonbasic columns and the right-hand side: (rows + 1) x (m + 1) with the
+# objective row last, beside a ``nonbasic`` array of variable ids. A pivot
+# swaps the entering and leaving variables in place, and every choice goes by
+# variable id (q, then t, then the row slacks in row order), never by stored
+# column: Bland's smallest eligible variable on primal entry, the first
+# minimal ratio in variable order on dual entry. Each entry is computed as a
+# full tableau would compute it; only the sign of a zero can differ (a
+# basic column's zeros are not stored, and a zero coefficient is subtracted
+# rather than skipped). No pivot choice reads that sign, and np.clip turns
+# -0.0 into 0.0 before p leaves a stage, so the payments are the same bits.
 
 
-def _pivot(tab, basis, row, col):
-    tab[row] /= tab[row, col]
+def _pivot(tab, basis, nonbasic, row, col):
+    """Swap basis[row] out for nonbasic[col]; the leaving variable's column
+    takes the entering one's slot, 1/piv in the pivot row and -f_i/piv in
+    row i, as a full tableau would compute it."""
+    piv = tab[row, col]
+    top = tab[row] / piv
+    top[col] = 1.0 / piv
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
     tab[:, col] = 0.0
-    tab[row, col] = 1.0
-    basis[row] = col
+    tab[row] = top
+    tab -= factors[:, None] * top
+    basis[row], nonbasic[col] = nonbasic[col], basis[row]
 
 
-def _primal_steps(tab, basis, max_pivots=5000):
+def _primal_steps(tab, basis, nonbasic, max_pivots=5000):
     """Drive the objective row to optimality; Bland's rule on entry, smallest
     basis index on ratio ties, so cycling cannot occur."""
     tol = 1e-11
     n_rows = tab.shape[0] - 1
     for pivots in range(max_pivots):
-        profit = tab[-1, :-1]
-        eligible = np.flatnonzero(profit > tol)
+        eligible = (tab[-1, :-1] > tol).nonzero()[0]
         if eligible.size == 0:
             return
-        enter = int(eligible[0])
+        enter = int(eligible[nonbasic[eligible].argmin()])
         col = tab[:n_rows, enter]
         pos = col > tol
         if not pos.any():
             raise SolverFailure(f"stage master unbounded after {pivots} primal pivots")
-        ratios = np.full(n_rows, np.inf)
-        ratios[pos] = tab[:n_rows, -1][pos] / col[pos]
+        ratios = np.divide(tab[:n_rows, -1], col, out=np.full(n_rows, np.inf), where=pos)
         best = float(ratios.min())
-        ties = np.flatnonzero(ratios <= best + 1e-15)
-        leave = int(min(ties, key=lambda i: basis[i]))
-        _pivot(tab, basis, leave, enter)
+        ties = (ratios <= best + 1e-15).nonzero()[0]
+        leave = int(ties[basis[ties].argmin()])
+        _pivot(tab, basis, nonbasic, leave, enter)
     raise SolverFailure(f"stage master hit the primal pivot limit of {max_pivots}")
 
 
-def _dual_steps(tab, basis, max_pivots=5000):
+def _dual_steps(tab, basis, nonbasic, max_pivots=5000):
     """Restore a nonnegative right-hand side after cuts arrive, keeping the
     objective row dual-feasible. Returns the number of pivots made."""
     tol = 1e-11
@@ -189,88 +205,82 @@ def _dual_steps(tab, basis, max_pivots=5000):
         if rhs[leave] >= -tol:
             return pivots
         row = tab[leave, :-1]
-        neg = np.flatnonzero(row < -tol)
+        neg = (row < -tol).nonzero()[0]
         if neg.size == 0:
             raise SolverFailure(f"stage master infeasible after {pivots} dual pivots")
         ratios = -tab[-1, neg] / -row[neg]
-        enter = int(neg[ratios.argmin()])
-        _pivot(tab, basis, leave, enter)
+        ties = neg[ratios == ratios.min()]
+        enter = int(ties[nonbasic[ties].argmin()])
+        _pivot(tab, basis, nonbasic, leave, enter)
     raise SolverFailure(f"stage master hit the dual pivot limit of {max_pivots}")
 
 
 class _StageMaster:
-    """Dense tableau for one maximin stage: variables q (the first m-1 simplex
-    coordinates) and t (the overlap level being raised), one slack per row."""
+    """Simplex master of one maximin stage in dictionary form. Variable ids:
+    q is 0..m-2 (the first m-1 simplex coordinates), t is m-1 (the overlap
+    level being raised) and row r's slack is m + r. ``tab`` holds the m
+    nonbasic columns, in the order of ``nonbasic``, and the right-hand side;
+    row r is the constraint whose basic variable is ``basis[r]``."""
 
-    def __init__(self, m: int, cap: int = 128):
+    def __init__(self, m: int):
         self.m = m
-        self.nv = m  # q takes m-1 columns, t takes one
-        self.cap = cap
-        self.n_rows = 1
-        self.tab = np.zeros((cap, self.nv + cap + 1))
+        self.tab = np.zeros((2, m + 1))
         self.tab[0, : m - 1] = 1.0  # sum(q) <= 1 keeps p_m nonnegative
-        self.tab[0, self.nv] = 1.0
         self.tab[0, -1] = 1.0
-        self.basis = [self.nv]
-        self.obj = np.zeros(self.nv + cap + 1)
-        self.obj[m - 1] = 1.0
+        self.tab[1, m - 1] = 1.0  # maximize t
+        self.basis = np.array([m])
+        self.nonbasic = np.arange(m)
         self.owner = [-1]  # user index per cut row; -1 for structural rows
 
-    def _grow(self):
-        old_cap, nv = self.cap, self.nv
-        self.cap = old_cap * 2
-        tab = np.zeros((self.cap, nv + self.cap + 1))
-        tab[:old_cap, : nv + old_cap] = self.tab[:, :-1]
-        tab[:old_cap, -1] = self.tab[:, -1]
-        obj = np.zeros(nv + self.cap + 1)
-        obj[: nv + old_cap] = self.obj[:-1]
-        obj[-1] = self.obj[-1]
-        self.tab, self.obj = tab, obj
+    @property
+    def n_rows(self) -> int:
+        return self.basis.size
 
-    def add_cut(self, a, const, has_t, owner):
-        if self.n_rows >= self.cap:
-            self._grow()
-        i = self.n_rows
-        row = np.zeros(self.tab.shape[1])
-        row[: self.m - 1] = -a
-        if has_t:
-            row[self.m - 1] = 1.0
-        row[self.nv + i] = 1.0
-        row[-1] = const
-        for r in range(i):  # express the new row in the current basis
-            coef = row[self.basis[r]]
-            if coef != 0.0:
-                row -= coef * self.tab[r]
-        self.tab[i] = row
-        self.basis.append(self.nv + i)
-        self.owner.append(owner)
-        self.n_rows += 1
+    def add_cuts(self, coefs, rhs, owner):
+        """Append the rows coefs . (q, t) <= rhs, one per cut, expressed in
+        the current basis. A new row's coefficient on a basic q or t is its
+        own, since subtracting other basic rows leaves it as it is, so the
+        whole block is eliminated at once, basic row by basic row in
+        ascending order, as a row-at-a-time elimination would."""
+        m, k = self.m, len(rhs)
+        padded = np.zeros((k, m + 1))  # column m stands for every slack
+        padded[:, :m] = coefs
+        rows = np.empty((k, m + 1))
+        rows[:, :m] = padded.take(np.minimum(self.nonbasic, m), axis=1)
+        rows[:, m] = rhs
+        basic = (self.basis < m).nonzero()[0]
+        by_row = coefs.take(self.basis[basic], axis=1)
+        for coef, row in zip(by_row.T, self.tab[basic]):
+            rows -= coef[:, None] * row
+        start = m + self.n_rows
+        self.tab = np.concatenate([self.tab[:-1], rows, self.tab[-1:]])
+        self.basis = np.concatenate([self.basis, np.arange(start, start + k)])
+        self.owner += owner.tolist()
 
     def solve(self):
-        tab = np.vstack([self.tab[: self.n_rows], self.obj])
-        dual = _dual_steps(tab, self.basis)
+        dual = _dual_steps(self.tab, self.basis, self.nonbasic)
         try:
-            _primal_steps(tab, self.basis)
+            _primal_steps(self.tab, self.basis, self.nonbasic)
         except SolverFailure as exc:
             raise SolverFailure(f"{exc}, after {dual} dual pivots") from exc
-        self.tab[: self.n_rows] = tab[:-1]
-        self.obj = tab[-1].copy()
-        x = np.zeros(self.nv)
-        for r, b in enumerate(self.basis):
-            if b < self.nv:
-                x[b] = tab[r, -1]
-        q = x[: self.m - 1]
-        return np.append(q, 1.0 - q.sum()), float(x[self.m - 1])
+        x = np.zeros(self.m)
+        rows = (self.basis < self.m).nonzero()[0]
+        x[self.basis[rows]] = self.tab[rows, -1]
+        p = x.copy()
+        p[-1] = 1.0 - x[:-1].sum()
+        return p, float(x[-1])
 
     def user_duals(self, n: int) -> np.ndarray:
-        """Dual price carried by each user's cuts at the final basis. A user
+        """Dual price carried by each user's cuts at the final basis: a
+        nonbasic slack's negated objective entry, 0 for a basic one. A user
         with positive total price is pinned at the optimum in every optimal
         solution, which is exactly when freezing them is safe."""
         duals = np.zeros(n)
-        for r in range(1, self.n_rows):
-            who = self.owner[r]
+        obj = self.tab[-1].tolist()
+        for var, col in sorted(zip(self.nonbasic.tolist(), range(self.m))):
+            who = self.owner[var - self.m] if var > self.m else -1
             if who >= 0:
-                duals[who] += max(0.0, -self.obj[self.nv + r])
+                duals[who] += max(0.0, -obj[col])
         return duals
 
 
@@ -281,25 +291,33 @@ def _minimax_stage(norm, caps, active, p_seed):
     n, m = norm.shape
     master = _StageMaster(m)
     floors = 1.0 - caps / 2.0
+    # user i's cut at p reads t*[i active] - a.q <= const - [i frozen]*floor_i,
+    # with a = g[:m-1] - g[m-1] and const = O_i(p) - g.p + g[m-1]
+    shift, owner = np.where(active, 0.0, floors), np.where(active, np.arange(n), -1)
     seen = set()
 
-    def cut_for(i, p):
-        grad = (p < norm[i]).astype(float)
-        key = (i, grad.tobytes())
-        if key in seen:
+    def add_cuts(users, p):
+        """Cut every listed user at p, in user order, unless that user's cut
+        with the same pattern is already in. Returns whether any was new."""
+        w = norm[users]
+        grads = (p < w).astype(float)
+        patterns = grads.view(f"V{grads.itemsize * m}").ravel().tolist()  # row bytes
+        fresh = []
+        for k, key in enumerate(zip(users.tolist(), patterns)):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(k)
+        if not fresh:
             return False
-        seen.add(key)
-        val = float(np.minimum(p, norm[i]).sum())
-        const = val - float(grad @ p) + grad[m - 1]
-        a = grad[: m - 1] - grad[m - 1]
-        if active[i]:
-            master.add_cut(a, const, True, int(i))
-        else:
-            master.add_cut(a, const - floors[i], False, -1)
+        if len(fresh) < len(users):
+            users, w, grads = users[fresh], w[fresh], grads[fresh]
+        const = np.minimum(p, w).sum(axis=1) - np.array([g @ p for g in grads]) + grads[:, m - 1]
+        coefs = -(grads - grads[:, m - 1 :])  # -a, then t's coefficient
+        coefs[:, m - 1] = active[users]
+        master.add_cuts(coefs, const - shift[users], owner[users])
         return True
 
-    for i in range(n):
-        cut_for(i, p_seed)
+    add_cuts(np.arange(n), p_seed)
     for _ in range(500):
         try:
             p, t_hat = master.solve()
@@ -311,10 +329,8 @@ def _minimax_stage(norm, caps, active, p_seed):
         bad_floor = (~active) & (overlaps < floors - 1e-10)
         if t_hat - worst <= 1e-10 and not bad_floor.any():
             return p, 2.0 * (1.0 - worst), master.user_duals(n)
-        added = False
-        for i in np.flatnonzero((active & (overlaps < t_hat - 1e-10)) | bad_floor):
-            added |= cut_for(i, p)
-        if not added:
+        users = np.flatnonzero((active & (overlaps < t_hat - 1e-10)) | bad_floor)
+        if not add_cuts(users, p):
             raise SolverFailure(f"stage made no progress; {master.n_rows - 1} cuts")
     raise SolverFailure(f"stage hit the cut iteration limit; {master.n_rows - 1} cuts")
 

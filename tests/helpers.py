@@ -41,9 +41,10 @@ def instances(draw, max_users=6, max_artists=5, positive=False, alpha=None):
 
 
 def random_dense(rng, max_users=20, max_artists=8, alpha=1.0):
-    """Strictly positive random instance, every rule defined."""
+    """Strictly positive random instance, every rule defined: criterion 1's
+    draw of 1 to 20 users over 1 to 8 artists."""
     n = int(rng.integers(1, max_users + 1))
-    m = int(rng.integers(2, max_artists + 1))
+    m = int(rng.integers(1, max_artists + 1))
     w = rng.exponential(1.0, size=(n, m)) + 1e-3
     return Instance(w, alpha)
 

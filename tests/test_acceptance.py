@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from helpers import row_shares
+from helpers import random_dense, row_shares
 from streamshare import (
     ALL_RULES,
     AxiomId,
@@ -48,19 +48,13 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
     print(f"[acceptance] criterion {criterion}: {'PASS' if ok else 'FAIL'} {detail}")
 
 
-def _dense(rng, max_users=20, max_artists=8, alpha=1.0) -> Instance:
-    n = int(rng.integers(1, max_users + 1))
-    m = int(rng.integers(1, max_artists + 1))
-    return Instance(rng.exponential(1.0, size=(n, m)) + 1e-3, alpha)
-
-
 def test_criterion_01_budget_balance():
     rng = np.random.default_rng(11)
     alphas = (0.3, 0.7, 1.0)
     start = time.perf_counter()
     worst = 0.0
     for trial in range(1000):
-        inst = _dense(rng, alpha=alphas[trial % 3])
+        inst = random_dense(rng, alpha=alphas[trial % 3])
         budget = inst.alpha * inst.n_users
         for rule in ALL_RULES:
             err = abs(float(evaluate(rule, inst).sum()) - budget)

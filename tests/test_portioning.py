@@ -2,13 +2,16 @@
 the phantom-median market mechanism."""
 
 import functools
+import hashlib
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import instances, make, market_bisect, row_shares
+from helpers import instances, make, market_bisect, random_dense, row_shares
 from streamshare import (
     BUDGET_TOL,
     Instance,
@@ -302,6 +305,108 @@ def test_egal_failure_counts_the_users_frozen_before_it(monkeypatch):
         "stage master hit the primal pivot limit of 1, after "
     ), str(err.value)
     assert re.search(r"after \d+ dual pivots; \d+ cuts$", str(err.value)), str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# egal's stage master: golden outcomes and dictionary-form invariants
+
+# the 13-catalog egal corpus of perfbench's catalog workload
+EGAL_CORPUS = (
+    [(50, 20, s) for s in range(5)] + [(100, 30, s) for s in range(4)]
+    + [(200, 50, s) for s in range(4)]
+)
+# recorded with the full-tableau master that the dictionary form replaced
+EGAL_GOLDEN = Path(__file__).with_name("egal_golden.json")
+
+
+def _egal_golden_instances(group):
+    """Named instances of one golden group: the corpus, the first 200 of
+    criterion 1's draws, or 100 small draws with zero weights."""
+    if group == "corpus":
+        return {f"{n}x{m}s{s}": gen_synthetic(SynthConfig(n, m, (1, 10), 1.0, s))
+                for n, m, s in EGAL_CORPUS}
+    if group == "criterion1":
+        rng = np.random.default_rng(11)
+        return {f"c{t}": random_dense(rng, alpha=(0.3, 0.7, 1.0)[t % 3]) for t in range(200)}
+    rng = np.random.default_rng(16)
+    return {f"s{t}": random_instance(rng) for t in range(100)}
+
+
+def _egal_outcome(inst):
+    """The sha256 of egal's payments as int64 bits, or the SolverFailure text."""
+    try:
+        pay = evaluate("egal", inst)
+    except SolverFailure as exc:
+        return str(exc)
+    return hashlib.sha256(np.ascontiguousarray(pay).view(np.int64).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("group", ["corpus", "criterion1", "small"])
+def test_egal_outcomes_match_the_golden_record(group):
+    want = json.loads(EGAL_GOLDEN.read_text())[group]
+    got = {name: _egal_outcome(inst) for name, inst in _egal_golden_instances(group).items()}
+    assert got.keys() == want.keys()
+    wrong = [f"{name}: {got[name]!r} != {want[name]!r}" for name in want if got[name] != want[name]]
+    assert not wrong, f"{len(wrong)} of {len(want)} differ:\n" + "\n".join(wrong[:10])
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_stage_master_invariants_after_every_solve(monkeypatch, seed):
+    solve = portioning._StageMaster.solve
+    solves = []
+
+    def checked_solve(master):
+        out = solve(master)
+        m, rows = master.m, master.n_rows
+        ids = sorted(master.basis.tolist() + master.nonbasic.tolist())
+        assert master.nonbasic.size == m and ids == list(range(m + rows))
+        assert master.tab.shape == (rows + 1, m + 1)
+        assert (master.tab[-1, :-1] <= 1e-11).all()  # no variable left to enter
+        solves.append(rows)
+        return out
+
+    monkeypatch.setattr(portioning._StageMaster, "solve", checked_solve)
+    pay = evaluate("egal", gen_synthetic(SynthConfig(50, 20, (1, 10), 1.0, seed)))
+    assert abs(pay.sum() - 50.0) <= BUDGET_TOL and len(solves) > 10
+
+
+def test_primal_entry_is_the_smallest_eligible_variable_id():
+    # ids 5 and 3 are eligible; 5 is stored first, Bland's rule takes 3
+    tab = np.array([[1.0, 1.0, 1.0, 4.0], [1.0, 2.0, 1.0, 6.0], [1.0, 0.0, 1.0, 0.0]])
+    basis, nonbasic = np.array([0, 2]), np.array([5, 1, 3])
+    portioning._primal_steps(tab, basis, nonbasic)
+    assert basis.tolist() == [3, 2] and nonbasic.tolist() == [5, 1, 0]
+    assert tab[-1, :-1].tolist() == [0.0, -1.0, -1.0] and tab[:-1, -1].tolist() == [4.0, 2.0]
+
+
+def test_dual_entry_is_the_first_minimal_ratio_in_variable_order():
+    # ids 6 and 2 tie on the ratio; 6 is stored first, the smaller id enters
+    tab = np.array([[-1.0, -1.0, -2.0], [-3.0, -3.0, 0.0]])
+    basis, nonbasic = np.array([4]), np.array([6, 2])
+    assert portioning._dual_steps(tab, basis, nonbasic) == 1
+    assert basis.tolist() == [2] and nonbasic.tolist() == [6, 4]
+
+
+def test_dictionary_pivot_matches_a_full_tableau_pivot():
+    rng = np.random.default_rng(5)
+    basis, nonbasic = np.array([7, 0, 5, 9, 2, 8]), np.array([3, 6, 1, 4])
+    rows, m = basis.size, nonbasic.size
+    tab = rng.standard_normal((rows + 1, m + 1))
+    full = np.zeros((rows + 1, rows + m + 1))
+    full[:, nonbasic], full[:, -1] = tab[:, :m], tab[:, -1]
+    full[np.arange(rows), basis] = 1.0
+    row, col = 2, 1
+    enter, leave = nonbasic[col], basis[row]
+    full[row] /= full[row, enter]
+    factors = full[:, enter].copy()
+    factors[row] = 0.0
+    full -= np.outer(factors, full[row])
+    full[:, enter] = 0.0
+    full[row, enter] = 1.0
+    portioning._pivot(tab, basis, nonbasic, row, col)
+    assert basis[row] == enter and nonbasic[col] == leave
+    assert np.array_equal(tab[:, :m], full[:, nonbasic]) and np.array_equal(tab[:, -1], full[:, -1])
+    assert np.array_equal(full[:, basis], np.eye(rows + 1, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ Checkers refute or fail to refute; they never prove an axiom.
 from __future__ import annotations
 
 import logging
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -214,10 +213,8 @@ def verify_click_fraud(rule, base: Instance, manipulated: Instance) -> GainRepor
 
 def _common_masks(base: Instance, manipulated: Instance, cstar):
     """Masks of the ``cstar`` columns in ``base`` and in ``manipulated``."""
-    cstar = np.asarray(cstar, dtype=int).reshape(-1)
     limit = min(base.n_artists, manipulated.n_artists)
-    if cstar.size and not 0 <= cstar.min() <= cstar.max() < limit:
-        raise PremiseError("cstar index out of range for one of the instances")
+    cstar = core.index_set(cstar, PremiseError, "cstar index", limit)
     keep = np.zeros(max(base.n_artists, manipulated.n_artists), dtype=bool)
     keep[cstar] = True
     return keep[: base.n_artists], keep[: manipulated.n_artists]
@@ -294,8 +291,7 @@ def verify_engagement_monotone(
         raise PremiseError("instances must share both dimensions")
     if manipulated.alpha != base.alpha:
         raise PremiseError("alpha differs between the instances")
-    if not 0 <= jstar < base.n_artists:
-        raise PremiseError(f"artist {jstar} out of range")
+    jstar = core.whole(jstar, PremiseError, "jstar", 0, base.n_artists)
     w, w2 = base.weights, manipulated.weights
     if np.any(w[:, jstar] > w2[:, jstar] + PREMISE_TOL):
         raise PremiseError("engagement with the boosted artist decreased somewhere")
@@ -308,11 +304,11 @@ def verify_engagement_monotone(
 
 def _pd_apply(instance: Instance, transfer) -> tuple[Instance, int]:
     donor, recipient, artist, delta = transfer
-    donor, recipient, artist = int(donor), int(recipient), int(artist)
+    n = instance.n_users
+    donor = core.whole(donor, PremiseError, "transfer donor", 0, n)
+    recipient = core.whole(recipient, PremiseError, "transfer recipient", 0, n)
+    artist = core.whole(artist, PremiseError, "transfer artist", 0, instance.n_artists)
     delta = float(delta)
-    n, m = instance.n_users, instance.n_artists
-    if not (0 <= donor < n and 0 <= recipient < n and 0 <= artist < m):
-        raise PremiseError("transfer indices out of range")
     if donor == recipient:
         raise PremiseError("transfer needs two distinct users")
     if delta <= 0:
@@ -370,10 +366,10 @@ def verify_no_free_ridership(rule, instance: Instance) -> GainReport:
 
 
 def _check_permutation(perm, size: int) -> np.ndarray:
-    perm = np.asarray(perm, dtype=int)
-    if perm.shape != (size,) or not np.array_equal(np.sort(perm), np.arange(size)):
+    perm = [core.whole(i, PremiseError, "permutation entry", 0, size) for i in perm]
+    if sorted(perm) != list(range(size)):
         raise PremiseError(f"not a permutation of range({size})")
-    return perm
+    return np.array(perm, dtype=int)
 
 
 def verify_anonymity(rule, instance: Instance, perm) -> GainReport:
@@ -453,9 +449,9 @@ def _as_rows(profiles, m: int) -> np.ndarray:
 def _bribes(base: Instance, rows: np.ndarray, victims, budget=None):
     """(victims, rows) of the bribes to try, victim by victim, skipping rows
     equal to the victim's own row and stopping after ``budget`` bribes."""
-    victims = np.asarray(list(victims), dtype=int).reshape(-1)
-    if np.any((victims < 0) | (victims >= base.n_users)):
-        raise core.DimensionError(f"victim index out of range for {base.n_users} users")
+    n = base.n_users
+    victims = np.array([core.whole(v, core.DimensionError, "victim index", 0, n)
+                        for v in victims], dtype=int)
     same = np.all(rows[None, :, :] == base.weights[victims][:, None, :], axis=2)
     vi, ri = np.nonzero(~same)
     return victims[vi][:budget], rows[ri][:budget]
@@ -556,17 +552,6 @@ def _search(axiom, rule, base, rows, victims, seed) -> Optional[ViolationWitness
     )
 
 
-def _at_least_one(count, name: str) -> int:
-    """``count`` as an int; one below 1 or not whole raises ValueError."""
-    try:
-        whole = operator.index(count)
-    except TypeError:
-        whole = 0
-    if whole < 1:
-        raise ValueError(f"{name} must be at least 1 and whole, got {count!r}")
-    return whole
-
-
 def search_fraud(
     rule,
     base: Instance,
@@ -582,7 +567,7 @@ def search_fraud(
     or None when nothing clears the noise floor. An invalid ``base`` or
     candidate raises the :class:`core.InstanceError` of its instance.
     """
-    budget = _at_least_one(budget, "budget")
+    budget = core.whole(budget, ValueError, "budget", 1)
     core.validate(base)  # before the default candidates are drawn from it
     if profiles is None:
         profiles = candidate_profiles(base, np.random.default_rng(seed))
@@ -607,7 +592,7 @@ def search_bribery(
     maximal-margin witness (ties keep the earliest bribe) or None, and
     rejects invalid input as :func:`search_fraud` does.
     """
-    budget = _at_least_one(budget, "budget")
+    budget = core.whole(budget, ValueError, "budget", 1)
     core.validate(base)  # before the default candidates are drawn from it
     if profiles is None:
         profiles = candidate_profiles(base, np.random.default_rng(seed))
@@ -776,7 +761,7 @@ def run_suite(
     track the largest single-artist payment swing, whose bound of one is the
     click-fraud condition.
     """
-    trials = _at_least_one(trials, "trials")
+    trials = core.whole(trials, ValueError, "trials", 1)
     try:
         trial_fn = _TRIALS[AxiomId(axiom)]
     except KeyError:

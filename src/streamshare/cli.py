@@ -30,7 +30,7 @@ from .experiments import (
     write_rows_csv,
 )
 from .fixtures import fixtures, verify_fixture
-from .ingest import default_ids, load_document, save_document
+from .ingest import load_document, save_document
 from .metrics import DegenerateEnvyError, pps, topk_bottomk_means
 from .portioning import DegenerateAggregateError, SolverFailure
 from .pspdetect import BipartiteGraph, find_suspicious, ssbve_reduction
@@ -195,7 +195,7 @@ def _cmd_gen(args) -> int:
         seed=args.seed,
     )
     instance = with_alpha(gen_synthetic(config), alpha)
-    save_document(args.out, instance, *default_ids(instance))
+    save_document(args.out, instance)
     print(
         f"wrote {instance.n_users} users x {instance.n_artists} artists "
         f"(alpha={_fmt(alpha)}) to {args.out}"
@@ -266,7 +266,7 @@ def _read_graph(path) -> BipartiteGraph:
 def _cmd_reduce_ssbve(args) -> int:
     graph = _read_graph(args.graph)
     reduction = ssbve_reduction(graph, args.ell, args.delta, args.alpha)
-    save_document(args.out, reduction.instance, *default_ids(reduction.instance))
+    save_document(args.out, reduction.instance)
     print(
         f"k={reduction.k} threshold={_fmt(reduction.threshold)} d={reduction.d} "
         f"eps={_fmt(reduction.eps)} t={reduction.t} "

@@ -119,27 +119,30 @@ def finalize_payments(payments: np.ndarray) -> np.ndarray:
     return p
 
 
-def index_set(indices, error: type, what: str) -> list[int]:
-    """The distinct ``indices``, sorted; one that is not a whole number
-    raises ``error``."""
-    out = set()
-    for i in indices:
-        try:
-            out.add(operator.index(i))
-        except TypeError:
-            raise error(f"{what} index {i!r} is not a whole number") from None
-    return sorted(out)
+def whole(value, error: type, what: str, low: int = 0, high: int | None = None) -> int:
+    """``value`` as an int in [low, high) (no upper end when ``high`` is
+    None); one outside it, or one ``operator.index`` refuses (a float, a
+    string), raises ``error``."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        out = None
+    if out is None or out < low or (high is not None and out >= high):
+        span = f"be >= {low}" if high is None else f"lie in [{low}, {high - 1}]"
+        raise error(f"{what} must {span} and be whole, got {value!r}")
+    return out
+
+
+def index_set(indices, error: type, what: str, size: int) -> list[int]:
+    """The distinct ``indices``, sorted; one that :func:`whole` refuses for
+    [0, size) raises ``error`` naming ``what``."""
+    return sorted({whole(i, error, what, 0, size) for i in indices})
 
 
 def subset_payment(payments: np.ndarray, artists) -> float:
     """Total payment received by a set of artists."""
-    idx = np.asarray(index_set(artists, DimensionError, "artist"), dtype=int)
-    if idx.size == 0:
-        return 0.0
     p = np.asarray(payments, dtype=float)
-    if np.any(idx < 0) or np.any(idx >= p.shape[0]):
-        raise DimensionError(f"artist index out of range for {p.shape[0]} artists")
-    return float(p[idx].sum())
+    return float(p[index_set(artists, DimensionError, "artist index", p.shape[0])].sum())
 
 
 def add_user(instance: Instance, profile) -> Instance:
@@ -154,8 +157,7 @@ def add_user(instance: Instance, profile) -> Instance:
 
 def replace_user(instance: Instance, user: int, profile) -> Instance:
     """Return a new instance with one user's row replaced."""
-    if not 0 <= user < instance.n_users:
-        raise DimensionError(f"user index {user} out of range")
+    user = whole(user, DimensionError, "user index", 0, instance.n_users)
     row = np.asarray(profile, dtype=float).reshape(-1)
     if row.shape[0] != instance.n_artists:
         raise DimensionError(

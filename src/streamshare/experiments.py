@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, with_alpha
+from .core import Instance, whole, with_alpha
 from .metrics import DegenerateEnvyError, pps, topk_bottomk_means
 from .rules import RuleId, coerce_rule
 
@@ -34,14 +34,11 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        whole(self.n_users, ValueError, "n_users", 1)
+        top = whole(self.n_artists, ValueError, "n_artists", 1) + 1
         lo, hi = self.artist_count_range
-        if self.n_users < 1 or self.n_artists < 1:
-            raise ValueError("n_users and n_artists must be positive")
-        if not 1 <= lo <= hi <= self.n_artists:
-            raise ValueError(
-                f"artist_count_range {self.artist_count_range} must sit inside "
-                f"[1, {self.n_artists}]"
-            )
+        lo = whole(lo, ValueError, "artist_count_range's low end", 1, top)
+        whole(hi, ValueError, "artist_count_range's high end", lo, top)
         if not self.stream_lambda > 0:
             raise ValueError("stream_lambda must be positive")
 
@@ -161,8 +158,7 @@ def alpha_sweep(instance: Instance, rules, alphas, k: int, seed: int = 0):
 
 def sweep_seeds(config: SynthConfig, rules, alphas, k: int, n_seeds: int):
     """Run the sweep on n_seeds instances seeded config.seed, +1, +2, ..."""
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be at least 1")
+    whole(n_seeds, ValueError, "n_seeds", 1)
     alphas = _checked_alphas(alphas)
     rows = []
     for offset in range(n_seeds):

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import re
 from dataclasses import dataclass
 from json.decoder import WHITESPACE as _WHITESPACE, scanstring
 
 import numpy as np
 
-from .core import Instance, validate
+from .core import Instance, validate, whole
 
 DOCUMENT_VERSION = 1
 DEFAULT_CELL_BUDGET = 50_000_000
@@ -118,13 +117,7 @@ def ingest_triples(
     min_user_total cut. Users must end with positive total.
     """
     if top_artists is not None:
-        try:
-            count = operator.index(top_artists)
-        except TypeError:
-            count = -1
-        if count < 0:
-            raise ValueError(f"top_artists must be >= 0 and whole, got {top_artists!r}")
-        top_artists = count
+        top_artists = whole(top_artists, ValueError, "top_artists")
     by_user: dict = {}
     artist_order: dict = {}
     for rec in records:
@@ -185,8 +178,8 @@ def save_document(path, instance: Instance, user_ids=None, artist_ids=None) -> N
     """
     if user_ids is None or artist_ids is None:
         gen_users, gen_artists = default_ids(instance)
-        user_ids = user_ids or gen_users
-        artist_ids = artist_ids or gen_artists
+        user_ids = gen_users if user_ids is None else user_ids
+        artist_ids = gen_artists if artist_ids is None else artist_ids
     if len(user_ids) != instance.n_users or len(artist_ids) != instance.n_artists:
         raise SchemaError("id table lengths do not match the weight matrix")
     encoder = json.JSONEncoder(indent=1)
@@ -260,6 +253,9 @@ def load_document(path) -> IngestResult:
     for key in ("alpha", "user_ids", "artist_ids", "weights"):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
+    for key in ("user_ids", "artist_ids"):
+        if not isinstance(doc[key], list):
+            raise SchemaError(f"{key} must be a JSON array, got {type(doc[key]).__name__}")
     try:
         w = np.asarray(doc["weights"], dtype=float)
         alpha = float(doc["alpha"])

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance
+from .core import Instance, whole
 from .rules import RuleId, evaluate
 
 
@@ -73,10 +73,7 @@ def topk_bottomk_relative_pps(rule, instance: Instance, k: int):
 def topk_bottomk_means(ratios: np.ndarray, k: int):
     """Means of the k largest and k smallest of ``ratios``."""
     ratios = np.sort(ratios)
-    if not 1 <= k <= ratios.size:
-        raise ValueError(
-            f"k must lie in [1, {ratios.size}] (artists with streams), got {k}"
-        )
+    k = whole(k, ValueError, "k", 1, ratios.size + 1)
     return float(ratios[-k:].mean()), float(ratios[:k].mean())
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Instance, index_set, subset_payment, validate
+from .core import Instance, index_set, subset_payment, validate, whole
 from .rules import global_prop
 
 # Cap on candidate artist sets enumerated by the exact coalition search.
@@ -59,13 +59,12 @@ class BipartiteGraph:
     edges: tuple = field(default=())
 
     def __post_init__(self):
-        if self.left_count < 1 or self.right_count < 1:
-            raise ParameterError("both vertex sides must be nonempty")
+        left = whole(self.left_count, ParameterError, "left_count", 1)
+        right = whole(self.right_count, ParameterError, "right_count", 1)
         seen = set()
         for e in self.edges:
-            u, v = int(e[0]), int(e[1])
-            if not (0 <= u < self.left_count and 0 <= v < self.right_count):
-                raise ParameterError(f"edge {e} out of range")
+            u = whole(e[0], ParameterError, f"left end of edge {e}", 0, left)
+            v = whole(e[1], ParameterError, f"right end of edge {e}", 0, right)
             if (u, v) in seen:
                 raise ParameterError(f"duplicate edge {e}")
             seen.add((u, v))
@@ -95,13 +94,9 @@ class SsbveReduction:
 
 
 def _clean_artist_set(instance: Instance, artist_set) -> tuple:
-    idx = index_set(artist_set, ParameterError, "artist")
+    idx = index_set(artist_set, ParameterError, "artist index", instance.n_artists)
     if not idx:
         raise ParameterError("artist set must be nonempty")
-    if idx[0] < 0 or idx[-1] >= instance.n_artists:
-        raise ParameterError(
-            f"artist index out of range for {instance.n_artists} artists"
-        )
     return tuple(idx)
 
 
@@ -112,11 +107,9 @@ def psp_value(instance: Instance, artist_set, user_set) -> float:
     serve as an independent oracle for the fast enumeration below.
     """
     u = _clean_artist_set(instance, artist_set)
-    v = index_set(user_set, ParameterError, "user")
-    if v and (v[0] < 0 or v[-1] >= instance.n_users):
-        raise ParameterError(f"user index out of range for {instance.n_users} users")
+    v = index_set(user_set, ParameterError, "user index", instance.n_users)
     paid = subset_payment(global_prop(instance), u)
-    keep = np.setdiff1d(np.arange(instance.n_users), np.asarray(v, dtype=int))
+    keep = np.setdiff1d(np.arange(instance.n_users), v)
     if keep.size == 0:
         counterfactual = 0.0
     else:
@@ -313,8 +306,7 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
     profit and reports the best prefix.
     """
     validate(instance)
-    if k < 0 or k > instance.n_artists:
-        raise ParameterError(f"k must lie in [0, {instance.n_artists}], got {k}")
+    k = whole(k, ParameterError, "k", 0, instance.n_artists + 1)
     if mode not in ("exact", "greedy"):
         raise ParameterError(f"unknown mode {mode!r}")
     if k == 0:
@@ -400,12 +392,8 @@ def ssbve_reduction(
     tops every such row up to d + 1, where d is the maximum left degree.
     The coalition budget is delta + 1 and the profit threshold (ell - 1)/d.
     """
-    if not 1 <= ell <= graph.left_count:
-        raise ParameterError(f"ell must lie in [1, {graph.left_count}], got {ell}")
-    if not 0 <= delta <= graph.right_count:
-        raise ParameterError(
-            f"delta must lie in [0, {graph.right_count}], got {delta}"
-        )
+    ell = whole(ell, ParameterError, "ell", 1, graph.left_count + 1)
+    delta = whole(delta, ParameterError, "delta", 0, graph.right_count + 1)
     if not 0.0 < alpha <= 1.0:
         raise ParameterError(f"alpha must lie in (0, 1], got {alpha}")
     deg = graph.left_degrees()

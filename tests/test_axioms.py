@@ -786,6 +786,31 @@ def test_verifiers_reject_target_artists_that_are_not_whole():
         verify_bribery_pair("userprop", base, replace_user(base, 0, [0, 0, 5]), (2.0,))
 
 
+_SQUARE = make([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+
+
+@pytest.mark.parametrize("call, error", [
+    # int() would have kept artist 0 untouched
+    (lambda: verify_sybil_pair("userprop", _SQUARE, _SQUARE, (0.5,)), PremiseError),
+    (lambda: verify_strong_sybil("userprop", _SQUARE, _SQUARE, (np.float64(1.0),)),
+     PremiseError),
+    (lambda: verify_engagement_monotone("userprop", _SQUARE, _SQUARE, 1.5), PremiseError),
+    # int() would have moved weight from user 1
+    (lambda: verify_pigou_dalton("userprop", _SQUARE, (1.7, 0, 0, 0.5)), PremiseError),
+    (lambda: verify_pigou_dalton("userprop", _SQUARE, (0, "1", 0, 0.5)), PremiseError),
+    (lambda: verify_pigou_dalton("userprop", _SQUARE, (0, 1, 0.0, 0.5)), PremiseError),
+    # int() would have read the identity and reported a pass
+    (lambda: verify_anonymity("userprop", _SQUARE, [0.5, 1.2, 2.9]), PremiseError),
+    (lambda: verify_neutrality("userprop", _SQUARE, [2, 1, 0.0]), PremiseError),
+    # int() would have bribed user 1
+    (lambda: search_bribery("userprop", _SQUARE, victims=[1.5]), DimensionError),
+], ids=["cstar", "strong-cstar", "jstar", "donor", "recipient", "artist",
+        "user-permutation", "artist-permutation", "victims"])
+def test_verifiers_and_searches_reject_indices_that_are_not_whole(call, error):
+    with pytest.raises(error, match="whole"):
+        call()
+
+
 def test_search_keeps_the_earliest_of_tied_candidates():
     # by symmetry both fake users gain exactly 1.5 for their own artist
     base = make([[1, 0], [0, 1]])

@@ -20,6 +20,7 @@ from streamshare import (
     validate,
     with_alpha,
 )
+from streamshare.core import whole
 
 
 def test_instance_basic_shape():
@@ -110,6 +111,14 @@ def test_subset_payment_rejects_indices_that_are_not_whole(bad):
     assert subset_payment(p, [np.int64(2), True]) == 6.0
 
 
+def test_whole_names_the_range_it_checks():
+    assert whole(np.int64(3), ValueError, "k", 1, 4) == 3
+    with pytest.raises(DimensionError, match=r"^k must lie in \[1, 3\] and be whole, got 4$"):
+        whole(4, DimensionError, "k", 1, 4)
+    with pytest.raises(ValueError, match=r"^n must be >= 0 and be whole, got 2\.0$"):
+        whole(2.0, ValueError, "n")
+
+
 def test_add_user():
     inst = make([[1, 2]], alpha=0.4)
     out = add_user(inst, [3, 4])
@@ -128,6 +137,8 @@ def test_replace_user():
     assert np.allclose(inst.weights[1], [3, 4])
     with pytest.raises(DimensionError):
         replace_user(inst, 2, [0, 0])
+    with pytest.raises(DimensionError, match="whole"):
+        replace_user(inst, 1.5, [0, 0])
     with pytest.raises(DimensionError):
         replace_user(inst, 0, [1, 2, 3])
 

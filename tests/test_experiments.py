@@ -30,6 +30,10 @@ def test_synth_config_validation():
         SynthConfig(n_users=5, n_artists=5, artist_count_range=(0, 3))
     with pytest.raises(ValueError):
         SynthConfig(n_users=5, n_artists=5, artist_count_range=(2, 9))
+    with pytest.raises(ValueError, match="whole"):
+        SynthConfig(n_users=5.5, n_artists=5, artist_count_range=(1, 3))
+    with pytest.raises(ValueError, match="whole"):
+        SynthConfig(n_users=5, n_artists=5, artist_count_range=(1, 2.5))
     with pytest.raises(ValueError):
         SynthConfig(n_users=5, n_artists=5, artist_count_range=(1, 3), stream_lambda=0.0)
 
@@ -104,6 +108,8 @@ def test_sweep_seeds_covers_the_grid():
     assert sorted({r.seed for r in rows}) == [2, 3, 4]
     with pytest.raises(ValueError):
         sweep_seeds(_small(), ["userprop"], [0.5], k=2, n_seeds=0)
+    with pytest.raises(ValueError, match="whole"):
+        sweep_seeds(_small(), ["userprop"], [0.5], k=2, n_seeds=1.5)
 
 
 def test_replicate_aggregates():

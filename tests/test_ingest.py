@@ -151,6 +151,13 @@ def test_save_defaults_ids_and_checks_lengths(tmp_path):
     assert load_document(path).user_ids == ("u0",)
     with pytest.raises(SchemaError):
         save_document(path, inst, user_ids=("only",), artist_ids=("too", "many", "ids"))
+    # each table defaults on its own; an array of ids is not tested for truth
+    save_document(path, make([[1, 1], [2, 2]]), np.array(["x", "y"]))
+    res = load_document(path)
+    assert (res.user_ids, res.artist_ids) == (("x", "y"), ("a0", "a1"))
+    save_document(path, make([[1, 1], [2, 2]]), artist_ids=np.array(["p", "q"]))
+    res = load_document(path)
+    assert (res.user_ids, res.artist_ids) == (("u0", "u1"), ("p", "q"))
 
 
 def _write(tmp_path, doc):
@@ -177,6 +184,12 @@ def test_load_document_schema_errors(tmp_path):
         {"user_ids": ["u0", "u1"]},  # length mismatch
     ):
         with pytest.raises(SchemaError):
+            load_document(_write(tmp_path, {**good, **mutation}))
+
+    # a string would be split into one id per character, an object into its keys
+    for mutation in ({"user_ids": 5}, {"user_ids": None}, {"artist_ids": "ab"},
+                     {"user_ids": {"u0": 1}}):
+        with pytest.raises(SchemaError, match="must be a JSON array"):
             load_document(_write(tmp_path, {**good, **mutation}))
 
     for missing in ("alpha", "user_ids", "artist_ids", "weights"):

@@ -76,6 +76,8 @@ def test_topk_bottomk_k_range():
         topk_bottomk_relative_pps("userprop", _example(), 0)
     with pytest.raises(ValueError):
         topk_bottomk_relative_pps("userprop", _example(), 3)
+    with pytest.raises(ValueError, match="whole"):
+        topk_bottomk_relative_pps("userprop", _example(), 1.5)
     # masked artists do not count toward the k range
     inst = make([[2, 0]])
     with pytest.raises(ValueError):

@@ -380,6 +380,20 @@ def test_artist_and_user_indices_must_be_whole(bad):
         psp_value(inst, [bad], ())
     with pytest.raises(ParameterError, match="whole"):
         psp_value(inst, (0,), [bad])
+    for mode in ("exact", "greedy"):
+        with pytest.raises(ParameterError, match="whole"):
+            find_suspicious(inst, bad, mode)
+    # int() would have kept the edge at vertex 0 (2 for 2.9)
+    with pytest.raises(ParameterError, match="whole"):
+        BipartiteGraph(3, 3, ((bad, 1),))
+    with pytest.raises(ParameterError, match="whole"):
+        BipartiteGraph(3, 3, ((1, bad),))
+    with pytest.raises(ParameterError, match="whole"):
+        BipartiteGraph(bad, 3, ())
+    with pytest.raises(ParameterError, match="whole"):
+        ssbve_reduction(_path_graph(), ell=bad, delta=1)
+    with pytest.raises(ParameterError, match="whole"):
+        ssbve_reduction(_path_graph(), ell=1, delta=bad)
     assert psp_value(inst, [np.int64(0)], [np.int64(5)]) == psp_value(inst, (0,), (5,))
 
 

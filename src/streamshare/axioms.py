@@ -472,14 +472,6 @@ def _candidates(base: Instance, rows: np.ndarray, victims=None) -> np.ndarray:
     return w
 
 
-def _first_max(values: np.ndarray) -> int:
-    """The index a running strict ``>`` scan keeps: the earliest maximum,
-    where NaN never wins unless it comes first."""
-    if np.isnan(values[0]):
-        return 0
-    return int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
-
-
 @dataclass(frozen=True)
 class _Scores:
     """Every candidate of one manipulation, scored in one call.
@@ -531,7 +523,7 @@ def _score(rule, base: Instance, stack: np.ndarray):
     gains = np.where(pos, deltas, 0.0).sum(axis=1)
     none = ~pos.any(axis=1)
     gains[none] = deltas[none].max(axis=1)
-    return _Scores(stack, base.alpha, deltas, gains, _first_max(gains - 1.0))
+    return _Scores(stack, base.alpha, deltas, gains, core.first_max(gains - 1.0))
 
 
 def _search(axiom, rule, base, rows, victims, seed) -> Optional[ViolationWitness]:

@@ -139,6 +139,14 @@ def index_set(indices, error: type, what: str, size: int) -> list[int]:
     return sorted({whole(i, error, what, 0, size) for i in indices})
 
 
+def first_max(values: np.ndarray) -> int:
+    """The index a running strict ``>`` scan keeps (as ``max`` does): the
+    earliest maximum, where NaN never wins unless it comes first."""
+    if np.isnan(values[0]):
+        return 0
+    return int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
+
+
 def subset_payment(payments: np.ndarray, artists) -> float:
     """Total payment received by a set of artists."""
     p = np.asarray(payments, dtype=float)

@@ -253,9 +253,7 @@ def load_document(path) -> IngestResult:
     for key in ("alpha", "user_ids", "artist_ids", "weights"):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
-    for key in ("user_ids", "artist_ids"):
-        if not isinstance(doc[key], list):
-            raise SchemaError(f"{key} must be a JSON array, got {type(doc[key]).__name__}")
+    users, artists = _id_table(doc, "user_ids"), _id_table(doc, "artist_ids")
     try:
         w = np.asarray(doc["weights"], dtype=float)
         alpha = float(doc["alpha"])
@@ -265,13 +263,27 @@ def load_document(path) -> IngestResult:
         raise SchemaError(f"weights must be a matrix, got ndim {w.ndim}")
     if not np.all(np.isfinite(w)):
         raise SchemaError("weights must be finite")
-    users = tuple(str(u) for u in doc["user_ids"])
-    artists = tuple(str(a) for a in doc["artist_ids"])
     if len(users) != w.shape[0] or len(artists) != w.shape[1]:
         raise SchemaError("id table lengths do not match the weight matrix")
     instance = Instance(w, alpha)
     validate(instance)
     return IngestResult(instance, users, artists)
+
+
+def _id_table(doc: dict, key: str) -> tuple:
+    """The id table ``doc[key]`` as a tuple: a JSON array of distinct
+    strings, or a SchemaError naming the table and its first bad index."""
+    ids = doc[key]
+    if not isinstance(ids, list):
+        raise SchemaError(f"{key} must be a JSON array, got {type(ids).__name__}")
+    if not set(map(type, ids)) <= {str}:
+        i = next(i for i, x in enumerate(ids) if type(x) is not str)
+        raise SchemaError(f"{key}[{i}] must be a JSON string, got {json.dumps(ids[i])}")
+    if len(set(ids)) != len(ids):
+        first = {}
+        i = next(i for i, x in enumerate(ids) if first.setdefault(x, i) != i)
+        raise SchemaError(f"{key}[{i}] repeats the id {json.dumps(ids[i])} of {key}[{first[ids[i]]}]")
+    return tuple(ids)
 
 
 def _reject_constant(name: str):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Instance, index_set, subset_payment, validate, whole
+from .core import Instance, first_max, index_set, subset_payment, validate, whole
 from .rules import global_prop
 
 # Cap on candidate artist sets enumerated by the exact coalition search.
@@ -203,12 +203,15 @@ def psp_exact(instance: Instance, artist_set) -> PspResult:
     return PspResult(u, tuple(sorted(removed)), float(profit[pick]))
 
 
-def _climb(instance: Instance, artist_sets) -> list:
-    """``psp_greedy``'s hill-climb for all artist sets at once, on a validated
-    instance. Each pass removes, from every set whose last removal raised its
-    profit, the first user whose removal raises it most."""
+def _climb(instance: Instance, artist_sets) -> tuple:
+    """``psp_greedy``'s hill-climb for equal-size artist sets at once, on a
+    validated instance. Each pass removes, from every set whose last removal
+    raised its profit, the first user whose removal raises it most. Returns
+    the removed users as a (sets, users) mask and each set's profit, floored
+    at 0."""
     tau = instance.user_totals()
-    s = np.stack([instance.weights[:, list(u)].sum(axis=1) for u in artist_sets])
+    # each set's columns add in the order of w[:, list(u)].sum(axis=1)
+    s = np.ascontiguousarray(instance.weights[:, np.array(artist_sets)].sum(axis=2).T)
     a_u, total = s.sum(axis=1)[:, None], float(tau.sum())  # rows add as 1-D sums do
     removed, live = np.zeros(s.shape, dtype=bool), np.arange(len(artist_sets))
     v_u, v_t, profit = np.zeros((3, len(artist_sets), 1))  # per set, as columns
@@ -227,15 +230,21 @@ def _climb(instance: Instance, artist_sets) -> list:
         v_u[live, 0] += s[live, pick]
         v_t[live, 0] += tau[pick]
         profit[live, 0] = top
-    return [PspResult(u, tuple(np.flatnonzero(out).tolist()), max(float(p), 0.0))
-            for u, out, p in zip(artist_sets, removed, profit[:, 0])]
+    return removed, np.maximum(profit[:, 0], 0.0)
+
+
+def _result(artist_set, removed, profit) -> PspResult:
+    """One climbed set's mask row and profit as a ``PspResult``."""
+    return PspResult(tuple(artist_set), tuple(np.flatnonzero(removed).tolist()), float(profit))
 
 
 def psp_greedy(instance: Instance, artist_set) -> PspResult:
     """Hill-climb lower bound: repeatedly remove the single user whose
     removal most increases the profit, until no removal improves it."""
     validate(instance)
-    return _climb(instance, [_clean_artist_set(instance, artist_set)])[0]
+    u = _clean_artist_set(instance, artist_set)
+    removed, profit = _climb(instance, [u])
+    return _result(u, removed[0], profit[0])
 
 
 def _exchangeable(w: np.ndarray, x: int, y: int) -> bool:
@@ -302,8 +311,9 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
     first whose bound lies below the best profit found or at zero: no later
     coalition can then win or tie, so the answer is the loop's over all of
     them (the first coalition with nothing removed when none profits).
-    Greedy mode grows the coalition one artist at a time by best ``_climb``
-    profit and reports the best prefix.
+    Greedy mode grows the coalition one artist at a time: ``_climb`` scores
+    every extension of a step, a block of sets per call, the first best
+    becomes the next prefix, and the best prefix is reported.
     """
     validate(instance)
     k = whole(k, ParameterError, "k", 0, instance.n_artists + 1)
@@ -317,9 +327,10 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
         block = max(1, _SOLVE_CELLS // instance.n_users)  # sets per climb
         for _ in range(k):
             sets = [tuple(sorted(chosen + [a])) for a in range(instance.n_artists) if a not in chosen]
-            results = [res for i in range(0, len(sets), block)
-                       for res in _climb(instance, sets[i : i + block])]
-            step = max(results, key=lambda res: res.profit)  # the first best extension
+            climbs = [_climb(instance, sets[i : i + block]) for i in range(0, len(sets), block)]
+            i = first_max(np.concatenate([profit for _, profit in climbs]))  # the first best
+            removed, profit = climbs[i // block]
+            step = _result(sets[i], removed[i % block], profit[i % block])
             chosen = list(step.artist_set)
             best = max(best, step, key=lambda res: res.profit)  # ties keep the shorter prefix
         return best.artist_set, best

@@ -225,6 +225,39 @@ def test_load_document_runs_instance_validation(tmp_path):
         load_document(_write(tmp_path, doc))
 
 
+ID_DOC = {"version": 1, "alpha": 1.0, "user_ids": ["u0", "u1", "u2"],
+          "artist_ids": ["a0", "a1"], "weights": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}
+
+
+@pytest.mark.parametrize("ids, message", [
+    ({"user_ids": ["u0", None, "u2"]}, "user_ids[1] must be a JSON string, got null"),
+    ({"artist_ids": ["a0", 1.5]}, "artist_ids[1] must be a JSON string, got 1.5"),
+    ({"user_ids": [7, "u1", {"a": 1}]}, "user_ids[0] must be a JSON string, got 7"),
+    ({"artist_ids": [["a0"], "a1"]}, 'artist_ids[0] must be a JSON string, got ["a0"]'),
+    ({"user_ids": ["u0", "u1", True]}, "user_ids[2] must be a JSON string, got true"),
+    ({"user_ids": ["u", "v", "u"]}, 'user_ids[2] repeats the id "u" of user_ids[0]'),
+    ({"artist_ids": ["a", "a"]}, 'artist_ids[1] repeats the id "a" of artist_ids[0]'),
+    ({"user_ids": ["x", "y", "y"], "artist_ids": ["a", "a"]},
+     'user_ids[2] repeats the id "y" of user_ids[1]'),
+])
+def test_load_document_refuses_bad_ids(tmp_path, capsys, ids, message):
+    path = _write(tmp_path, {**ID_DOC, **ids})
+    with pytest.raises(SchemaError) as info:
+        load_document(path)
+    assert str(info.value) == message
+    assert main(["divide", "--rule", "globalprop", "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+def test_load_document_keeps_distinct_string_ids(tmp_path):
+    # ids that differ only in case or spacing, or read like numbers, are distinct strings
+    ids = {"user_ids": ["1.5", "null", "U0"], "artist_ids": ["a0", "a0 "]}
+    res = load_document(_write(tmp_path, {**ID_DOC, **ids}))
+    assert (res.user_ids, res.artist_ids) == (("1.5", "null", "U0"), ("a0", "a0 "))
+
+
 # ---------------------------------------------------------------------------
 # the vectorized weights reader against json.load + np.array
 

@@ -422,14 +422,15 @@ def test_find_suspicious_greedy_le_exact():
         assert greedy.profit <= exact.profit + 1e-12
 
 
-def _greedy_by_calls(inst, k):
-    """The greedy coalition search as one psp_greedy call per remaining
-    artist and step: first best extension, best prefix on a strict gain."""
+def _greedy_by_calls(inst, k, score=psp_greedy):
+    """The greedy coalition search as one ``score`` call (psp_greedy by
+    default) per remaining artist and step: first best extension, best
+    prefix on a strict gain."""
     chosen, best, remaining = [], PspResult((), (), 0.0), list(range(inst.n_artists))
     for _ in range(k):
         step_best = None
         for a in remaining:
-            res = psp_greedy(inst, chosen + [a])
+            res = score(inst, tuple(sorted(chosen + [a])))
             if step_best is None or res.profit > step_best.profit:
                 step_best, step_artist = res, a
         chosen.append(step_artist)
@@ -474,6 +475,27 @@ def test_greedy_search_equals_a_loop_of_psp_greedy_calls(cells, monkeypatch):
         assert psp_greedy(inst, u) == _climb_one_set(inst, u), t
         profitable += found[1].profit > 0
     assert profitable >= 60  # the draws reach the hill-climb's removal steps
+
+
+@pytest.mark.parametrize("cells", [None, 450])  # 450: three sets per climb
+def test_greedy_search_equals_one_set_climbs_on_fractional_catalogs(cells, monkeypatch):
+    """150 x 20 catalogs of exponential weights, about 35% zeros, with a
+    lognormal scale per user so that removals profit: fractional sums, so
+    a changed summation order would show in the bits."""
+    if cells is not None:
+        monkeypatch.setattr(pspdetect, "_SOLVE_CELLS", cells)
+    removals = 0
+    for seed in range(3):
+        rng = np.random.default_rng([97, seed])
+        scale = rng.lognormal(sigma=1.5, size=(150, 1))
+        w = rng.exponential(scale, size=(150, 20)) * (rng.random((150, 20)) >= 0.35)
+        w[w.sum(axis=1) == 0, 0] = 1.0
+        inst = make(w)
+        for k in range(1, 5):
+            found = find_suspicious(inst, k, "greedy")
+            assert found == _greedy_by_calls(inst, k, _climb_one_set), (seed, k)
+            removals += len(found[1].user_set) >= 2
+    assert removals >= 6  # the climbs take several removal steps
 
 
 def test_greedy_search_validates_once(monkeypatch):

@@ -747,8 +747,8 @@ def run_suite(
     """Drive one axiom's randomized trials for one rule.
 
     Every trial draws its own generator seeded with ``[seed, trial]``, builds
-    a random instance (or one from ``instance_gen``), applies the axiom's
-    manipulation scheme, and records the margin over the axiom's bound. The
+    a random instance (or a validated one from ``instance_gen``), applies
+    the axiom's manipulation scheme, and records the margin over its bound. The
     worst margin is kept; ties keep the earliest trial. Bribery suites also
     track the largest single-artist payment swing, whose bound of one is the
     click-fraud condition.
@@ -765,7 +765,10 @@ def run_suite(
     cf_margin = None
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        out = trial_fn(rule, gen(rng), rng)
+        inst = gen(rng)
+        if instance_gen is not None:  # random_instance draws are valid by construction
+            core.validate(inst)
+        out = trial_fn(rule, inst, rng)
         if out is None:
             continue
         margin, gain, bound, base, manipulated, tset, swing_margin = out

@@ -170,7 +170,8 @@ def default_ids(instance: Instance):
 
 
 def save_document(path, instance: Instance, user_ids=None, artist_ids=None) -> None:
-    """Write the versioned JSON document for an instance.
+    """Write the versioned JSON document for an instance, after checking it
+    as load_document does: the id tables, their lengths, then validate.
 
     The bytes are those of json.dump(doc, fh, indent=1) followed by a
     newline. The header members go through the standard encoder; the
@@ -180,33 +181,29 @@ def save_document(path, instance: Instance, user_ids=None, artist_ids=None) -> N
         gen_users, gen_artists = default_ids(instance)
         user_ids = gen_users if user_ids is None else user_ids
         artist_ids = gen_artists if artist_ids is None else artist_ids
-    if len(user_ids) != instance.n_users or len(artist_ids) != instance.n_artists:
+    users = _id_table(list(user_ids), "user_ids")
+    artists = _id_table(list(artist_ids), "artist_ids")
+    if len(users) != instance.n_users or len(artists) != instance.n_artists:
         raise SchemaError("id table lengths do not match the weight matrix")
-    encoder = json.JSONEncoder(indent=1)
-    header = encoder.encode(
+    validate(instance)
+    header = json.JSONEncoder(indent=1).encode(
         {
             "version": DOCUMENT_VERSION,
             "alpha": instance.alpha,
-            "user_ids": list(user_ids),
-            "artist_ids": list(artist_ids),
+            "user_ids": users,
+            "artist_ids": artists,
         }
     )
     w = instance.weights
-    n, m = w.shape
+    rows = max(1, _SAVE_BLOCK_CELLS // w.shape[1])
     with open(path, "w") as fh:
         # "weights" is the last member: it goes where the header object closes.
-        fh.write(header[: -len("\n}")] + ',\n "weights": ')
-        if n == 0:
-            fh.write("[]")
-        else:
-            fh.write("[\n")
-            rows = max(1, _SAVE_BLOCK_CELLS // max(m, 1))
-            for start in range(0, n, rows):
-                if start:
-                    fh.write(",\n")
-                fh.write(_rows_text(w[start : start + rows], encoder))
-            fh.write("\n ]")
-        fh.write("\n}\n")
+        fh.write(header[: -len("\n}")] + ',\n "weights": [\n')
+        for start in range(0, w.shape[0], rows):
+            if start:
+                fh.write(",\n")
+            fh.write(_rows_text(w[start : start + rows]))
+        fh.write("\n ]\n}\n")
 
 
 # Rows are written in blocks of at most about this many cells (one row if
@@ -214,24 +211,18 @@ def save_document(path, instance: Instance, user_ids=None, artist_ids=None) -> N
 _SAVE_BLOCK_CELLS = 1 << 16
 
 
-def _rows_text(block: np.ndarray, encoder: json.JSONEncoder) -> str:
-    """The rows of a weight block as json.dump(..., indent=1) writes them
-    inside the weights member, separated by a comma and a newline.
+def _rows_text(block: np.ndarray) -> str:
+    """The rows of a block of finite weights as json.dump(..., indent=1)
+    writes them inside the weights member, separated by a comma and a
+    newline.
 
     Each distinct bit pattern is rendered once, as the encoder renders a
-    float (so -0.0 and 0.0 keep their own text, and non-finite values read
-    NaN, Infinity or -Infinity), and the rendered strings are gathered back
-    into place.
+    float (so -0.0 and 0.0 keep their own text), and the rendered strings
+    are gathered back into place.
     """
     r, m = block.shape
-    if m == 0:
-        return ",\n".join(["  []"] * r)
     patterns, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
-    values = patterns.view(np.float64)
-    finite = np.isfinite(values)
-    rendered = np.empty(values.size, dtype=object)
-    rendered[finite] = list(map(float.__repr__, values[finite].tolist()))
-    rendered[~finite] = [encoder.encode(v) for v in values[~finite].tolist()]
+    rendered = np.array(list(map(float.__repr__, patterns.view(np.float64).tolist())), dtype=object)
     cells = rendered[inverse].tolist()
     sep = ",\n   "
     return ",\n".join(
@@ -253,7 +244,8 @@ def load_document(path) -> IngestResult:
     for key in ("alpha", "user_ids", "artist_ids", "weights"):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
-    users, artists = _id_table(doc, "user_ids"), _id_table(doc, "artist_ids")
+    users = _id_table(doc["user_ids"], "user_ids")
+    artists = _id_table(doc["artist_ids"], "artist_ids")
     try:
         w = np.asarray(doc["weights"], dtype=float)
         alpha = float(doc["alpha"])
@@ -270,15 +262,15 @@ def load_document(path) -> IngestResult:
     return IngestResult(instance, users, artists)
 
 
-def _id_table(doc: dict, key: str) -> tuple:
-    """The id table ``doc[key]`` as a tuple: a JSON array of distinct
-    strings, or a SchemaError naming the table and its first bad index."""
-    ids = doc[key]
+def _id_table(ids, key: str) -> tuple:
+    """The id table ``key`` as a tuple: a list of distinct strings (str
+    subclasses included), or a SchemaError naming the table and its first
+    bad index; a value JSON cannot encode is shown by its repr."""
     if not isinstance(ids, list):
         raise SchemaError(f"{key} must be a JSON array, got {type(ids).__name__}")
-    if not set(map(type, ids)) <= {str}:
-        i = next(i for i, x in enumerate(ids) if type(x) is not str)
-        raise SchemaError(f"{key}[{i}] must be a JSON string, got {json.dumps(ids[i])}")
+    if not set(map(type, ids)) <= {str} and not all(isinstance(x, str) for x in ids):
+        i = next(i for i, x in enumerate(ids) if not isinstance(x, str))
+        raise SchemaError(f"{key}[{i}] must be a JSON string, got {json.dumps(ids[i], default=repr)}")
     if len(set(ids)) != len(ids):
         first = {}
         i = next(i for i, x in enumerate(ids) if first.setdefault(x, i) != i)

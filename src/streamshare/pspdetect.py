@@ -372,8 +372,8 @@ def _profit_bounds(instance: Instance, candidates) -> np.ndarray:
             paid = alpha * n * a_u / total
             r = np.arange(1, min(n, int(paid.max()) + 1) + 1)
             top = np.sort(np.partition(s, n - r.size, axis=1)[:, n - r.size :], axis=1)
-            left = a_u[:, None] - top[:, ::-1].cumsum(axis=1)
-            profit = paid[:, None] - alpha * (n - r) * left / total - r
+            removal = _removal_profit(instance, a_u[:, None], total)
+            profit = removal(r, top[:, ::-1].cumsum(axis=1), 0.0)
             bounds.append(np.maximum(profit.max(axis=1) + THRESHOLD_SLACK * (1 + paid), 0.0))
     return np.concatenate(bounds)
 

@@ -39,6 +39,7 @@ from streamshare import (
     witness_line,
 )
 from streamshare.axioms import (
+    SUITE_AXIOMS,
     VERIFIERS,
     _bribes,
     _candidates,
@@ -956,6 +957,18 @@ def test_run_suite_with_custom_generator():
     result = run_suite(AxiomId.FRAUD_PROOF, "globalprop", trials=30, seed=0, instance_gen=gen)
     assert result.witness is not None
     assert result.witness.margin >= 2.0 - 1e-9
+
+
+@pytest.mark.parametrize("rows, error", [([[1, 0], [0, 0]], ZeroRowError),
+                                         ([[1, -1], [0, 2]], NegativeWeightError)],
+                         ids=["zero-row", "negative"])
+@pytest.mark.parametrize("axiom", sorted(SUITE_AXIOMS), ids=lambda axiom: axiom.value)
+def test_run_suite_validates_custom_instances(axiom, rows, error):
+    """Every suite refuses an invalid base from ``instance_gen`` with
+    validate's error, including the fraud and bribery trials, which would
+    otherwise score it (passing with a margin of -inf, or crashing)."""
+    with pytest.raises(error):
+        run_suite(axiom, "userprop", trials=5, instance_gen=lambda rng: make(rows))
 
 
 def test_random_instance_is_always_valid():

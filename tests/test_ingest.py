@@ -7,12 +7,17 @@ import pytest
 
 from helpers import make
 from streamshare import (
+    BadAlphaError,
     CellBudgetError,
+    DimensionError,
     EmptyAfterFilterError,
     Instance,
+    InstanceError,
+    NegativeWeightError,
     ParseError,
     SchemaError,
     TripleRecord,
+    ZeroRowError,
     default_ids,
     ingest,
     ingest_triples,
@@ -489,24 +494,33 @@ def _assert_saved_as_json_dump(tmp_path, instance, user_ids=None, artist_ids=Non
     assert saved.read_bytes() == expected.read_bytes()
 
 
-def _special_values(rng, shape):
-    w = rng.exponential(1.0, size=shape) * (rng.random(shape) < 0.3)
-    w.flat[:10] = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, np.nan,
-                   np.inf, -np.inf, -1.5, 1.7976931348623157e308]
+def _no_zero_rows(w):
+    """w with 1.0 in the last cell of each all-zero row."""
+    w[w.sum(axis=1) == 0, -1] = 1.0
     return w
+
+
+def _special_values(rng, shape):
+    """Valid weights holding every extreme a document can: a negative zero,
+    the least subnormal and normal floats, and huge values, written column
+    by column so that 1e300 and the largest float, whose sum overflows,
+    never share a row."""
+    w = rng.exponential(1.0, size=shape) * (rng.random(shape) < 0.3)
+    w.T.flat[:6] = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308]
+    return _no_zero_rows(w)
 
 
 @pytest.mark.parametrize("kind", ["sparse", "dense", "extreme", "special"])
 @pytest.mark.parametrize("block_cells", [ingest._SAVE_BLOCK_CELLS, 7], ids=["default", "tiny"])
 def test_save_document_writes_json_dump_bytes(tmp_path, monkeypatch, kind, block_cells):
-    """Every value json.dump renders, including ones save_document does not
-    validate away (-0.0, NaN, infinities), in blocks of rows that do not
-    divide the row count (7 cells over 3-column rows) or in one block."""
+    """Every kind of value a valid document holds, -0.0 and the extremes
+    included, in blocks of rows that do not divide the row count (7 cells
+    over 3-column rows) or in one block."""
     monkeypatch.setattr(ingest, "_SAVE_BLOCK_CELLS", block_cells)
     rng = np.random.default_rng(7)
     w = rng.exponential(1.0, size=(61, 3))
     if kind == "sparse":
-        w *= rng.random(w.shape) < 0.05
+        w = _no_zero_rows(w * (rng.random(w.shape) < 0.05))
     elif kind == "extreme":
         w = _extreme(rng, w.shape)
     elif kind == "special":
@@ -514,10 +528,10 @@ def test_save_document_writes_json_dump_bytes(tmp_path, monkeypatch, kind, block
     _assert_saved_as_json_dump(tmp_path, Instance(w, 0.3))
 
 
-@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (0, 0)])
+@pytest.mark.parametrize("shape", [(1, 3), (3, 1), (1, 1)])
 def test_save_document_edge_shapes(tmp_path, shape):
     w = np.full(shape, 2.5)
-    _assert_saved_as_json_dump(tmp_path, Instance(w, 1.0), ("x",) * shape[0], ("y",) * shape[1])
+    _assert_saved_as_json_dump(tmp_path, Instance(w, 1.0))
 
 
 def test_save_document_rows_wider_than_a_block(tmp_path):
@@ -525,6 +539,47 @@ def test_save_document_rows_wider_than_a_block(tmp_path):
     rng = np.random.default_rng(3)
     w = _special_values(rng, (2, ingest._SAVE_BLOCK_CELLS + 5))
     _assert_saved_as_json_dump(tmp_path, Instance(w, 0.5))
+
+
+SQUARE = [[1.0, 1.0], [2.0, 2.0]]
+
+
+@pytest.mark.parametrize("weights, alpha, ids, error", [
+    (SQUARE, 1.0, ((1, 2), ("a", "a")), "user_ids[0] must be a JSON string, got 1"),
+    (SQUARE, 1.0, (("x", "y"), ("a", "a")), 'artist_ids[1] repeats the id "a" of artist_ids[0]'),
+    (SQUARE, 1.0, (("only",), ("a", "b", "c")), "id table lengths do not match the weight matrix"),
+    ([[1.0, 0.0], [0.0, 0.0]], 1.0, (None, None), ZeroRowError),
+    ([[1.0, -1.0], [0.0, 2.0]], 1.0, (None, None), NegativeWeightError),
+    ([[1.0, np.nan]], 1.0, (None, None), InstanceError),
+    ([[np.inf, 1.0]], 1.0, (None, None), InstanceError),
+    ([[1.0], [-np.inf]], 1.0, (None, None), InstanceError),
+    (SQUARE, 0.0, (None, None), BadAlphaError),
+    (SQUARE, 1.5, (None, None), BadAlphaError),
+    (np.zeros((0, 3)), 1.0, (None, None), DimensionError),
+    (np.zeros((3, 0)), 1.0, (None, None), DimensionError),
+    (np.zeros((0, 0)), 1.0, (None, None), DimensionError),
+], ids=["non-string id", "repeated id", "wrong lengths", "zero row", "negative", "nan", "inf",
+        "-inf", "alpha 0", "alpha 1.5", "empty 0x3", "empty 3x0", "empty 0x0"])
+def test_save_document_refuses_what_load_document_refuses(tmp_path, weights, alpha, ids, error):
+    """The writer raises, before it opens the file, the reader's SchemaError
+    for a bad id table and validate's error for bad weights or alpha; the
+    document json.dump would write for the same content is one the reader
+    refuses."""
+    instance = Instance(np.asarray(weights, dtype=float), alpha)
+    dumped = tmp_path / "dumped.json"
+    _reference_save(dumped, instance, *ids)
+    with pytest.raises((SchemaError, InstanceError)) as read:
+        load_document(dumped)
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"an earlier document\n")
+    with pytest.raises((SchemaError, InstanceError)) as wrote:
+        save_document(path, instance, *ids)
+    if isinstance(error, str):
+        assert str(wrote.value) == str(read.value) == error
+        assert type(wrote.value) is type(read.value) is SchemaError
+    else:
+        assert type(wrote.value) is error
+    assert path.read_bytes() == b"an earlier document\n"
 
 
 def test_save_document_escapes_ids_as_json_does(tmp_path):

@@ -36,6 +36,9 @@ MARGIN_TOL = 1e-7
 #: Tolerance for the structural premises a before/after pair must satisfy.
 PREMISE_TOL = 1e-12
 
+#: Random sparse rows :func:`candidate_profiles` draws per call.
+_N_RANDOM = 64
+
 
 class AxiomId(str, Enum):
     FRAUD_PROOF = "FraudProof"
@@ -149,6 +152,31 @@ def _worst_artist(axiom, rule, before, after, gain, bound: float) -> GainReport:
     )
 
 
+def _pair(base: Instance, manipulated: Instance, error, users=True, artists=True) -> None:
+    """Validate ``base``, then raise ``error`` unless ``manipulated`` keeps
+    its alpha and, where asked, its user and artist counts."""
+    core.validate(base)
+    if manipulated.alpha != base.alpha:
+        raise error("alpha differs between the instances")
+    if users and manipulated.n_users != base.n_users:
+        raise error("the instances differ in their number of users")
+    if artists and manipulated.n_artists != base.n_artists:
+        raise error("the instances differ in their number of artists")
+
+
+def _payments(rule, base: Instance, manipulated: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """Validate ``manipulated`` and return the rule's payments on ``base``
+    and on ``manipulated``. Called once every premise of the pair holds."""
+    core.validate(manipulated)
+    return evaluate(rule, base), evaluate(rule, manipulated)
+
+
+def _subset_gain(axiom, rule, base, manipulated, tset, bound) -> GainReport:
+    """Rise of the summed payment to the artists ``tset``, against ``bound``."""
+    before, after = (core.subset_payment(p, tset) for p in _payments(rule, base, manipulated))
+    return GainReport(axiom, rule_name(rule), after - before, float(bound), before, after)
+
+
 def verify_fraud_pair(rule, base: Instance, manipulated: Instance, target_set) -> GainReport:
     """Gain of ``target_set`` when ``manipulated`` appends fake users to ``base``.
 
@@ -156,47 +184,29 @@ def verify_fraud_pair(rule, base: Instance, manipulated: Instance, target_set) -
     rows bit-identical, at least one appended row, and be a valid instance.
     The allowed bound is the number of added users.
     """
-    core.validate(base)
-    if manipulated.n_artists != base.n_artists:
-        raise NotAnExtensionError("artist sets differ")
-    if manipulated.alpha != base.alpha:
-        raise NotAnExtensionError("alpha differs between the instances")
+    _pair(base, manipulated, NotAnExtensionError, users=False)
     added = manipulated.n_users - base.n_users
     if added < 1:
         raise NotAnExtensionError("manipulated instance adds no users")
     if not np.array_equal(manipulated.weights[: base.n_users], base.weights):
         raise NotAnExtensionError("an original row was edited")
-    core.validate(manipulated)
-    before = core.subset_payment(evaluate(rule, base), target_set)
-    after = core.subset_payment(evaluate(rule, manipulated), target_set)
-    return GainReport(
-        AxiomId.FRAUD_PROOF, rule_name(rule), after - before, float(added), before, after
-    )
+    return _subset_gain(AxiomId.FRAUD_PROOF, rule, base, manipulated, target_set, added)
 
 
 def _changed_rows(base: Instance, manipulated: Instance) -> np.ndarray:
-    """Indices of the rewritten rows of a same-shape pair, both validated."""
-    core.validate(base)
-    if manipulated.n_users != base.n_users or manipulated.n_artists != base.n_artists:
-        raise PremiseError("instances must share both dimensions")
-    if manipulated.alpha != base.alpha:
-        raise PremiseError("alpha differs between the instances")
+    """Indices of the rewritten rows of a same-shape pair; the base is
+    validated, the manipulated instance is left to :func:`_payments`."""
+    _pair(base, manipulated, PremiseError)
     changed = np.flatnonzero(np.any(manipulated.weights != base.weights, axis=1))
     if changed.size == 0:
         raise NoRowsChangedError("instances are identical")
-    core.validate(manipulated)
     return changed
 
 
 def verify_bribery_pair(rule, base: Instance, manipulated: Instance, target_set) -> GainReport:
     """Gain of ``target_set`` when k existing rows are rewritten (bound k)."""
     changed = _changed_rows(base, manipulated)
-    before = core.subset_payment(evaluate(rule, base), target_set)
-    after = core.subset_payment(evaluate(rule, manipulated), target_set)
-    return GainReport(
-        AxiomId.BRIBERY_PROOF, rule_name(rule), after - before, float(changed.size),
-        before, after,
-    )
+    return _subset_gain(AxiomId.BRIBERY_PROOF, rule, base, manipulated, target_set, changed.size)
 
 
 def verify_click_fraud(rule, base: Instance, manipulated: Instance) -> GainReport:
@@ -205,7 +215,7 @@ def verify_click_fraud(rule, base: Instance, manipulated: Instance) -> GainRepor
     changed = _changed_rows(base, manipulated)
     if changed.size > 1:
         raise PremiseError(f"{changed.size} rows changed; this is a single-user check")
-    before, after = evaluate(rule, base), evaluate(rule, manipulated)
+    before, after = _payments(rule, base, manipulated)
     return _worst_artist(
         AxiomId.CLICK_FRAUD_PROOF, rule, before, after, np.abs(after - before), 1.0
     )
@@ -222,8 +232,8 @@ def _common_masks(base: Instance, manipulated: Instance, cstar):
 
 def _group_change(axiom, rule, base, manipulated, keep_b, keep_m) -> GainReport:
     """Absolute change of the payment to the artists outside ``cstar``."""
-    before = float(evaluate(rule, base)[~keep_b].sum())
-    after = float(evaluate(rule, manipulated)[~keep_m].sum())
+    before, after = _payments(rule, base, manipulated)
+    before, after = float(before[~keep_b].sum()), float(after[~keep_m].sum())
     return GainReport(axiom, rule_name(rule), abs(after - before), 0.0, before, after)
 
 
@@ -236,11 +246,7 @@ def verify_sybil_pair(rule, base: Instance, manipulated: Instance, cstar) -> Gai
     preserved. Reported gain is the absolute change of the manipulated
     group's payment.
     """
-    core.validate(base)
-    if manipulated.n_users != base.n_users:
-        raise PremiseError("sybil pairs keep the user set fixed")
-    if manipulated.alpha != base.alpha:
-        raise PremiseError("alpha differs between the instances")
+    _pair(base, manipulated, PremiseError, artists=False)
     keep_b, keep_m = _common_masks(base, manipulated, cstar)
     if (np.abs(base.weights[:, keep_b] - manipulated.weights[:, keep_m]) > PREMISE_TOL).any():
         raise PremiseError("weights on untouched artists changed")
@@ -248,7 +254,6 @@ def verify_sybil_pair(rule, base: Instance, manipulated: Instance, cstar) -> Gai
     mass_m = manipulated.weights[:, ~keep_m].sum(axis=1)
     if (np.abs(mass_b - mass_m) > PREMISE_TOL).any():
         raise PremiseError("a user's mass on the manipulated artists changed")
-    core.validate(manipulated)
     return _group_change(AxiomId.SYBIL_PROOF, rule, base, manipulated, keep_b, keep_m)
 
 
@@ -259,11 +264,7 @@ def verify_strong_sybil(rule, base: Instance, manipulated: Instance, cstar) -> G
     engagement, and the combined mass on the remaining columns is preserved.
     Individual users may redistribute arbitrarily.
     """
-    core.validate(base)
-    if manipulated.n_users != base.n_users:
-        raise PremiseError("strong sybil pairs keep the user set fixed")
-    if manipulated.alpha != base.alpha:
-        raise PremiseError("alpha differs between the instances")
+    _pair(base, manipulated, PremiseError, artists=False)
     keep_b, keep_m = _common_masks(base, manipulated, cstar)
     tot_b = base.weights.sum(axis=0)
     tot_m = manipulated.weights.sum(axis=0)
@@ -271,13 +272,11 @@ def verify_strong_sybil(rule, base: Instance, manipulated: Instance, cstar) -> G
         raise PremiseError("an untouched artist's column total changed")
     if abs(tot_b[~keep_b].sum() - tot_m[~keep_m].sum()) > PREMISE_TOL:
         raise PremiseError("total mass on the manipulated artists changed")
-    core.validate(manipulated)
     return _group_change(AxiomId.STRONG_SYBIL_PROOF, rule, base, manipulated, keep_b, keep_m)
 
 
 def _one_artist_drop(axiom, rule, base, manipulated, artist: int) -> GainReport:
-    before = float(evaluate(rule, base)[artist])
-    after = float(evaluate(rule, manipulated)[artist])
+    before, after = (float(p[artist]) for p in _payments(rule, base, manipulated))
     return GainReport(axiom, rule_name(rule), before - after, 0.0, before, after)
 
 
@@ -286,11 +285,7 @@ def verify_engagement_monotone(
 ) -> GainReport:
     """Drop of ``jstar``'s payment when engagement with ``jstar`` rises and
     with every other artist falls (bound 0)."""
-    core.validate(base)
-    if manipulated.n_users != base.n_users or manipulated.n_artists != base.n_artists:
-        raise PremiseError("instances must share both dimensions")
-    if manipulated.alpha != base.alpha:
-        raise PremiseError("alpha differs between the instances")
+    _pair(base, manipulated, PremiseError)
     jstar = core.whole(jstar, PremiseError, "jstar", 0, base.n_artists)
     w, w2 = base.weights, manipulated.weights
     if np.any(w[:, jstar] > w2[:, jstar] + PREMISE_TOL):
@@ -298,7 +293,6 @@ def verify_engagement_monotone(
     others = np.arange(base.n_artists) != jstar
     if np.any(w2[:, others] > w[:, others] + PREMISE_TOL):
         raise PremiseError("engagement with another artist increased")
-    core.validate(manipulated)
     return _one_artist_drop(AxiomId.ENGAGEMENT_MONOTONE, rule, base, manipulated, jstar)
 
 
@@ -335,7 +329,6 @@ def _pigou_dalton(rule, instance: Instance, transfer) -> tuple[GainReport, Insta
     transfer, built once."""
     core.validate(instance)
     manipulated, artist = _pd_apply(instance, transfer)
-    core.validate(manipulated)
     report = _one_artist_drop(AxiomId.PIGOU_DALTON, rule, instance, manipulated, artist)
     return report, manipulated
 
@@ -345,9 +338,7 @@ def verify_user_addition_monotone(rule, instance: Instance, profile) -> GainRepo
     ``profile`` joins (bound 0), reported on the worst-hit artist."""
     core.validate(instance)
     manipulated = core.add_user(instance, profile)
-    core.validate(manipulated)
-    before = evaluate(rule, instance)
-    after = evaluate(rule, manipulated)
+    before, after = _payments(rule, instance, manipulated)
     return _worst_artist(
         AxiomId.USER_ADDITION_MONOTONE, rule, before, after, before - after, 0.0
     )
@@ -377,9 +368,7 @@ def verify_anonymity(rule, instance: Instance, perm) -> GainReport:
     (bound 0), reported on the artist that moved most."""
     core.validate(instance)
     perm = _check_permutation(perm, instance.n_users)
-    shuffled = Instance(instance.weights[perm], instance.alpha)
-    core.validate(shuffled)
-    before, after = evaluate(rule, instance), evaluate(rule, shuffled)
+    before, after = _payments(rule, instance, Instance(instance.weights[perm], instance.alpha))
     return _worst_artist(AxiomId.ANONYMITY, rule, before, after, np.abs(after - before), 0.0)
 
 
@@ -389,9 +378,8 @@ def verify_neutrality(rule, instance: Instance, perm) -> GainReport:
     core.validate(instance)
     perm = _check_permutation(perm, instance.n_artists)
     relabeled = Instance(instance.weights[:, perm], instance.alpha)
-    core.validate(relabeled)
-    before = evaluate(rule, instance)[perm]
-    after = evaluate(rule, relabeled)
+    before, after = _payments(rule, instance, relabeled)
+    before = before[perm]
     return _worst_artist(AxiomId.NEUTRALITY, rule, before, after, np.abs(after - before), 0.0)
 
 
@@ -416,11 +404,11 @@ VERIFIERS: dict[AxiomId, Callable] = {
 # randomized searches
 
 
-def candidate_profiles(base: Instance, rng, n_random: int = 64) -> np.ndarray:
+def candidate_profiles(base: Instance, rng) -> np.ndarray:
     """Fake rows worth trying: point masses at several magnitudes plus
-    random sparse rows. Magnitudes scale with the instance because the
-    profitable manipulations, where they exist at all, need weight
-    comparable to the whole platform.
+    ``_N_RANDOM`` random sparse rows. Magnitudes scale with the instance
+    because the profitable manipulations, where they exist at all, need
+    weight comparable to the whole platform.
 
     Each random row is a Dirichlet draw times a magnitude picked from the
     point-mass magnitudes times U(0.25, 4); each coordinate is kept with
@@ -430,10 +418,10 @@ def candidate_profiles(base: Instance, rng, n_random: int = 64) -> np.ndarray:
     maxw = float(base.weights.max())
     mags = np.array(sorted({1.0, float(n), float(n * n), float(n * max(maxw, 1.0))}))
     points = (mags[:, None, None] * np.eye(m)).reshape(-1, m)
-    dirichlet = rng.dirichlet(np.ones(m), size=n_random)
-    picked = mags[rng.integers(mags.size, size=n_random)]
-    spread = rng.uniform(0.25, 4.0, size=n_random)
-    keep = rng.random((n_random, m)) < 0.7
+    dirichlet = rng.dirichlet(np.ones(m), size=_N_RANDOM)
+    picked = mags[rng.integers(mags.size, size=_N_RANDOM)]
+    spread = rng.uniform(0.25, 4.0, size=_N_RANDOM)
+    keep = rng.random((_N_RANDOM, m)) < 0.7
     keep |= ~keep.any(axis=1, keepdims=True)
     random_rows = dirichlet * picked[:, None] * spread[:, None]
     return np.vstack([points, np.where(keep, random_rows, 0.0)])

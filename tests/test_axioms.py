@@ -45,6 +45,7 @@ from streamshare.axioms import (
     _candidates,
     _score,
     candidate_profiles,
+    AxiomCheckError,
     NoRowsChangedError,
     NotAnExtensionError,
     PremiseError,
@@ -235,6 +236,69 @@ def test_engagement_monotone_premises():
         verify_engagement_monotone("globalprop", base, side_boost, 0)
     with pytest.raises(PremiseError):
         verify_engagement_monotone("globalprop", base, base, 9)
+
+
+_PAIR_BASE = make([[2, 1], [1, 2]])
+
+#: The six verifiers of a before/after pair of _PAIR_BASE: the trailing
+#: arguments, the premise error class, the counts the pair must keep, a
+#: manipulation meeting every premise, and one breaking the axiom's own.
+_PAIR_VERIFIERS = {
+    "fraud": (verify_fraud_pair, ((1,),), NotAnExtensionError, ("artists",),
+              [[2, 1], [1, 2], [0, 3]], [[2, 1], [1, 1], [0, 3]]),
+    "bribery": (verify_bribery_pair, ((1,),), PremiseError, ("users", "artists"),
+                [[2, 1], [0, 3]], None),
+    "click-fraud": (verify_click_fraud, (), PremiseError, ("users", "artists"),
+                    [[2, 1], [0, 3]], [[1, 1], [0, 3]]),
+    "sybil": (verify_sybil_pair, ((0,),), PremiseError, ("users",),
+              [[2, 0.5, 0.5], [1, 2, 0]], [[1, 0.5, 0.5], [1, 2, 0]]),
+    "strong-sybil": (verify_strong_sybil, ((0,),), PremiseError, ("users",),
+                     [[1, 3], [2, 0]], [[1, 3], [1, 0]]),
+    "engagement-monotone": (verify_engagement_monotone, (0,), PremiseError,
+                            ("users", "artists"), [[3, 1], [1, 1]], [[1, 1], [1, 1]]),
+}
+
+
+def _poisoned(weights):
+    """``weights`` with a negative last entry: an instance validate refuses."""
+    w = np.array(weights, dtype=float)
+    w[-1, -1] = -1.0
+    return w
+
+
+@pytest.mark.parametrize("invalid", [False, True], ids=["valid", "invalid"])
+@pytest.mark.parametrize("name", sorted(_PAIR_VERIFIERS))
+def test_pair_verifiers_check_the_shared_premises_first(name, invalid):
+    """Every pair verifier validates the base, then raises its own premise
+    class for a changed alpha or a changed kept count, before it validates
+    the manipulated instance."""
+    verifier, extra, error, kept, good, _ = _PAIR_VERIFIERS[name]
+    verifier("userprop", _PAIR_BASE, make(good), *extra)  # every premise holds
+    good = np.asarray(good, dtype=float)
+    broken = {"alpha": make(good, alpha=0.5)}
+    if "users" in kept:
+        broken["users"] = make(np.vstack([good, good[-1:]]))
+    if "artists" in kept:
+        broken["artists"] = make(np.hstack([good, good[:, -1:]]))
+    for what, manipulated in broken.items():
+        if invalid:
+            manipulated = make(_poisoned(manipulated.weights), manipulated.alpha)
+        with pytest.raises(AxiomCheckError) as info:
+            verifier("userprop", _PAIR_BASE, manipulated, *extra)
+        assert type(info.value) is error, (what, info.value)
+        with pytest.raises(NegativeWeightError):  # the base is validated first
+            verifier("userprop", make(_poisoned(_PAIR_BASE.weights)), manipulated, *extra)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, v in _PAIR_VERIFIERS.items() if v[5]))
+def test_pair_verifiers_check_their_own_premises_before_validation(name):
+    """A pair breaking the axiom's own premise raises the premise class,
+    also when its manipulated instance is invalid as well."""
+    verifier, extra, error, _, _, own = _PAIR_VERIFIERS[name]
+    for weights in (own, _poisoned(own)):
+        with pytest.raises(AxiomCheckError) as info:
+            verifier("userprop", _PAIR_BASE, make(weights), *extra)
+        assert type(info.value) is error, info.value
 
 
 @pytest.mark.parametrize("rule", MAIN_RULES)
@@ -833,12 +897,13 @@ def test_search_bribery_skips_unchanged_rows_outside_the_budget():
 
 def test_candidate_profiles_rows():
     base = make([[1, 0, 2], [0, 3, 1]])
-    rows = candidate_profiles(base, np.random.default_rng(0), n_random=500)
+    draws = [candidate_profiles(base, np.random.default_rng(s)) for s in range(8)]
     mags = [1.0, 2.0, 4.0, 6.0]
     points = [c * e for c in mags for e in np.eye(3)]
-    assert np.array_equal(rows[: len(points)], points)
-    random_rows = rows[len(points):]
-    assert random_rows.shape == (500, 3)
+    for rows in draws:
+        assert np.array_equal(rows[: len(points)], points)
+    random_rows = np.vstack([rows[len(points):] for rows in draws])
+    assert random_rows.shape == (512, 3)
     assert np.all(random_rows >= 0) and np.all(random_rows.sum(axis=1) > 0)
     assert np.all(random_rows.sum(axis=1) <= 4.0 * 6.0 + 1e-12)
     kept = (random_rows > 0).mean()
@@ -864,6 +929,39 @@ def test_search_suite_results_are_pinned(axiom, rule, max_margin, clickfraud_mar
     else:
         assert abs(result.clickfraud_margin - clickfraud_margin) <= 1e-15
     assert result.witness is None
+
+
+#: max_margin of the fourteen verify cells of SUITE_GRID over 200 trials,
+#: seed 3. The margins are float dust, so a change to the bits of any
+#: verifier's report shows here.
+_VERIFY_PINS = {
+    (AxiomId.SYBIL_PROOF, "userprop"): 4.440892098500626e-16,
+    (AxiomId.SYBIL_PROOF, "scaledup"): 8.881784197001252e-16,
+    (AxiomId.SYBIL_PROOF, "globalprop"): 8.881784197001252e-16,
+    (AxiomId.STRONG_SYBIL_PROOF, "globalprop"): 1.3322676295501878e-15,
+    (AxiomId.NO_FREE_RIDERSHIP, "globalprop"): 0.0,
+    (AxiomId.NO_FREE_RIDERSHIP, "userprop"): 0.0,
+    (AxiomId.NO_FREE_RIDERSHIP, "usereq"): 0.0,
+    (AxiomId.NO_FREE_RIDERSHIP, "scaledup"): 0.0,
+    (AxiomId.ENGAGEMENT_MONOTONE, "globalprop"): 0.0,
+    (AxiomId.ENGAGEMENT_MONOTONE, "userprop"): 0.0,
+    (AxiomId.ENGAGEMENT_MONOTONE, "usereq"): 0.0,
+    (AxiomId.ENGAGEMENT_MONOTONE, "scaledup"): 0.0,
+    (AxiomId.PIGOU_DALTON, "globalprop"): 2.220446049250313e-16,
+    (AxiomId.PIGOU_DALTON, "usereq"): 0.0,
+}
+
+
+@pytest.mark.parametrize("axiom, rule", list(_VERIFY_PINS))
+def test_verify_suite_results_are_pinned(axiom, rule):
+    result = run_suite(axiom, rule, trials=200, seed=3)
+    assert repr(result.max_margin) == repr(_VERIFY_PINS[axiom, rule])
+    assert result.witness is None and result.clickfraud_margin is None
+
+
+def test_verify_suite_pins_cover_the_verify_cells():
+    searched = (AxiomId.FRAUD_PROOF, AxiomId.BRIBERY_PROOF)
+    assert set(_VERIFY_PINS) == {(a, r) for a, r in SUITE_GRID if a not in searched}
 
 
 def test_wide_search_witnesses_pass_their_verifiers():

@@ -135,7 +135,7 @@ def _cmd_check(args) -> int:
     rule = coerce_rule(args.rule)
     if args.fixtures:
         matched = 0
-        worst = None
+        violated = False
         for name, fx in fixtures().items():
             if fx.axiom is not axiom or fx.rule != rule:
                 continue
@@ -145,13 +145,12 @@ def _cmd_check(args) -> int:
                 f"fixture={name} gain={_fmt(report.gain)} bound={_fmt(report.bound)} "
                 f"margin={_fmt(report.margin)} violation={report.violation}"
             )
-            if report.violation and (worst is None or report.margin > worst.margin):
-                worst = report
+            violated |= report.violation
         if matched == 0:
             raise ValueError(
                 f"no fixtures for axiom {axiom.value} and rule {rule.value}"
             )
-        return EXIT_WITNESS if worst is not None else EXIT_OK
+        return EXIT_WITNESS if violated else EXIT_OK
 
     if axiom not in SUITE_AXIOMS:
         with_suite = sorted(a for a, ax in _AXIOM_ALIASES.items() if ax in SUITE_AXIOMS)
@@ -219,10 +218,12 @@ def _parse_sweep_config(path) -> SynthConfig:
     if unknown:
         raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
     try:
-        lo, hi = (int(p) for p in keys.get("range", "1,10").split(","))
+        users, artists = int(keys["users"]), int(keys["artists"])
+        # without a range, each user follows gen's default 1 to min(10, artists)
+        lo, hi = (int(p) for p in keys.get("range", f"1,{min(10, artists)}").split(","))
         return SynthConfig(
-            n_users=int(keys["users"]),
-            n_artists=int(keys["artists"]),
+            n_users=users,
+            n_artists=artists,
             artist_count_range=(lo, hi),
             stream_lambda=float(keys.get("lambda", "1.0")),
             seed=int(keys.get("seed", "0")),
@@ -366,7 +367,9 @@ def main(argv=None) -> int:
     # every typed input error of the package is a ValueError; OSError covers
     # a missing file, a directory where a file belongs and a denied write
     except (OSError, KeyError, ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str() quotes its message; print the message itself
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -120,9 +120,16 @@ def _measure(rule, instance: Instance, k: int):
 
 def _checked_alphas(alphas) -> list:
     alphas = [float(a) for a in alphas]
-    if any(not 0.0 < a <= 1.0 for a in alphas):
-        raise ValueError(f"alphas must lie in (0, 1], got {alphas}")
+    if not alphas or any(not 0.0 < a <= 1.0 for a in alphas):
+        raise ValueError(f"alphas must lie in (0, 1], one or more, got {alphas}")
     return alphas
+
+
+def _checked_rules(rules) -> list:
+    rules = [coerce_rule(rule) for rule in rules]
+    for rule in filter(callable, rules):  # nothing says it is linear in alpha
+        raise TypeError(f"alpha_sweep takes rule ids or names, got {rule!r}")
+    return rules
 
 
 def alpha_sweep(instance: Instance, rules, alphas, k: int, seed: int = 0):
@@ -131,28 +138,17 @@ def alpha_sweep(instance: Instance, rules, alphas, k: int, seed: int = 0):
     Every rule here pays each artist an amount linear in alpha, which
     cancels out of pay-per-stream ratios and envy, except the scaled
     user-proportional rule whose per-user caps move with alpha. So only
-    that rule is re-evaluated per alpha; the others are measured once.
+    that rule is measured at each distinct alpha; the others once.
     """
     alphas = _checked_alphas(alphas)
     rows = []
-    for rule in rules:
-        rule = coerce_rule(rule)
-        if callable(rule):  # nothing says its payments are linear in alpha
-            raise TypeError(f"alpha_sweep takes rule ids or names, got {rule!r}")
-        if rule is RuleId.SCALED_USER_PROP:
-            for a in alphas:
-                top, bottom, envy, ms = _measure(rule, with_alpha(instance, a), k)
-                rows.append(
-                    ExperimentRow(rule.value, a, seed, k, top, bottom, envy, ms)
-                )
-        else:
-            top, bottom, envy, ms = _measure(
-                rule, with_alpha(instance, alphas[0]), k
-            )
-            for a in alphas:
-                rows.append(
-                    ExperimentRow(rule.value, a, seed, k, top, bottom, envy, ms)
-                )
+    for rule in _checked_rules(rules):
+        measured = {}
+        for a in alphas:
+            at = a if rule is RuleId.SCALED_USER_PROP else alphas[0]
+            if at not in measured:
+                measured[at] = _measure(rule, with_alpha(instance, at), k)
+            rows.append(ExperimentRow(rule.value, a, seed, k, *measured[at]))
     return rows
 
 
@@ -160,11 +156,11 @@ def sweep_seeds(config: SynthConfig, rules, alphas, k: int, n_seeds: int):
     """Run the sweep on n_seeds instances seeded config.seed, +1, +2, ..."""
     whole(n_seeds, ValueError, "n_seeds", 1)
     alphas = _checked_alphas(alphas)
+    rules = _checked_rules(rules)
     rows = []
     for offset in range(n_seeds):
         cfg = dataclasses.replace(config, seed=config.seed + offset)
-        instance = gen_synthetic(cfg)
-        rows.extend(alpha_sweep(instance, rules, alphas, k, seed=cfg.seed))
+        rows.extend(alpha_sweep(gen_synthetic(cfg), rules, alphas, k, seed=cfg.seed))
     return rows
 
 
@@ -176,23 +172,11 @@ def replicate(rows):
         groups.setdefault((row.rule, row.alpha), []).append(row)
     aggregates = []
     for (rule, a), cell in sorted(groups.items()):
-        tops = np.array([r.top_mean for r in cell])
-        bottoms = np.array([r.bottom_mean for r in cell])
-        envies = np.array([r.max_envy for r in cell])
-        aggregates.append(
-            AggregateRow(
-                rule=rule,
-                alpha=a,
-                k=cell[0].k,
-                n_seeds=len(cell),
-                top_median=float(np.median(tops)),
-                top_iqr=_iqr(tops),
-                bottom_median=float(np.median(bottoms)),
-                bottom_iqr=_iqr(bottoms),
-                envy_median=float(np.median(envies)),
-                envy_iqr=_iqr(envies),
-            )
-        )
+        stats = []
+        for metric in ("top_mean", "bottom_mean", "max_envy"):
+            values = np.array([getattr(r, metric) for r in cell])
+            stats += [float(np.median(values)), _iqr(values)]
+        aggregates.append(AggregateRow(rule, a, cell[0].k, len(cell), *stats))
     return aggregates
 
 

@@ -262,6 +262,22 @@ def test_check_unknown_axiom(capsys):
     assert "unknown axiom" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["divide", "pps", "check", "sweep"])
+def test_unknown_rule_is_named_without_quotes(command, tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("users = 40\nartists = 6\n")
+    argv = {
+        "divide": ["divide", "--rule", "foo", "--instance", _doc(tmp_path, [[1, 2]])],
+        "pps": ["pps", "--rule", "foo", "--instance", _doc(tmp_path, [[1, 2]]), "--k", "1"],
+        "check": ["check", "--axiom", "fraud", "--rule", "foo", "--fixtures"],
+        "sweep": ["sweep", "--config", str(config), "--alphas", "0.5", "--k", "1",
+                  "--seeds", "1", "--out", str(tmp_path / "rows.csv"), "--rules", "userprop,foo"],
+    }[command]
+    assert main(argv) == 1
+    names = [rule.value for rule in streamshare.ALL_RULES]
+    assert capsys.readouterr().err == f"error: unknown rule 'foo'; choose from {names}\n"
+
+
 def test_check_no_matching_fixture(capsys):
     assert main(["check", "--axiom", "fraud", "--rule", "usereq", "--fixtures"]) == 1
     assert "no fixtures" in capsys.readouterr().err
@@ -464,6 +480,37 @@ def test_sweep_rejects_alphas_before_drawing(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "alphas must lie in (0, 1]" in capsys.readouterr().err
     assert drawn == []
+
+
+def test_sweep_rejects_rules_before_drawing(tmp_path, capsys, monkeypatch):
+    drawn = []
+    real = experiments.gen_synthetic
+    monkeypatch.setattr(
+        experiments, "gen_synthetic", lambda config: drawn.append(config.seed) or real(config)
+    )
+    config = tmp_path / "sweep.cfg"
+    config.write_text("users = 40\nartists = 6\nrange = 1,3\nseed = 5\n")
+    code = main(["sweep", "--config", str(config), "--alphas", "0.5", "--rules", "foo",
+                 "--k", "2", "--seeds", "3", "--out", str(tmp_path / "rows.csv")])
+    assert code == 1
+    assert "unknown rule 'foo'" in capsys.readouterr().err
+    assert drawn == []
+
+
+def test_sweep_range_defaults_to_gen_follow_range(tmp_path, capsys, monkeypatch):
+    # like gen's --follow-min/--follow-max: 1 to min(10, artists)
+    drawn = []
+    real = experiments.gen_synthetic
+    monkeypatch.setattr(
+        experiments, "gen_synthetic", lambda config: drawn.append(config) or real(config)
+    )
+    for artists, high in ((5, 5), (12, 10)):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"users = 100\nartists = {artists}\n")
+        code = main(["sweep", "--config", str(config), "--alphas", "0.5", "--k", "1",
+                     "--seeds", "1", "--out", str(tmp_path / "rows.csv")])
+        assert code == 0, capsys.readouterr().err
+        assert drawn.pop().artist_count_range == (1, high)
 
 
 def test_sweep_unknown_config_key(tmp_path, capsys):

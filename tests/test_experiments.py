@@ -1,5 +1,7 @@
 """Synthetic generation and the sweep harness."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from streamshare import (
     write_aggregates_csv,
     write_rows_csv,
 )
+from streamshare import experiments
 
 
 def _small():
@@ -87,11 +90,30 @@ def test_alpha_sweep_rejects_bad_alphas():
         alpha_sweep(inst, ["userprop"], [0.0], k=2)
 
 
+def test_checked_alphas_refuses_an_empty_list():
+    with pytest.raises(ValueError, match="alphas"):
+        experiments._checked_alphas([])
+    for rules in (["userprop"], ["scaledup"]):
+        with pytest.raises(ValueError, match="alphas"):
+            alpha_sweep(gen_synthetic(_small()), rules, [], k=2)
+
+
 def test_alpha_sweep_rejects_callable_rules():
     # a callable may pay amounts that are not linear in alpha, which the
     # sweep's measure-once shortcut assumes
     with pytest.raises(TypeError, match="rule ids"):
         alpha_sweep(gen_synthetic(_small()), ["userprop", lambda w, a: w.sum(-2)], [0.5], k=2)
+
+
+def test_sweep_seeds_rejects_callable_rules_before_drawing(monkeypatch):
+    drawn = []
+    real = experiments.gen_synthetic
+    monkeypatch.setattr(
+        experiments, "gen_synthetic", lambda config: drawn.append(config.seed) or real(config)
+    )
+    with pytest.raises(TypeError, match="rule ids"):
+        sweep_seeds(_small(), ["userprop", lambda w, a: w.sum(-2)], [0.5], k=2, n_seeds=3)
+    assert drawn == []
 
 
 def test_scaledup_alpha_one_collapses_to_userprop_metrics():
@@ -142,3 +164,45 @@ def test_csv_round_trip(tmp_path):
     write_aggregates_csv(agg_out, aggs)
     head = agg_out.read_text().splitlines()[0]
     assert head == "rule,alpha,k,n_seeds,top_median,top_iqr,bottom_median,bottom_iqr,envy_median,envy_iqr"
+
+
+# The CSV bytes of a sweep with a repeated alpha and two portioning rules
+# (util and indmkt), pinned byte for byte.
+PINNED_AGGREGATES = """\
+rule,alpha,k,n_seeds,top_median,top_iqr,bottom_median,bottom_iqr,envy_median,envy_iqr
+avg,0.2,3,8,1.25559333719,0.0359731835894,0.795044760328,0.0326729086716,1.73853051732,0.269333263259
+avg,0.9,3,4,1.25559333719,0.0359731835894,0.795044760328,0.0326729086716,1.73853051732,0.269333263259
+avg,1,3,4,1.25559333719,0.0359731835894,0.795044760328,0.0326729086716,1.73853051732,0.269333263259
+globalprop,0.2,3,8,1,0,1,0,1,2.22044604925e-16
+globalprop,0.9,3,4,1,0,1,0,1,2.22044604925e-16
+globalprop,1,3,4,1,0,1,0,1,2.22044604925e-16
+indmkt,0.2,3,8,1.26467451207,0.164551045499,0.845947636301,0.0558599829379,1.88186813187,0.481351528906
+indmkt,0.9,3,4,1.26467451207,0.164551045499,0.845947636301,0.0558599829379,1.88186813187,0.481351528906
+indmkt,1,3,4,1.26467451207,0.164551045499,0.845947636301,0.0558599829379,1.88186813187,0.481351528906
+scaledup,0.2,3,8,1,0,1,1.11022302463e-16,1,2.22044604925e-16
+scaledup,0.9,3,4,1.18370603487,0.067812782967,0.858835042768,0.0194687956761,1.5004626312,0.115762983303
+scaledup,1,3,4,1.25559333719,0.0359731835894,0.795044760328,0.0326729086716,1.73853051732,0.269333263259
+userprop,0.2,3,8,1.25559333719,0.0359731835894,0.795044760328,0.0326729086716,1.73853051732,0.269333263259
+userprop,0.9,3,4,1.25559333719,0.0359731835894,0.795044760328,0.0326729086716,1.73853051732,0.269333263259
+userprop,1,3,4,1.25559333719,0.0359731835894,0.795044760328,0.0326729086716,1.73853051732,0.269333263259
+util,0.2,3,8,2.04511395607,0.211762934557,0,0,inf,nan
+util,0.9,3,4,2.04511395607,0.211762934557,0,0,inf,nan
+util,1,3,4,2.04511395607,0.211762934557,0,0,inf,nan
+"""
+# sha256 of the rows CSV with its runtime_ms column cut off
+PINNED_ROWS_SHA256 = "f9404f2484876c2cba5c85e678b12906dbdfbc5e2324641add341fa5f2d5233e"
+
+
+def test_sweep_csv_bytes_are_pinned(tmp_path):
+    config = SynthConfig(n_users=60, n_artists=12, artist_count_range=(1, 4),
+                         stream_lambda=2.5, seed=3)
+    rules = ["scaledup", "globalprop", "userprop", "avg", "util", "indmkt"]
+    with np.errstate(invalid="ignore"):  # util's envy is inf on every seed
+        rows = sweep_seeds(config, rules, [0.2, 0.9, 0.2, 1], k=3, n_seeds=4)
+        write_aggregates_csv(tmp_path / "aggs.csv", replicate(rows))
+    write_rows_csv(tmp_path / "rows.csv", rows)
+    assert (tmp_path / "aggs.csv").read_bytes() == PINNED_AGGREGATES.encode()
+    lines = (tmp_path / "rows.csv").read_text().splitlines()
+    assert len(lines) == 1 + 6 * 4 * 4
+    cut = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
+    assert hashlib.sha256(cut.encode()).hexdigest() == PINNED_ROWS_SHA256

@@ -181,8 +181,11 @@ def replicate(rows):
 
 
 def _iqr(values: np.ndarray) -> float:
-    lo, hi = np.percentile(values, [25.0, 75.0])
-    return float(hi - lo)
+    # a rule that pays some artist 0 has inf envy; where inf meets inf the
+    # IQR is nan, which the CSV writes as such, and numpy need not warn
+    with np.errstate(invalid="ignore"):
+        lo, hi = np.percentile(values, [25.0, 75.0])
+        return float(hi - lo)
 
 
 def _write_csv(path, rows, fields):

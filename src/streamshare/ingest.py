@@ -5,13 +5,20 @@ separated, optional header). Aggregation keys stay sparse until the final
 densification, which refuses to materialize matrices above a cell budget.
 Instances round-trip through a small versioned JSON document that carries
 the id tables alongside the weights. Loading one parses everything but the
-weights with the standard json decoder. The weight matrix, mostly "0.0" in
-the documents this package writes, is read by a vectorized scan over blocks
-of rows that writes the zeros without parsing them and hands every other
-entry to the same decoder (a matrix with few zeros goes to the decoder
-whole), so the loaded weights are bit for bit those of json.load followed
-by np.array, and every document that loaded or failed to load before does
-so the same way. Saving one writes the bytes of json.dump(doc, fh, indent=1)
+weights with the standard json decoder. The weight matrix is read one of
+two ways, both over blocks of rows. When every weight renders in three
+characters, as the counts of gen and the small integers of reduce-ssbve
+do, the matrix save_document writes is a grid of rows of one length; a
+few constant-time tests on the text (the first row's length, the
+document's last "\n ]", whole rows between the two) choose this path, and
+each block is compared with one row template and read at fixed offsets.
+Any other matrix, mostly "0.0" in the documents this package writes, goes
+to a vectorized scan that finds the rows and entries by their delimiters
+(a matrix with few zeros goes to the decoder whole). Both write the zeros
+without parsing them and hand every other entry to the same decoder, so
+the loaded weights are bit for bit those of json.load followed by
+np.array, and every document that loaded or failed to load before does so
+the same way. Saving one writes the bytes of json.dump(doc, fh, indent=1)
 and a newline, so the format is unchanged, but it renders the weights a
 block of rows at a time: each distinct value of a block is rendered once,
 and the block is written before the next is built, so no nested list of
@@ -301,6 +308,17 @@ _MIN_ZERO_SHARE = 0.75
 # Rows are read in blocks of about this many characters, so that the
 # scan's temporary arrays stay small next to the matrix itself.
 _BLOCK_CHARS = 1 << 17
+# The layout save_document writes when every weight renders in three
+# characters, as the counts 0.0 to 9.0 that gen writes do: a row is
+# "  [\n", m lines "   ddd,\n" (the last without its comma) and "  ]", and
+# rows are joined by ",\n", so n rows are an (n, 8m + 8) grid of bytes.
+# The row template has 0xFF where an entry's characters go, and so has a
+# row of the text once those characters are or-ed with 0xFF.
+_ENTRY = "   \xff\xff\xff,\n"
+_ZERO_ENTRY = int.from_bytes(b" 0.0", "little")
+# the characters of a JSON number, and the space before each entry (or
+# inside one, where JSON reads it as whitespace)
+_NUMBER_CHARS = b" 0123456789+-.eE"
 
 
 def _decode_document(text: str):
@@ -365,10 +383,14 @@ def _read_matrix(text: str, start: int):
     left to the standard decoder and np.array, so it is rejected or
     accepted as before. So is a matrix whose entries, in its first 64K
     characters, are less than three quarters "0.0", where the scan is no
-    faster than the decoder (see _MIN_ZERO_SHARE).
+    faster than the decoder (see _MIN_ZERO_SHARE). A matrix in the
+    fixed-stride layout (see _ENTRY) is read by _read_at_stride instead.
     """
     if text[start : start + 1] != "[":
         return None
+    read = _read_at_stride(text, start)
+    if read is not None:
+        return read
     matrix_end = re.compile(_MATRIX_END)
     found = matrix_end.search(text, start, start + _SAMPLE_CHARS)
     sample = text[start : found.end() if found else start + _SAMPLE_CHARS]
@@ -401,6 +423,63 @@ def _read_matrix(text: str, start: int):
     weights = np.zeros((n, m))
     weights.ravel()[np.concatenate(nonzero)] = values
     return weights, found.end()
+
+
+def _read_at_stride(text: str, start: int):
+    """(weights, end) for a matrix at text[start] in the fixed-stride
+    layout (see _ENTRY), or None for any other text, which the scan then
+    reads.
+
+    The layout is chosen from a few tests on the text: a line break after
+    the "[", m from the length of the first row, the end at the document's
+    last "\\n ]" (the matrix's own when weights is the last member, as
+    save_document writes it), and whole rows between the two. Then each
+    block of rows must match the row template in one comparison, and its
+    entries are read at fixed offsets: every "0.0" becomes +0.0, and the
+    others, which may hold number characters and spaces only, are parsed as
+    one flat array by the standard decoder, each distinct entry once.
+    """
+    if text[start + 1 : start + 2] != "\n":
+        return None
+    close = text.rfind("\n ]")
+    first_row = text.find("]", start) + 1 - (start + 2)
+    m, odd = divmod(first_row - 6, 8)
+    stride = first_row + 2
+    n, rest = divmod(close - start, stride)
+    if odd or m < 1 or rest or n < 1:
+        return None
+    rows = min(n, max(1, _BLOCK_CHARS // stride))
+    template = np.frombuffer(
+        (("  [\n" + _ENTRY * m)[:-2] + "\n  ],\n").encode("latin-1"), np.uint8
+    )
+    entry_bits = (template == 0xFF) * np.uint8(0xFF)
+    nonzero, codes = [], []
+    for i in range(0, n, rows):
+        block = text[start + 2 + i * stride : min(start + 2 + (i + rows) * stride, close)]
+        try:
+            # the last row has no ",\n" after it
+            raw = (block if i + rows < n else block + ",\n").encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        grid = np.frombuffer(raw, np.uint8).reshape(-1, stride)
+        if not ((grid | entry_bits) == template).all():
+            return None
+        # each entry as the code of its four bytes " ddd"
+        entries = np.ndarray((len(grid), m), "<u4", raw, 6, (stride, 8))
+        not_zero = entries != _ZERO_ENTRY
+        nonzero.append(np.flatnonzero(not_zero) + i * m)
+        codes.append(entries[not_zero])
+    distinct, inverse = np.unique(np.concatenate(codes), return_inverse=True)
+    if distinct.tobytes().translate(None, _NUMBER_CHARS):
+        return None
+    try:
+        values = np.array(json.loads(b"[" + b",".join(distinct.view("S4").tolist()) + b"]"),
+                          dtype=float)
+    except ValueError:
+        return None
+    weights = np.zeros((n, m))
+    weights.ravel()[np.concatenate(nonzero)] = values[inverse]
+    return weights, close + 3
 
 
 def _read_rows(text: str, m):

@@ -467,6 +467,22 @@ def test_sweep_agg_out_draws_each_seed_once(tmp_path, capsys, monkeypatch):
     assert drawn == [5, 6, 7]
 
 
+@pytest.mark.filterwarnings("error")
+def test_sweep_with_inf_envy_on_every_seed_is_quiet(tmp_path, capsys):
+    # util pays some artist 0 on each seed, so its envy and the IQR are inf and nan
+    config = tmp_path / "sweep.cfg"
+    config.write_text("users=60\nartists=12\nrange=1,4\nseed=3\n")
+    aggs_out = tmp_path / "aggs.csv"
+    code = main(["sweep", "--config", str(config), "--rules", "util", "--alphas", "0.5",
+                 "--k", "3", "--seeds", "3", "--out", str(tmp_path / "rows.csv"),
+                 "--agg-out", str(aggs_out)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert aggs_out.read_text() == (
+        "rule,alpha,k,n_seeds,top_median,top_iqr,bottom_median,bottom_iqr,envy_median,envy_iqr\n"
+        "util,0.5,3,3,2.40341880342,0.185260518349,0,0,inf,nan\n"
+    )
+
+
 def test_sweep_rejects_alphas_before_drawing(tmp_path, capsys, monkeypatch):
     drawn = []
     real = experiments.gen_synthetic

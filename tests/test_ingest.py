@@ -392,18 +392,60 @@ READ_BY_SCAN = {f"number {t[:12]}" for t in NUMBERS} | {
     "too few ids", "version 2", "extra data", "missing comma after weights"}
 
 
+def _saved(token="0.0", indent=1, weights_first=False):
+    """A _zero_rows document as save_document lays it out (json.dump with
+    indent=1, weights last, a closing newline), with its first entry
+    spelled as ``token``."""
+    weights, members = json.loads(_zero_rows()), json.loads("{" + _members() + "}")
+    doc = {"weights": weights, **members} if weights_first else {**members, "weights": weights}
+    text = json.dumps(doc, indent=indent) + "\n"
+    at = text.index("0.0", text.index('"weights"'))
+    return text[:at] + token + text[at + 3 :]
+
+
+# the corpus in the layout save_document writes, where the weights take the
+# fixed-stride reader unless an entry is wider or narrower than three
+# characters or the layout is another one; opening a document in text mode
+# turns CRLF into LF
+LAYOUT_CORPUS = (
+    [("layout", _saved())]
+    + [(f"layout {t}", _saved(t)) for t in ("1e5", "-0", "1.e", "NaN", "true", "10.0", "\u0663.0")]
+    + [("layout indent 4", _saved(indent=4)),
+       ("layout CRLF", _saved().replace("\n", "\r\n")),
+       ("layout missing comma", _saved().replace("0.0,\n", "0.0\n", 1)),
+       ("layout space for a comma", _saved().replace("0.0,\n", "0.0 \n", 1)),
+       ("layout weights first", _saved(weights_first=True)),
+       ("layout repeated weights", _saved("3.0")[: -len("\n}\n")] + ",\n "
+        + _saved("4.0")[_saved("4.0").index('"weights"') :]),
+       ("layout zero row", _saved().replace("   2.0", "   0.0")),
+       ("layout one column",
+        json.dumps(json.loads(_document("[[1.0], [2.0]]", artist_ids=["a0"])), indent=1) + "\n")]
+)
+# the layout documents whose weights are read without the standard decoder,
+# and whether the scan reads them (False: the fixed-stride reader alone)
+READ_IN_LAYOUT = {
+    "layout": False, "layout 1e5": False, "layout -0": True, "layout 10.0": True,
+    "layout indent 4": True, "layout CRLF": False, "layout weights first": True,
+    "layout repeated weights": True, "layout zero row": False, "layout one column": False}
+
+
 @pytest.mark.parametrize("block", [ingest._BLOCK_CHARS, 1], ids=["one-block", "row-blocks"])
-@pytest.mark.parametrize("label, text", CORPUS, ids=[label for label, _ in CORPUS])
+@pytest.mark.parametrize("label, text", CORPUS + LAYOUT_CORPUS,
+                         ids=[label for label, _ in CORPUS + LAYOUT_CORPUS])
 def test_load_document_matches_json_and_np_array(tmp_path, monkeypatch, label, text, block):
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
     expected = _outcome(_reference_load, path)
     monkeypatch.setattr(ingest, "_BLOCK_CHARS", block)
-    reads = []
-    read = ingest._read_matrix
+    reads, scans = [], []
+    read, scan = ingest._read_matrix, ingest._read_rows
     monkeypatch.setattr(ingest, "_read_matrix", lambda t, i: reads.append(read(t, i)) or reads[-1])
+    monkeypatch.setattr(ingest, "_read_rows", lambda t, m: scans.append(m) or scan(t, m))
     assert _outcome(load_document, path) == expected
-    assert (reads != [] and None not in reads) == (label in READ_BY_SCAN)
+    read_by = READ_BY_SCAN | READ_IN_LAYOUT.keys()
+    assert (reads != [] and None not in reads) == (label in read_by)
+    if label in READ_IN_LAYOUT:
+        assert (scans != []) == READ_IN_LAYOUT[label]
 
 
 @pytest.mark.parametrize("token", NUMBERS)
@@ -443,9 +485,11 @@ def test_save_then_load_is_bit_identical(tmp_path, kind):
     assert _outcome(load_document, path) == _outcome(_reference_load, path)
 
 
-def test_generated_documents_load_as_before(tmp_path):
+def test_generated_documents_load_as_before(tmp_path, monkeypatch):
     """Documents written by ``gen`` and ``reduce-ssbve`` go through the
-    vectorized reader and load bit for bit as json.load + np.array does."""
+    fixed-stride reader, a ``gen`` document with counts of 10 and more
+    through the scan, and all load bit for bit as json.load + np.array
+    does."""
     graph = tmp_path / "graph.txt"
     graph.write_text("3 3\n0 0\n0 1\n1 1\n2 2\n")
     docs = []
@@ -457,10 +501,18 @@ def test_generated_documents_load_as_before(tmp_path):
         docs.append(tmp_path / f"reduction{ell}{delta}.json")
         assert main(["reduce-ssbve", "--graph", str(graph), "--ell", str(ell),
                      "--delta", str(delta), "--out", str(docs[-1])]) == 0
+    docs.append(tmp_path / "wide.json")
+    assert main(["gen", "--users", "300", "--artists", "30", "--seed", "0",
+                 "--stream-lambda", "6", "--out", str(docs[-1])]) == 0
+    scans = []
+    scan = ingest._read_rows
+    monkeypatch.setattr(ingest, "_read_rows", lambda t, m: scans.append(m) or scan(t, m))
     for path in docs:
         text = path.read_text()
         start = text.index('"weights": ') + len('"weights": ')
+        scans.clear()
         assert ingest._read_matrix(text, start) is not None, path.name
+        assert (scans != []) == (path.name == "wide.json"), path.name
         assert _outcome(load_document, path) == _outcome(_reference_load, path)
 
 

@@ -55,7 +55,10 @@ class DimensionError(InstanceError):
 class Instance:
     """A streaming scenario: weights[i, j] is user i's engagement with artist j.
 
-    The weight array is copied and frozen on construction; use
+    The weight array is copied and frozen on construction, except a frozen
+    float64 matrix that owns its memory: freezing it hands it over, and it
+    is kept as it is, so :func:`with_alpha` and every other instance built
+    on an instance's weights share them. Use
     :func:`add_user` / :func:`replace_user` to derive modified instances.
     Construction only coerces shape and dtype. Call :func:`validate` to check
     the full input contract.
@@ -65,10 +68,17 @@ class Instance:
     alpha: float = 1.0
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
+        w = self.weights
+        if not (
+            type(w) is np.ndarray
+            and not w.flags.writeable
+            and w.flags.owndata
+            and w.dtype == np.float64
+        ):
+            w = np.array(w, dtype=float)
+            w.setflags(write=False)
         if w.ndim != 2:
             raise DimensionError(f"weights must be 2-D, got ndim={w.ndim}")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "alpha", float(self.alpha))
 
@@ -96,18 +106,22 @@ def validate(instance: Instance) -> None:
     """Raise the first violated input invariant, or return quietly.
 
     Checked in order: dimensions, finiteness, alpha, negative weights, zero rows.
+    The matrix is read twice, for its row sums and its minimum: a NaN or
+    infinite weight makes its row's sum NaN or infinite, so the weights
+    themselves are tested only when some row sum is (a finite row may also
+    overflow).
     """
     w = instance.weights
     if w.shape[0] == 0 or w.shape[1] == 0:
         raise DimensionError(f"weights must be nonempty, got shape {w.shape}")
-    if not np.isfinite(w).all():
+    row_sums = w.sum(axis=1)
+    if not np.isfinite(row_sums).all() and not np.isfinite(w).all():
         raise InstanceError("weights must be finite")
     if not 0.0 < instance.alpha <= 1.0:
         raise BadAlphaError(f"alpha must be in (0, 1], got {instance.alpha}")
     if w.min() < 0:
         i, j = np.argwhere(w < 0)[0]
         raise NegativeWeightError(int(i), int(j))
-    row_sums = w.sum(axis=1)
     if row_sums.min() == 0:
         raise ZeroRowError(int(np.flatnonzero(row_sums == 0)[0]))
 

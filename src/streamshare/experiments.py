@@ -106,12 +106,16 @@ def gen_synthetic(config: SynthConfig) -> Instance:
     return Instance(w, 1.0)
 
 
-def _measure(rule, instance: Instance, k: int):
+def _measure(rule, instance: Instance, k: int, baselines: dict):
+    """(top, bottom, envy, runtime_ms) of ``rule`` on ``instance``; the
+    globalprop pay-per-stream it is divided by is taken from ``baselines``,
+    keyed by alpha, or computed there once."""
     start = time.perf_counter()
     try:
         vec = pps(rule, instance)
-        baseline = pps(RuleId.GLOBAL_PROP, instance)
-        top, bottom = topk_bottomk_means(vec.defined_values / baseline.defined_values, k)
+        if instance.alpha not in baselines:
+            baselines[instance.alpha] = pps(RuleId.GLOBAL_PROP, instance).defined_values
+        top, bottom = topk_bottomk_means(vec.defined_values / baselines[instance.alpha], k)
         envy = vec.max_envy()
     except DegenerateEnvyError:
         top = bottom = envy = math.inf
@@ -138,16 +142,17 @@ def alpha_sweep(instance: Instance, rules, alphas, k: int, seed: int = 0):
     Every rule here pays each artist an amount linear in alpha, which
     cancels out of pay-per-stream ratios and envy, except the scaled
     user-proportional rule whose per-user caps move with alpha. So only
-    that rule is measured at each distinct alpha; the others once.
+    that rule is measured at each distinct alpha; the others once. The
+    globalprop baseline is computed once for each alpha measured at.
     """
     alphas = _checked_alphas(alphas)
-    rows = []
+    rows, baselines = [], {}
     for rule in _checked_rules(rules):
         measured = {}
         for a in alphas:
             at = a if rule is RuleId.SCALED_USER_PROP else alphas[0]
             if at not in measured:
-                measured[at] = _measure(rule, with_alpha(instance, at), k)
+                measured[at] = _measure(rule, with_alpha(instance, at), k, baselines)
             rows.append(ExperimentRow(rule.value, a, seed, k, *measured[at]))
     return rows
 

@@ -4,21 +4,23 @@ Input is the minimal triple shape `user, artist, count` (tab or comma
 separated, optional header). Aggregation keys stay sparse until the final
 densification, which refuses to materialize matrices above a cell budget.
 Instances round-trip through a small versioned JSON document that carries
-the id tables alongside the weights. Loading one parses everything but the
-weights with the standard json decoder. The weight matrix is read one of
-two ways, both over blocks of rows. When every weight renders in three
-characters, as the counts of gen and the small integers of reduce-ssbve
-do, the matrix save_document writes is a grid of rows of one length; a
-few constant-time tests on the text (the first row's length, the
-document's last "\n ]", whole rows between the two) choose this path, and
-each block is compared with one row template and read at fixed offsets.
-Any other matrix, mostly "0.0" in the documents this package writes, goes
-to a vectorized scan that finds the rows and entries by their delimiters
-(a matrix with few zeros goes to the decoder whole). Both write the zeros
-without parsing them and hand every other entry to the same decoder, so
-the loaded weights are bit for bit those of json.load followed by
-np.array, and every document that loaded or failed to load before does so
-the same way. Saving one writes the bytes of json.dump(doc, fh, indent=1)
+the id tables alongside the weights. Loading one reads the file once, as
+bytes. A document in the layout save_document writes, with every weight
+in three characters as the counts of gen and the small integers of
+reduce-ssbve are, is read from those bytes: only its header members are
+decoded to text (they must be ASCII) and walked by the
+standard decoder, and the weight matrix, the last member, is checked and
+read as a grid of eight-byte words, one per entry, each compared with the
+word of a "0.0" entry. Every other document is decoded to text as
+open(path).read() decodes it (the locale codec, universal newlines, the
+same decode errors), its weights read by a vectorized scan that finds the
+rows and entries by their delimiters (or, for a matrix with few zeros, by
+the decoder whole). Both readers write the zeros without parsing them and
+hand every other entry to the standard decoder, so the loaded weights are
+bit for bit those of json.load followed by np.array, and every document
+that loaded or failed to load before does so the same way. The loaded
+matrix is frozen and reaches the instance, and every with_alpha of it,
+without a copy. Saving one writes the bytes of json.dump(doc, fh, indent=1)
 and a newline, so the format is unchanged, but it renders the weights a
 block of rows at a time: each distinct value of a block is rendered once,
 and the block is written before the next is built, so no nested list of
@@ -27,6 +29,7 @@ the matrix is made.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -239,11 +242,10 @@ def _rows_text(block: np.ndarray) -> str:
 
 def load_document(path) -> IngestResult:
     """Read a JSON instance document back; inverse of save_document."""
-    with open(path) as fh:
-        try:
-            doc = _decode_document(fh.read())
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
+    try:
+        doc = _decode_file(path)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")
     if doc.get("version") != DOCUMENT_VERSION:
@@ -264,6 +266,9 @@ def load_document(path) -> IngestResult:
         raise SchemaError("weights must be finite")
     if len(users) != w.shape[0] or len(artists) != w.shape[1]:
         raise SchemaError("id table lengths do not match the weight matrix")
+    # a new matrix that nothing else holds: frozen, the instance (and every
+    # with_alpha of it) shares it rather than copying it
+    w.setflags(write=False)
     instance = Instance(w, alpha)
     validate(instance)
     return IngestResult(instance, users, artists)
@@ -306,23 +311,84 @@ _COMMA, _OPEN, _CLOSE, _DOT, _ZERO = b",[].0"
 _SAMPLE_CHARS = 1 << 16
 _MIN_ZERO_SHARE = 0.75
 # Rows are read in blocks of about this many characters, so that the
-# scan's temporary arrays stay small next to the matrix itself.
+# readers' temporary arrays stay small next to the matrix itself.
 _BLOCK_CHARS = 1 << 17
 # The layout save_document writes when every weight renders in three
-# characters, as the counts 0.0 to 9.0 that gen writes do: a row is
+# characters, as the counts 0.0 to 9.0 that gen writes do. The weights
+# member comes last: "\n "weights": [\n", the rows, "\n ]\n}\n". A row is
 # "  [\n", m lines "   ddd,\n" (the last without its comma) and "  ]", and
-# rows are joined by ",\n", so n rows are an (n, 8m + 8) grid of bytes.
-# The row template has 0xFF where an entry's characters go, and so has a
-# row of the text once those characters are or-ed with 0xFF.
-_ENTRY = "   \xff\xff\xff,\n"
-_ZERO_ENTRY = int.from_bytes(b" 0.0", "little")
+# rows are joined by ",\n". So after the matrix's "[\n" and its first
+# row's "  [\n", the bytes are n rows of m + 1 eight-byte words: m entries,
+# then " ],\n  [\n" between rows and " ]\n ]\n}\n" after the last. A zero
+# entry is the word "   0.0,\n", or "   0.0\n " at the end of a row.
+_LAYOUT_KEY = b'\n "weights": ['
+_LAYOUT_OPEN = b"[\n  [\n"
+_ZERO_WORD, _LAST_ZERO_WORD, _ROW_BREAK, _LAYOUT_END = (
+    int.from_bytes(word, "little")
+    for word in (b"   0.0,\n", b"   0.0\n ", b" ],\n  [\n", b" ]\n ]\n}\n")
+)
+# the bytes of an entry's word around its three characters
+_FRAME = int.from_bytes(b"\xff\xff\xff\0\0\0\xff\xff", "little")
 # the characters of a JSON number, and the space before each entry (or
 # inside one, where JSON reads it as whitespace)
 _NUMBER_CHARS = b" 0123456789+-.eE"
 
 
-def _decode_document(text: str):
-    """json.loads(text) with every "weights" member read by _read_matrix.
+def _decode_file(path):
+    """json.loads of the document's text, read once as bytes: by
+    _decode_layout, or decoded to the text open(path).read() gives (the
+    locale codec, universal newlines, its decode errors) and walked by
+    _decode_document."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    doc = _decode_layout(raw)
+    if doc is not None:
+        return doc
+    with io.TextIOWrapper(io.BytesIO(raw)) as fh:
+        text = fh.read()
+    del raw  # not kept while the text is parsed
+    return _decode_document(text)
+
+
+def _decode_layout(raw: bytes):
+    """The document json.loads reads from the text of ``raw`` when ``raw``
+    is in the layout save_document writes with three-character weights (see
+    _LAYOUT_KEY); None for any other document, which is then decoded as
+    text.
+
+    Only the header, the bytes before the weights' "[", is decoded, and only
+    when it is ASCII, so that its text is the one any ASCII-compatible
+    locale codec gives. (A CR, which universal newlines would turn into a
+    line break, can stand only as whitespace in a header the walk accepts,
+    where it reads as the line break would.) The matrix is read from the
+    bytes by _read_layout and cut out of the text, and the rest is walked
+    as _decode_document walks it. A document that walk rejects goes to the
+    text path too, which reports the error where the standard decoder does.
+    A walk that accepts has read the cut as the value of a top-level
+    "weights" key: the text before the cut ends in a line break and
+    '"weights": ', which inside any other value, a string included, is an
+    error.
+    """
+    key = raw.find(_LAYOUT_KEY)
+    start = key + len(_LAYOUT_KEY) - 1
+    header = raw[:start]
+    if key < 0 or not header.isascii():
+        return None
+    weights = _read_layout(raw, start)
+    if weights is None:
+        return None
+    try:
+        # the document's closing "\n}\n" as a bare "}": whitespace after the
+        # cut would carry the walk past it before the value is read
+        return _decode_document(header.decode("ascii") + "}", (weights, start))
+    except json.JSONDecodeError:
+        return None
+
+
+def _decode_document(text: str, cut=None):
+    """json.loads(text) with every "weights" member read by _read_matrix,
+    or, for a weights value at the position ``cut[1]``, ``cut``: (the
+    matrix, that position), a matrix cut out of the text there.
 
     The top-level object is walked the way the standard decoder walks it,
     with its scanstring and scan_once, so every other value and every
@@ -348,7 +414,12 @@ def _decode_document(text: str):
             if text[end : end + 1] != ":":
                 raise json.JSONDecodeError("Expecting ':' delimiter", text, end)
             end = _WHITESPACE.match(text, end + 1).end()
-            read = _read_matrix(text, end) if key == "weights" else None
+            if key != "weights":
+                read = None
+            elif cut is not None and end == cut[1]:
+                read = cut
+            else:
+                read = _read_matrix(text, end)
             if read is None:
                 try:
                     read = scan_once(text, end)
@@ -383,14 +454,10 @@ def _read_matrix(text: str, start: int):
     left to the standard decoder and np.array, so it is rejected or
     accepted as before. So is a matrix whose entries, in its first 64K
     characters, are less than three quarters "0.0", where the scan is no
-    faster than the decoder (see _MIN_ZERO_SHARE). A matrix in the
-    fixed-stride layout (see _ENTRY) is read by _read_at_stride instead.
+    faster than the decoder (see _MIN_ZERO_SHARE).
     """
     if text[start : start + 1] != "[":
         return None
-    read = _read_at_stride(text, start)
-    if read is not None:
-        return read
     matrix_end = re.compile(_MATRIX_END)
     found = matrix_end.search(text, start, start + _SAMPLE_CHARS)
     sample = text[start : found.end() if found else start + _SAMPLE_CHARS]
@@ -425,51 +492,42 @@ def _read_matrix(text: str, start: int):
     return weights, found.end()
 
 
-def _read_at_stride(text: str, start: int):
-    """(weights, end) for a matrix at text[start] in the fixed-stride
-    layout (see _ENTRY), or None for any other text, which the scan then
-    reads.
+def _read_layout(raw: bytes, start: int):
+    """The weights matrix at raw[start] when it runs to the document's end
+    in the layout of _LAYOUT_KEY, or None.
 
-    The layout is chosen from a few tests on the text: a line break after
-    the "[", m from the length of the first row, the end at the document's
-    last "\\n ]" (the matrix's own when weights is the last member, as
-    save_document writes it), and whole rows between the two. Then each
-    block of rows must match the row template in one comparison, and its
-    entries are read at fixed offsets: every "0.0" becomes +0.0, and the
-    others, which may hold number characters and spaces only, are parsed as
-    one flat array by the standard decoder, each distinct entry once.
+    m comes from the first row's length and n from the bytes left. Every
+    word is compared, a block of rows at a time, with the zero entry or the
+    row break it should be. The entries that differ, 2-3% of a gen catalog,
+    may differ in their three characters alone, which must be number
+    characters or spaces; each distinct one is parsed by the standard
+    decoder, once, and every other entry is +0.0. Equal bit for bit to
+    np.array of the JSON matrix.
     """
-    if text[start + 1 : start + 2] != "\n":
+    m, odd = divmod(raw.find(b"]", start) - start - 7, 8)
+    if odd or m < 1 or raw[start : start + 6] != _LAYOUT_OPEN:
         return None
-    close = text.rfind("\n ]")
-    first_row = text.find("]", start) + 1 - (start + 2)
-    m, odd = divmod(first_row - 6, 8)
-    stride = first_row + 2
-    n, rest = divmod(close - start, stride)
-    if odd or m < 1 or rest or n < 1:
+    n, rest = divmod(len(raw) - start - 6, 8 * (m + 1))
+    if rest or n < 1:
         return None
-    rows = min(n, max(1, _BLOCK_CHARS // stride))
-    template = np.frombuffer(
-        (("  [\n" + _ENTRY * m)[:-2] + "\n  ],\n").encode("latin-1"), np.uint8
-    )
-    entry_bits = (template == 0xFF) * np.uint8(0xFF)
-    nonzero, codes = [], []
-    for i in range(0, n, rows):
-        block = text[start + 2 + i * stride : min(start + 2 + (i + rows) * stride, close)]
-        try:
-            # the last row has no ",\n" after it
-            raw = (block if i + rows < n else block + ",\n").encode("ascii")
-        except UnicodeEncodeError:
-            return None
-        grid = np.frombuffer(raw, np.uint8).reshape(-1, stride)
-        if not ((grid | entry_bits) == template).all():
-            return None
-        # each entry as the code of its four bytes " ddd"
-        entries = np.ndarray((len(grid), m), "<u4", raw, 6, (stride, 8))
-        not_zero = entries != _ZERO_ENTRY
-        nonzero.append(np.flatnonzero(not_zero) + i * m)
-        codes.append(entries[not_zero])
-    distinct, inverse = np.unique(np.concatenate(codes), return_inverse=True)
+    words = np.frombuffer(raw, "<u8", n * (m + 1), start + 6)
+    if words[-1] != _LAYOUT_END:
+        return None
+    template = np.full(m + 1, _ZERO_WORD, np.uint64)
+    template[m - 1 :] = _LAST_ZERO_WORD, _ROW_BREAK
+    step = max(1, _BLOCK_CHARS // (8 * m + 8)) * (m + 1)
+    # where the words differ from the template, but for the last one
+    at = np.concatenate(
+        [np.flatnonzero(words[i : i + step].reshape(-1, m + 1) != template) + i
+         for i in range(0, words.size, step)]
+    )[:-1]
+    codes = words[at]
+    # A row break that differs here keeps the comma before these bytes,
+    # which the number characters below do not include.
+    if ((codes ^ template[at % (m + 1)]) & _FRAME).any():
+        return None
+    # each entry as the code of its four bytes " ddd"
+    distinct, inverse = np.unique((codes >> 16).astype(np.uint32), return_inverse=True)
     if distinct.tobytes().translate(None, _NUMBER_CHARS):
         return None
     try:
@@ -478,8 +536,8 @@ def _read_at_stride(text: str, start: int):
     except ValueError:
         return None
     weights = np.zeros((n, m))
-    weights.ravel()[np.concatenate(nonzero)] = values[inverse]
-    return weights, close + 3
+    weights.ravel()[at - at // (m + 1)] = values[inverse]
+    return weights
 
 
 def _read_rows(text: str, m):

@@ -75,6 +75,61 @@ def test_validate_rejects_nonfinite():
         validate(inst)
 
 
+@pytest.mark.parametrize("rows", [
+    [[np.nan, 1.0]], [[1.0, np.inf]], [[-np.inf, 1.0]], [[np.inf, -np.inf]],
+    [[1e308, 1e308], [np.nan, 1.0]], [[1.0, 2.0], [1.0, -np.inf]],
+], ids=["nan", "inf", "-inf", "inf and -inf", "overflow then nan", "-inf in the second row"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the row sums overflow or meet inf - inf
+def test_validate_names_nonfinite_weights_before_the_rest(rows):
+    """A non-finite weight is reported as such, ahead of a negative one or a
+    bad alpha, also next to a finite row whose sum overflows."""
+    with pytest.raises(InstanceError) as err:
+        validate(make(rows, alpha=2.0))
+    assert type(err.value) is InstanceError and str(err.value) == "weights must be finite"
+
+
+@pytest.mark.parametrize("rows", [[[1e308, 1e308]], [[1.7976931348623157e308] * 3, [1.0, 0.0, 0.0]]])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_validate_accepts_finite_rows_whose_sum_overflows(rows):
+    validate(make(rows))
+
+
+def _frozen(w):
+    w.setflags(write=False)
+    return w
+
+
+@pytest.mark.parametrize("weights", [
+    np.ones((2, 3)),
+    _frozen(np.ones((4, 3)))[1:3],
+    _frozen(np.ones((2, 3), dtype=np.float32)),
+    _frozen(np.ones((2, 3), dtype=">f8")),
+], ids=["writable", "frozen view", "frozen float32", "frozen big-endian"])
+def test_instance_copies_weights_it_cannot_own(weights):
+    inst = Instance(weights)
+    assert inst.weights is not weights and inst.weights.dtype == np.float64
+    assert not inst.weights.flags.writeable and inst.weights.flags.owndata
+    assert np.array_equal(inst.weights, np.ones((2, 3)))
+
+
+def test_instance_copies_a_frozen_view_of_a_writable_base():
+    base = np.ones((2, 2))
+    view = _frozen(base[:])
+    inst = Instance(view)
+    base[0, 0] = 5.0
+    assert inst.weights[0, 0] == 1.0
+
+
+def test_instance_shares_a_frozen_matrix_it_can_own():
+    weights = _frozen(np.ones((2, 3)))
+    inst = Instance(weights, 0.5)
+    assert inst.weights is weights
+    out = with_alpha(inst, 0.2)
+    assert out.weights is weights and not out.weights.flags.writeable
+    with pytest.raises(ValueError):
+        out.weights[0, 0] = 5.0
+
+
 def test_validate_rejects_empty():
     with pytest.raises(DimensionError):
         validate(Instance(np.zeros((0, 3))))

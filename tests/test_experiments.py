@@ -82,6 +82,20 @@ def test_alpha_sweep_rows_and_linearity():
     assert sc[0].alpha == 0.3 and sc[1].alpha == 0.9
 
 
+def test_alpha_sweep_computes_the_baseline_once_per_alpha(monkeypatch):
+    """Four rules at two alphas are five measurements, each of them one pps
+    call, and two globalprop baselines, one for each alpha measured at."""
+    calls = []
+    real = experiments.pps
+    monkeypatch.setattr(experiments, "pps",
+                        lambda rule, inst: calls.append((rule.value, inst.alpha)) or real(rule, inst))
+    alpha_sweep(gen_synthetic(_small()), ["globalprop", "userprop", "usereq", "scaledup"],
+                [0.3, 0.9], k=2)
+    assert sorted(calls) == sorted(
+        [("globalprop", 0.3)] * 2 + [("userprop", 0.3), ("usereq", 0.3), ("scaledup", 0.3),
+                                     ("scaledup", 0.9), ("globalprop", 0.9)])
+
+
 def test_alpha_sweep_rejects_bad_alphas():
     inst = gen_synthetic(_small())
     with pytest.raises(ValueError):

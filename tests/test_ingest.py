@@ -26,6 +26,7 @@ from streamshare import (
     save_document,
     validate,
 )
+from streamshare import cli
 from streamshare.cli import main
 
 SAMPLE = [
@@ -147,6 +148,21 @@ def test_document_round_trip(tmp_path):
     assert res.instance.alpha == 0.7
     assert res.user_ids == ("x", "y")
     assert res.artist_ids == ("p", "q")
+
+
+def test_loaded_weights_reach_the_rule_uncopied(tmp_path, monkeypatch):
+    """The matrix load_document builds is frozen, and the instance the CLI
+    divides, at the document's alpha or at the --alpha flag's, holds that
+    same array."""
+    path = tmp_path / "doc.json"
+    save_document(path, make([[3, 1], [0, 1]], alpha=0.7))
+    built = []
+    read = ingest._read_layout
+    monkeypatch.setattr(ingest, "_read_layout", lambda r, i: built.append(read(r, i)) or built[-1])
+    for flag_alpha in (None, 0.5):
+        instance = cli._load_with_alpha(path, flag_alpha)[0]
+        assert instance.weights is built[-1]
+        assert not instance.weights.flags.writeable and instance.weights.flags.owndata
 
 
 def test_save_defaults_ids_and_checks_lengths(tmp_path):
@@ -403,10 +419,10 @@ def _saved(token="0.0", indent=1, weights_first=False):
     return text[:at] + token + text[at + 3 :]
 
 
-# the corpus in the layout save_document writes, where the weights take the
-# fixed-stride reader unless an entry is wider or narrower than three
-# characters or the layout is another one; opening a document in text mode
-# turns CRLF into LF
+# the corpus in the layout save_document writes, where the weights are read
+# from the document's bytes unless an entry is wider or narrower than three
+# characters or the layout is another one (CRLF line ends in the matrix
+# included: the text path, which decodes as text mode does, turns them into LF)
 LAYOUT_CORPUS = (
     [("layout", _saved())]
     + [(f"layout {t}", _saved(t)) for t in ("1e5", "-0", "1.e", "NaN", "true", "10.0", "\u0663.0")]
@@ -419,14 +435,54 @@ LAYOUT_CORPUS = (
         + _saved("4.0")[_saved("4.0").index('"weights"') :]),
        ("layout zero row", _saved().replace("   2.0", "   0.0")),
        ("layout one column",
-        json.dumps(json.loads(_document("[[1.0], [2.0]]", artist_ids=["a0"])), indent=1) + "\n")]
+        json.dumps(json.loads(_document("[[1.0], [2.0]]", artist_ids=["a0"])), indent=1) + "\n"),
+       ("layout NUL entry", _saved("1\u0000\u0000")),
+       # three bytes in UTF-8, the width of an entry
+       ("layout non-ASCII entry", _saved("1\u00e9")),
+       ("layout nested weights member", _saved().replace(
+           '{\n "version"', '{\n "meta": {\n "weights": [\n  [\n   5.0\n  ]\n ]},\n "version"')),
+       ("layout weights in a string", _saved().replace(
+           '{\n "version"', '{\n "meta": "\n "weights": [\n  [\n",\n "version"')),
+       # the matrix runs to the end, so the cut lands inside the nested value
+       ("layout weights nested at the end",
+        '{\n "meta": {\n "weights": [\n  [\n   1.0\n  ]\n ]\n}\n'),
+       ("layout weights in a string at the end",
+        '{\n "meta": "x\n "weights": [\n  [\n   1.0\n  ]\n ]\n}\n'),
+       ("layout bad header", _saved().replace('"alpha": 1.0', '"alpha": 1.0.0')),
+       # another weights member, at an indent the layout's does not have
+       ("layout weights also in the header", _saved().replace(
+           '{\n "version"', '{\n  "weights": [[9.0]],\n "version"')),
+       ("layout first row opened by a brace", _saved().replace('"weights": [\n  [', '"weights": [\n  {')),
+       ("layout closed by a bracket", _saved()[: -len("}\n")] + "]\n"),
+       ("layout non-ASCII ids", _saved().replace('"u0"', '"\u00fc0"')),
+       ("layout CRLF in the header", _saved().replace('"version": 1,\n', '"version": 1,\r\n')),
+       ("layout CR in an id", _saved().replace('"u0"', '"u\r0"')),
+       ("layout whitespace after the document", _saved() + " \n"),
+       ("layout cut off in the last row", _saved()[: _saved().rindex("0.0")]),
+       ("layout member after weights", _saved()[: -len("\n}\n")] + ',\n "x": 1\n}\n')]
 )
 # the layout documents whose weights are read without the standard decoder,
-# and whether the scan reads them (False: the fixed-stride reader alone)
+# and whether the scan reads them (False: read from the bytes alone)
 READ_IN_LAYOUT = {
     "layout": False, "layout 1e5": False, "layout -0": True, "layout 10.0": True,
-    "layout indent 4": True, "layout CRLF": False, "layout weights first": True,
-    "layout repeated weights": True, "layout zero row": False, "layout one column": False}
+    "layout indent 4": True, "layout CRLF": True, "layout weights first": True,
+    "layout repeated weights": True, "layout zero row": False, "layout one column": False,
+    "layout nested weights member": True, "layout non-ASCII ids": True,
+    "layout CRLF in the header": False,
+    "layout whitespace after the document": True, "layout closed by a bracket": True,
+    "layout member after weights": True}
+
+
+def _record_paths(monkeypatch):
+    """Lists that fill as documents load: for each walk of a document,
+    whether it read the matrix from the bytes (False: decoded as text); and
+    the m of each block of rows the scan reads."""
+    decoded, scans = [], []
+    decode, scan = ingest._decode_document, ingest._read_rows
+    monkeypatch.setattr(ingest, "_decode_document",
+                        lambda t, cut=None: decoded.append(cut is not None) or decode(t, cut))
+    monkeypatch.setattr(ingest, "_read_rows", lambda t, m: scans.append(m) or scan(t, m))
+    return decoded, scans
 
 
 @pytest.mark.parametrize("block", [ingest._BLOCK_CHARS, 1], ids=["one-block", "row-blocks"])
@@ -437,15 +493,16 @@ def test_load_document_matches_json_and_np_array(tmp_path, monkeypatch, label, t
     path.write_text(text, encoding="utf-8")
     expected = _outcome(_reference_load, path)
     monkeypatch.setattr(ingest, "_BLOCK_CHARS", block)
-    reads, scans = [], []
-    read, scan = ingest._read_matrix, ingest._read_rows
+    decoded, scans = _record_paths(monkeypatch)
+    reads = []
+    read = ingest._read_matrix
     monkeypatch.setattr(ingest, "_read_matrix", lambda t, i: reads.append(read(t, i)) or reads[-1])
-    monkeypatch.setattr(ingest, "_read_rows", lambda t, m: scans.append(m) or scan(t, m))
     assert _outcome(load_document, path) == expected
     read_by = READ_BY_SCAN | READ_IN_LAYOUT.keys()
-    assert (reads != [] and None not in reads) == (label in read_by)
+    from_bytes = decoded == [True]
+    assert (None not in reads and (from_bytes or reads != [])) == (label in read_by)
     if label in READ_IN_LAYOUT:
-        assert (scans != []) == READ_IN_LAYOUT[label]
+        assert (scans != []) == READ_IN_LAYOUT[label] != from_bytes
 
 
 @pytest.mark.parametrize("token", NUMBERS)
@@ -486,9 +543,9 @@ def test_save_then_load_is_bit_identical(tmp_path, kind):
 
 
 def test_generated_documents_load_as_before(tmp_path, monkeypatch):
-    """Documents written by ``gen`` and ``reduce-ssbve`` go through the
-    fixed-stride reader, a ``gen`` document with counts of 10 and more
-    through the scan, and all load bit for bit as json.load + np.array
+    """Documents written by ``gen`` and ``reduce-ssbve`` are read from their
+    bytes, a ``gen`` document with counts of 10 and more is decoded as text
+    and read by the scan, and all load bit for bit as json.load + np.array
     does."""
     graph = tmp_path / "graph.txt"
     graph.write_text("3 3\n0 0\n0 1\n1 1\n2 2\n")
@@ -504,16 +561,13 @@ def test_generated_documents_load_as_before(tmp_path, monkeypatch):
     docs.append(tmp_path / "wide.json")
     assert main(["gen", "--users", "300", "--artists", "30", "--seed", "0",
                  "--stream-lambda", "6", "--out", str(docs[-1])]) == 0
-    scans = []
-    scan = ingest._read_rows
-    monkeypatch.setattr(ingest, "_read_rows", lambda t, m: scans.append(m) or scan(t, m))
+    decoded, scans = _record_paths(monkeypatch)
     for path in docs:
-        text = path.read_text()
-        start = text.index('"weights": ') + len('"weights": ')
+        decoded.clear()
         scans.clear()
-        assert ingest._read_matrix(text, start) is not None, path.name
-        assert (scans != []) == (path.name == "wide.json"), path.name
         assert _outcome(load_document, path) == _outcome(_reference_load, path)
+        wide = path.name == "wide.json"
+        assert (decoded, scans != []) == ([not wide], wide), path.name
 
 
 # ---------------------------------------------------------------------------

@@ -5,26 +5,24 @@ separated, optional header). Aggregation keys stay sparse until the final
 densification, which refuses to materialize matrices above a cell budget.
 Instances round-trip through a small versioned JSON document that carries
 the id tables alongside the weights. Loading one reads the file once, as
-bytes. A document in the layout save_document writes, with every weight
-in three characters as the counts of gen and the small integers of
-reduce-ssbve are, is read from those bytes: only its header members are
-decoded to text (they must be ASCII) and walked by the
+bytes, and takes one of two paths. A document in the layout save_document
+writes, with every weight in three characters as the counts of gen and the
+small integers of reduce-ssbve are, is read from those bytes: only its
+header members are decoded to text (they must be ASCII) and parsed by the
 standard decoder, and the weight matrix, the last member, is checked and
 read as a grid of eight-byte words, one per entry, each compared with the
 word of a "0.0" entry. Every other document is decoded to text as
 open(path).read() decodes it (the locale codec, universal newlines, the
-same decode errors), its weights read by a vectorized scan that finds the
-rows and entries by their delimiters (or, for a matrix with few zeros, by
-the decoder whole). Both readers write the zeros without parsing them and
-hand every other entry to the standard decoder, so the loaded weights are
-bit for bit those of json.load followed by np.array, and every document
-that loaded or failed to load before does so the same way. The loaded
-matrix is frozen and reaches the instance, and every with_alpha of it,
-without a copy. Saving one writes the bytes of json.dump(doc, fh, indent=1)
-and a newline, so the format is unchanged, but it renders the weights a
-block of rows at a time: each distinct value of a block is rendered once,
-and the block is written before the next is built, so no nested list of
-the matrix is made.
+same decode errors) and parsed by the standard decoder whole. The bytes
+reader writes the zeros without parsing them and hands every other entry
+to the standard decoder, so the loaded weights are bit for bit those of
+json.load followed by np.array, and every document loads or fails to load
+as it does there. The loaded matrix is frozen and reaches the instance,
+and every with_alpha of it, without a copy. Saving one writes the bytes of
+json.dump(doc, fh, indent=1) and a newline, so the format is unchanged, but
+it renders the weights a block of rows at a time: each distinct value of a
+block is rendered once, and the block is written before the next is built,
+so no nested list of the matrix is made.
 """
 
 from __future__ import annotations
@@ -32,9 +30,7 @@ from __future__ import annotations
 import io
 import json
 import math
-import re
 from dataclasses import dataclass
-from json.decoder import WHITESPACE as _WHITESPACE, scanstring
 
 import numpy as np
 
@@ -294,24 +290,8 @@ def _reject_constant(name: str):
     raise SchemaError(f"non-finite literal {name} is not allowed")
 
 
-# Where a matrix value ends (the first "]" followed by a second one) and
-# where a row ends and another follows (a "]" followed by a comma). They
-# are compiled at first use, through re's cache, so that importing the
-# package compiles nothing for runs that load no document.
-_MATRIX_END = r"\][ \t\n\r]*\]"
-_ROW_END = r"\][ \t\n\r]*,"
-_COMMA, _OPEN, _CLOSE, _DOT, _ZERO = b",[].0"
-# How much of a matrix value is sampled for its share of "0.0" entries,
-# and the least share for which the scan is used. On 2000x200 documents of
-# exponential(1) weights with a given share of zeros (2-core Xeon, Python
-# 3.11, numpy 2.4), the scan took 141/134/129/109 ms where the standard
-# decoder took 137/125/136/130 ms at 70/72/74/76% zeros; the sample reads
-# those shares as 73/74/76/78%, since values below 0.1 also hold "0.0".
-# BENCH_load.json has the whole range.
-_SAMPLE_CHARS = 1 << 16
-_MIN_ZERO_SHARE = 0.75
 # Rows are read in blocks of about this many characters, so that the
-# readers' temporary arrays stay small next to the matrix itself.
+# reader's temporary arrays stay small next to the matrix itself.
 _BLOCK_CHARS = 1 << 17
 # The layout save_document writes when every weight renders in three
 # characters, as the counts 0.0 to 9.0 that gen writes do. The weights
@@ -337,8 +317,8 @@ _NUMBER_CHARS = b" 0123456789+-.eE"
 def _decode_file(path):
     """json.loads of the document's text, read once as bytes: by
     _decode_layout, or decoded to the text open(path).read() gives (the
-    locale codec, universal newlines, its decode errors) and walked by
-    _decode_document."""
+    locale codec, universal newlines, its decode errors) and parsed by the
+    standard decoder."""
     with open(path, "rb") as fh:
         raw = fh.read()
     doc = _decode_layout(raw)
@@ -347,7 +327,7 @@ def _decode_file(path):
     with io.TextIOWrapper(io.BytesIO(raw)) as fh:
         text = fh.read()
     del raw  # not kept while the text is parsed
-    return _decode_document(text)
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def _decode_layout(raw: bytes):
@@ -359,15 +339,16 @@ def _decode_layout(raw: bytes):
     Only the header, the bytes before the weights' "[", is decoded, and only
     when it is ASCII, so that its text is the one any ASCII-compatible
     locale codec gives. (A CR, which universal newlines would turn into a
-    line break, can stand only as whitespace in a header the walk accepts,
-    where it reads as the line break would.) The matrix is read from the
-    bytes by _read_layout and cut out of the text, and the rest is walked
-    as _decode_document walks it. A document that walk rejects goes to the
-    text path too, which reports the error where the standard decoder does.
-    A walk that accepts has read the cut as the value of a top-level
-    "weights" key: the text before the cut ends in a line break and
-    '"weights": ', which inside any other value, a string included, is an
-    error.
+    line break, can stand only as whitespace in a header the standard
+    decoder accepts, where it reads as the line break would.) The matrix is
+    read from the bytes by _read_layout, and the header is parsed with a
+    placeholder "0" for it and a "}" for the document's closing brace.
+    That text parses only when the placeholder is the value of a top-level
+    "weights" key, the last member: the header ends in a line break and
+    '"weights": ', which inside a string is an error, and the "}" must
+    close the root. The matrix then takes the placeholder's place. A header
+    the decoder rejects sends the document to the text path, which reports
+    the error where the standard decoder does.
     """
     key = raw.find(_LAYOUT_KEY)
     start = key + len(_LAYOUT_KEY) - 1
@@ -378,118 +359,11 @@ def _decode_layout(raw: bytes):
     if weights is None:
         return None
     try:
-        # the document's closing "\n}\n" as a bare "}": whitespace after the
-        # cut would carry the walk past it before the value is read
-        return _decode_document(header.decode("ascii") + "}", (weights, start))
+        doc = json.loads(header.decode("ascii") + "0}", parse_constant=_reject_constant)
     except json.JSONDecodeError:
         return None
-
-
-def _decode_document(text: str, cut=None):
-    """json.loads(text) with every "weights" member read by _read_matrix,
-    or, for a weights value at the position ``cut[1]``, ``cut``: (the
-    matrix, that position), a matrix cut out of the text there.
-
-    The top-level object is walked the way the standard decoder walks it,
-    with its scanstring and scan_once, so every other value and every
-    accept or reject is the standard decoder's, with the same error
-    positions. A root that is not an object goes to json.loads.
-    """
-    end = _WHITESPACE.match(text).end()
-    if text[end : end + 1] != "{":
-        return json.loads(text, parse_constant=_reject_constant)
-    scan_once = json.JSONDecoder(parse_constant=_reject_constant).scan_once
-    pairs = []
-    end = _WHITESPACE.match(text, end + 1).end()
-    if text[end : end + 1] == "}":
-        end += 1
-    else:
-        while True:
-            if text[end : end + 1] != '"':
-                raise json.JSONDecodeError(
-                    "Expecting property name enclosed in double quotes", text, end
-                )
-            key, end = scanstring(text, end + 1)
-            end = _WHITESPACE.match(text, end).end()
-            if text[end : end + 1] != ":":
-                raise json.JSONDecodeError("Expecting ':' delimiter", text, end)
-            end = _WHITESPACE.match(text, end + 1).end()
-            if key != "weights":
-                read = None
-            elif cut is not None and end == cut[1]:
-                read = cut
-            else:
-                read = _read_matrix(text, end)
-            if read is None:
-                try:
-                    read = scan_once(text, end)
-                except StopIteration as err:
-                    raise json.JSONDecodeError("Expecting value", text, err.value) from None
-            value, end = read
-            pairs.append((key, value))
-            end = _WHITESPACE.match(text, end).end()
-            delimiter = text[end : end + 1]
-            end += 1
-            if delimiter == "}":
-                break
-            if delimiter != ",":
-                raise json.JSONDecodeError("Expecting ',' delimiter", text, end - 1)
-            end = _WHITESPACE.match(text, end).end()
-    end = _WHITESPACE.match(text, end).end()
-    if end != len(text):
-        raise json.JSONDecodeError("Extra data", text, end)
-    return dict(pairs)
-
-
-def _read_matrix(text: str, start: int):
-    """(weights, end) for a rectangular JSON matrix of numbers at text[start],
-    or None when the value is anything else.
-
-    Equal to np.array(json value, dtype=float) bit for bit. Every canonical
-    "0.0" becomes +0.0 without being parsed; the other entries are joined
-    into one flat JSON array that the standard decoder parses, so they are
-    checked against the JSON number grammar and converted exactly as
-    before. Anything this reader does not take (strings, literals, ragged
-    rows, other depths, a number json reads but np.array cannot convert) is
-    left to the standard decoder and np.array, so it is rejected or
-    accepted as before. So is a matrix whose entries, in its first 64K
-    characters, are less than three quarters "0.0", where the scan is no
-    faster than the decoder (see _MIN_ZERO_SHARE).
-    """
-    if text[start : start + 1] != "[":
-        return None
-    matrix_end = re.compile(_MATRIX_END)
-    found = matrix_end.search(text, start, start + _SAMPLE_CHARS)
-    sample = text[start : found.end() if found else start + _SAMPLE_CHARS]
-    if sample.count("0.0") < _MIN_ZERO_SHARE * (sample.count(",") + 1):
-        return None
-    found = found or matrix_end.search(text, start)
-    if found is None:
-        return None
-    last = found.start() + 1  # just after the last row's "]"
-    pos = start + 1
-    m, n, nonzero, tokens = None, 0, [], []
-    row_end = re.compile(_ROW_END)
-    while True:
-        cut = row_end.search(text, pos + _BLOCK_CHARS, last)
-        block = _read_rows(text[pos : (cut.start() + 1 if cut else last)], m)
-        if block is None:
-            return None
-        rows, m, flat, joined = block
-        nonzero.append(flat + n * m)
-        if joined:
-            tokens.append(joined)
-        n += rows
-        if cut is None:
-            break
-        pos = cut.end()
-    try:
-        values = np.array(json.loads(b"[" + b",".join(tokens) + b"]"), dtype=float)
-    except (ValueError, OverflowError):
-        return None
-    weights = np.zeros((n, m))
-    weights.ravel()[np.concatenate(nonzero)] = values
-    return weights, found.end()
+    doc["weights"] = weights
+    return doc
 
 
 def _read_layout(raw: bytes, start: int):
@@ -538,67 +412,3 @@ def _read_layout(raw: bytes, start: int):
     weights = np.zeros((n, m))
     weights.ravel()[at - at // (m + 1)] = values[inverse]
     return weights
-
-
-def _read_rows(text: str, m):
-    """(rows, m, flat indices of the entries that are not "0.0", those
-    entries joined by commas) for text that is whole matrix rows separated
-    by commas, "[t, ..., t], ..., [t, ..., t]", each of m entries (m is
-    taken from the first row when None); None for anything else."""
-    try:
-        raw = text.encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    # Dropping whitespace must not join two tokens ("1 2" is not "12"), so
-    # count the runs of token bytes before it goes: one per matrix entry.
-    r = np.frombuffer(raw, dtype=np.uint8)
-    token_byte = r > 32
-    for c in (_COMMA, _OPEN, _CLOSE):
-        token_byte &= r != c
-    runs = np.count_nonzero(token_byte[:-1] > token_byte[1:])
-    raw = raw.translate(None, b" \t\n\r")
-    first_row_end = raw.find(b"]")
-    if first_row_end < 0:
-        return None
-    if m is None:
-        m = raw.count(b",", 0, first_row_end) + 1
-
-    # Per row: "[", m - 1 commas, "]" and a comma (none after the last
-    # row), with one token between each "[" or comma and the next delimiter
-    # and nothing, not even a control character, anywhere else.
-    b = np.frombuffer(raw, dtype=np.uint8)
-    delimiter = b == _COMMA
-    delimiter |= b == _OPEN
-    delimiter |= b == _CLOSE
-    pos = np.flatnonzero(delimiter)
-    n = (pos.size + 1) // (m + 2)
-    if n * (m + 2) != pos.size + 1 or runs != n * m:
-        return None
-    grid = np.append(pos, b.size).reshape(n, m + 2)
-    layout = np.full(m + 1, _COMMA, dtype=np.uint8)
-    layout[0], layout[m] = _OPEN, _CLOSE
-    if not (
-        grid[0, 0] == 0
-        and (b[grid[:, :-1]] == layout).all()
-        and (b[grid[:-1, -1]] == _COMMA).all()
-        and (grid[:, -1] - grid[:, -2] == 1).all()
-        and (grid[1:, 0] - grid[:-1, -1] == 1).all()
-    ):
-        return None
-    starts = grid[:, :m] + 1
-    ends = grid[:, 1 : m + 1]
-    # With no entry empty, as many runs as entries means one run per entry.
-    if not (ends > starts).all():
-        return None
-    zero_at = b[:-2] == _ZERO
-    zero_at &= b[1:-1] == _DOT
-    zero_at &= b[2:] == _ZERO
-    # a one-byte last token starts past zero_at; clipped, its length decides
-    flat = np.flatnonzero((ends - starts != 3) | ~zero_at.take(starts, mode="clip"))
-    joined = b",".join(
-        [raw[i:j] for i, j in zip(starts.ravel()[flat].tolist(), ends.ravel()[flat].tolist())]
-    )
-    # Number characters only, so each token is one JSON number or an error.
-    if joined.translate(None, b"0123456789+-.eE,"):
-        return None
-    return n, m, flat, joined

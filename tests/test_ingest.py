@@ -280,12 +280,12 @@ def test_load_document_keeps_distinct_string_ids(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the vectorized weights reader against json.load + np.array
+# the document reader against json.load + np.array
 
 
 def _reference_load(path):
-    """The document loader before the vectorized weights reader: json.load
-    parses the whole document, then np.array converts the weights."""
+    """The reference loader: json.load parses the whole document, then
+    np.array converts the weights."""
     with open(path) as fh:
         try:
             doc = json.load(fh, parse_constant=ingest._reject_constant)
@@ -327,8 +327,8 @@ def _outcome(load, path):
 
 
 def _zero_rows(*entries, width=32):
-    """A two-row matrix, mostly "0.0" so that the vectorized reader takes
-    it, with the given entries at the start of the first row."""
+    """A two-row matrix, mostly "0.0" as gen's catalogs are, with the given
+    entries at the start of the first row."""
     first = list(entries) + ["0.0"] * (width - len(entries) - 1) + ["1.0"]
     second = ["2.0"] + ["0.0"] * (width - 1)
     return "[[" + ", ".join(first) + "], [" + ", ".join(second) + "]]"
@@ -345,8 +345,8 @@ def _document(weights, **fields):
     return "{" + _members(**fields) + ', "weights": ' + weights + "}"
 
 
-# the tokens the JSON number grammar accepts, each of which the reader
-# must take; and every other spelling, which the standard decoder rejects
+# the tokens the JSON number grammar accepts, each of which must load as
+# json.load reads it; and every other spelling, which json.load rejects
 NUMBERS = ["-0", "-0.0", "0", "1E400", "5e-324", "1e-400", "1e+5", "1E-05", "0.5e0",
            "0.05", "10.0", "0.0e5", "9007199254740993", "18446744073709551617",
            "1" + "0" * 308, "2.5"]
@@ -400,14 +400,6 @@ CORPUS = (
 )
 
 
-# corpus documents whose weights (all of them, for a repeated key) the
-# vectorized reader must take rather than leave to the standard decoder
-READ_BY_SCAN = {f"number {t[:12]}" for t in NUMBERS} | {
-    "last -0", "last 7", "tabs and CRLF", "weights first", "non-ASCII ids",
-    "weights first, non-ASCII ids", "repeated weights", "negative", "zero row",
-    "too few ids", "version 2", "extra data", "missing comma after weights"}
-
-
 def _saved(token="0.0", indent=1, weights_first=False):
     """A _zero_rows document as save_document lays it out (json.dump with
     indent=1, weights last, a closing newline), with its first entry
@@ -459,30 +451,37 @@ LAYOUT_CORPUS = (
        ("layout CR in an id", _saved().replace('"u0"', '"u\r0"')),
        ("layout whitespace after the document", _saved() + " \n"),
        ("layout cut off in the last row", _saved()[: _saved().rindex("0.0")]),
-       ("layout member after weights", _saved()[: -len("\n}\n")] + ',\n "x": 1\n}\n')]
+       ("layout member after weights", _saved()[: -len("\n}\n")] + ',\n "x": 1\n}\n'),
+       # headers for _decode_layout's parse with a placeholder for the matrix
+       ("layout weights alone", '{\n "weights": [\n  [\n   1.0\n  ]\n ]\n}\n'),
+       ("layout no comma before weights", _saved().replace('],\n "weights"', ']\n "weights"')),
+       ("layout two commas before weights", _saved().replace('],\n "weights"', '],,\n "weights"')),
+       ("layout NaN alpha", _saved().replace('"alpha": 1.0', '"alpha": NaN')),
+       ("layout comma after the brace", "{," + _saved()[1:]),
+       ("layout array root", "[" + _saved()[1:])]
 )
-# the layout documents whose weights are read without the standard decoder,
-# and whether the scan reads them (False: read from the bytes alone)
-READ_IN_LAYOUT = {
-    "layout": False, "layout 1e5": False, "layout -0": True, "layout 10.0": True,
-    "layout indent 4": True, "layout CRLF": True, "layout weights first": True,
-    "layout repeated weights": True, "layout zero row": False, "layout one column": False,
-    "layout nested weights member": True, "layout non-ASCII ids": True,
-    "layout CRLF in the header": False,
-    "layout whitespace after the document": True, "layout closed by a bracket": True,
-    "layout member after weights": True}
+# the corpus documents whose weights _read_layout reads from the bytes
+READ_FROM_BYTES = {"layout", "layout 1e5", "layout zero row", "layout one column",
+                   "layout weights also in the header", "layout CRLF in the header",
+                   "layout weights alone"}
 
 
-def _record_paths(monkeypatch):
-    """Lists that fill as documents load: for each walk of a document,
-    whether it read the matrix from the bytes (False: decoded as text); and
-    the m of each block of rows the scan reads."""
-    decoded, scans = [], []
-    decode, scan = ingest._decode_document, ingest._read_rows
-    monkeypatch.setattr(ingest, "_decode_document",
-                        lambda t, cut=None: decoded.append(cut is not None) or decode(t, cut))
-    monkeypatch.setattr(ingest, "_read_rows", lambda t, m: scans.append(m) or scan(t, m))
-    return decoded, scans
+def _record_bytes_reads(monkeypatch):
+    """A list that fills as documents load: for each, whether the matrix
+    _read_layout read from its bytes is the decoded document's weights."""
+    reads, built = [], []
+    read, decode = ingest._read_layout, ingest._decode_layout
+    monkeypatch.setattr(ingest, "_read_layout", lambda r, i: built.append(read(r, i)) or built[-1])
+
+    def decode_layout(raw):
+        reads.append(False)  # stays so when the header raises
+        built.clear()
+        doc = decode(raw)
+        reads[-1] = doc is not None and doc["weights"] is built[-1]
+        return doc
+
+    monkeypatch.setattr(ingest, "_decode_layout", decode_layout)
+    return reads
 
 
 @pytest.mark.parametrize("block", [ingest._BLOCK_CHARS, 1], ids=["one-block", "row-blocks"])
@@ -493,30 +492,32 @@ def test_load_document_matches_json_and_np_array(tmp_path, monkeypatch, label, t
     path.write_text(text, encoding="utf-8")
     expected = _outcome(_reference_load, path)
     monkeypatch.setattr(ingest, "_BLOCK_CHARS", block)
-    decoded, scans = _record_paths(monkeypatch)
-    reads = []
-    read = ingest._read_matrix
-    monkeypatch.setattr(ingest, "_read_matrix", lambda t, i: reads.append(read(t, i)) or reads[-1])
+    reads = _record_bytes_reads(monkeypatch)
     assert _outcome(load_document, path) == expected
-    read_by = READ_BY_SCAN | READ_IN_LAYOUT.keys()
-    from_bytes = decoded == [True]
-    assert (None not in reads and (from_bytes or reads != [])) == (label in read_by)
-    if label in READ_IN_LAYOUT:
-        assert (scans != []) == READ_IN_LAYOUT[label] != from_bytes
+    assert reads == [label in READ_FROM_BYTES]
 
 
 @pytest.mark.parametrize("token", NUMBERS)
-def test_matrix_reader_takes_json_numbers(token):
-    text = _zero_rows(token)
-    weights, end = ingest._read_matrix(text, 0)
-    assert end == len(text)
-    expected = np.array(json.loads(text), dtype=float)
-    assert np.array_equal(weights.view(np.int64), expected.view(np.int64))
+def test_matrix_reader_takes_json_numbers(tmp_path, monkeypatch, token):
+    """A JSON number as an entry of save_document's layout loads as
+    json.load reads it: from the bytes when it is three characters wide,
+    from the text otherwise."""
+    path = tmp_path / "doc.json"
+    path.write_text(_saved(token))
+    reads = _record_bytes_reads(monkeypatch)
+    assert _outcome(load_document, path) == _outcome(_reference_load, path)
+    assert reads == [len(token) == 3]
 
 
 @pytest.mark.parametrize("token", SPELLINGS + HUGE + ["true", '"1.5"'])
-def test_matrix_reader_leaves_the_rest_to_json(token):
-    assert ingest._read_matrix(_zero_rows(token), 0) is None
+def test_matrix_reader_leaves_the_rest_to_json(tmp_path, monkeypatch, token):
+    """Any other entry of save_document's layout, three characters wide or
+    not, is left to the text path and loads or fails as json.load does."""
+    path = tmp_path / "doc.json"
+    path.write_text(_saved(token))
+    reads = _record_bytes_reads(monkeypatch)
+    assert _outcome(load_document, path) == _outcome(_reference_load, path)
+    assert reads == [False]
 
 
 def _extreme(rng, shape):
@@ -544,9 +545,8 @@ def test_save_then_load_is_bit_identical(tmp_path, kind):
 
 def test_generated_documents_load_as_before(tmp_path, monkeypatch):
     """Documents written by ``gen`` and ``reduce-ssbve`` are read from their
-    bytes, a ``gen`` document with counts of 10 and more is decoded as text
-    and read by the scan, and all load bit for bit as json.load + np.array
-    does."""
+    bytes, a ``gen`` document with counts of 10 and more is decoded as text,
+    and all load bit for bit as json.load + np.array does."""
     graph = tmp_path / "graph.txt"
     graph.write_text("3 3\n0 0\n0 1\n1 1\n2 2\n")
     docs = []
@@ -561,13 +561,11 @@ def test_generated_documents_load_as_before(tmp_path, monkeypatch):
     docs.append(tmp_path / "wide.json")
     assert main(["gen", "--users", "300", "--artists", "30", "--seed", "0",
                  "--stream-lambda", "6", "--out", str(docs[-1])]) == 0
-    decoded, scans = _record_paths(monkeypatch)
+    reads = _record_bytes_reads(monkeypatch)
     for path in docs:
-        decoded.clear()
-        scans.clear()
+        reads.clear()
         assert _outcome(load_document, path) == _outcome(_reference_load, path)
-        wide = path.name == "wide.json"
-        assert (decoded, scans != []) == ([not wide], wide), path.name
+        assert reads == [path.name != "wide.json"], path.name
 
 
 # ---------------------------------------------------------------------------

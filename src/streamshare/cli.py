@@ -212,24 +212,39 @@ def _parse_sweep_config(path) -> SynthConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            keys[key] = value
+            keys[key] = (f"{path}:{line_no}", value)
     known = {"users", "artists", "range", "lambda", "seed"}
     unknown = set(keys) - known
     if unknown:
         raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
-    try:
-        users, artists = int(keys["users"]), int(keys["artists"])
+    for key in ("users", "artists"):
+        if key not in keys:
+            raise ValueError(f"sweep config missing {key!r}")
+
+    def read(key, parse, what, default=None):
+        where, value = keys.get(key, (path, default))
+        try:
+            return parse(value)
+        except ValueError:
+            raise ValueError(f"{where}: {key} must be {what}, got {value!r}") from None
+
+    users, artists = read("users", int, "an integer"), read("artists", int, "an integer")
+    return SynthConfig(
+        n_users=users,
+        n_artists=artists,
         # without a range, each user follows gen's default 1 to min(10, artists)
-        lo, hi = (int(p) for p in keys.get("range", f"1,{min(10, artists)}").split(","))
-        return SynthConfig(
-            n_users=users,
-            n_artists=artists,
-            artist_count_range=(lo, hi),
-            stream_lambda=float(keys.get("lambda", "1.0")),
-            seed=int(keys.get("seed", "0")),
-        )
-    except KeyError as exc:
-        raise ValueError(f"sweep config missing {exc.args[0]!r}")
+        artist_count_range=read("range", lambda text: _int_pair(text, ","),
+                                "two integers 'lo,hi'", f"1,{min(10, artists)}"),
+        stream_lambda=read("lambda", float, "a number", "1.0"),
+        seed=read("seed", int, "an integer", "0"),
+    )
+
+
+def _int_pair(text: str, sep=None) -> tuple:
+    """The two integers of ``text``, split at ``sep`` (whitespace when
+    None); a ValueError for any other text."""
+    lo, hi = map(int, text.split(sep))
+    return lo, hi
 
 
 def _cmd_sweep(args) -> int:
@@ -251,16 +266,17 @@ def _read_graph(path) -> BipartiteGraph:
         lines = [l.strip() for l in fh if l.strip() and not l.strip().startswith("#")]
     if not lines:
         raise ValueError(f"{path}: empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"{path}: first line must be 'LEFT RIGHT', got {lines[0]!r}")
-    left, right = int(head[0]), int(head[1])
+    try:
+        left, right = _int_pair(lines[0])
+    except ValueError:
+        raise ValueError(f"{path}: first line must be 'LEFT RIGHT', two integers, "
+                         f"got {lines[0]!r}") from None
     edges = []
     for text in lines[1:]:
-        parts = text.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}: edge line must be 'u v', got {text!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            edges.append(_int_pair(text))
+        except ValueError:
+            raise ValueError(f"{path}: edge line must be 'u v', two integers, got {text!r}") from None
     return BipartiteGraph(left, right, tuple(edges))
 
 

@@ -20,9 +20,15 @@ json.load followed by np.array, and every document loads or fails to load
 as it does there. The loaded matrix is frozen and reaches the instance,
 and every with_alpha of it, without a copy. Saving one writes the bytes of
 json.dump(doc, fh, indent=1) and a newline, so the format is unchanged, but
-it renders the weights a block of rows at a time: each distinct value of a
-block is rendered once, and the block is written before the next is built,
-so no nested list of the matrix is made.
+no nested list of the matrix is made: the header members are rendered by
+json's C string encoder and the indent=1 separators, and the weights go out
+a block of rows at a time, each block written before the next is built.
+When every nonzero weight renders in three characters, the matrix is
+written as the same grid of eight-byte words the bytes reader reads, from
+the reader's own zero-entry and row-break words with each nonzero entry's
+characters put in its word. Every other matrix (a -0.0, a weight of four or
+more characters, as in a gen catalog with a high stream rate or ingested
+counts) is rendered as text, each distinct value of a block once.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -180,8 +187,15 @@ def save_document(path, instance: Instance, user_ids=None, artist_ids=None) -> N
     as load_document does: the id tables, their lengths, then validate.
 
     The bytes are those of json.dump(doc, fh, indent=1) followed by a
-    newline. The header members go through the standard encoder; the
-    weights are rendered and written one block of rows at a time.
+    newline. The header members are rendered by the standard encoder's
+    pieces: each id by json's C string encoder, joined with the indent=1
+    separators. When every nonzero weight renders in three characters (the
+    counts of a default gen catalog, the small integers of reduce-ssbve),
+    the weights are written as the grid of eight-byte words _read_layout
+    reads, a block of rows at a time, straight to the file's binary buffer.
+    Every other matrix (a -0.0, a value of four or more characters, as in a
+    gen catalog with a high stream rate or ingested counts) is rendered as
+    text, one block of rows at a time.
     """
     if user_ids is None or artist_ids is None:
         gen_users, gen_artists = default_ids(instance)
@@ -192,24 +206,32 @@ def save_document(path, instance: Instance, user_ids=None, artist_ids=None) -> N
     if len(users) != instance.n_users or len(artists) != instance.n_artists:
         raise SchemaError("id table lengths do not match the weight matrix")
     validate(instance)
-    header = json.JSONEncoder(indent=1).encode(
-        {
-            "version": DOCUMENT_VERSION,
-            "alpha": instance.alpha,
-            "user_ids": users,
-            "artist_ids": artists,
-        }
-    )
     w = instance.weights
     rows = max(1, _SAVE_BLOCK_CELLS // w.shape[1])
+    blocks = [w[start : start + rows] for start in range(0, w.shape[0], rows)]
+    as_words = all(_layout_entries(block) is not None for block in blocks)
     with open(path, "w") as fh:
-        # "weights" is the last member: it goes where the header object closes.
-        fh.write(header[: -len("\n}")] + ',\n "weights": [\n')
-        for start in range(0, w.shape[0], rows):
-            if start:
-                fh.write(",\n")
-            fh.write(_rows_text(w[start : start + rows]))
-        fh.write("\n ]\n}\n")
+        # the members in json.dump's order, "weights" last
+        fh.write(
+            f'{{\n "version": {DOCUMENT_VERSION},\n "alpha": {json.dumps(instance.alpha)},\n'
+            f' "user_ids": {_ids_text(users)},\n "artist_ids": {_ids_text(artists)},\n'
+            ' "weights": [\n'
+        )
+        if as_words:
+            fh.write("  [\n")
+            fh.flush()
+            for grid in _layout_words(blocks):
+                fh.buffer.write(grid)
+        else:
+            for i, block in enumerate(blocks):
+                fh.write((",\n" if i else "") + _rows_text(block))
+            fh.write("\n ]\n}\n")
+
+
+def _ids_text(ids: tuple) -> str:
+    """A non-empty id table as json.dump(..., indent=1) writes it as a
+    member of the document."""
+    return "[\n  " + ",\n  ".join(map(encode_basestring_ascii, ids)) + "\n ]"
 
 
 # Rows are written in blocks of at most about this many cells (one row if
@@ -234,6 +256,36 @@ def _rows_text(block: np.ndarray) -> str:
     return ",\n".join(
         ["  [\n   " + sep.join(cells[i : i + m]) + "\n  ]" for i in range(0, r * m, m)]
     )
+
+
+def _layout_entries(block: np.ndarray):
+    """The flat positions of a block's nonzero entries and the index of each
+    in _THREE_CHAR_BITS, or None when one of them renders in other than
+    three characters (a -0.0 takes four)."""
+    bits = block.view(np.int64).ravel()
+    at = np.flatnonzero(bits != 0)  # the boolean scan is the fast one
+    found = bits[at]
+    index = np.searchsorted(_THREE_CHAR_BITS, found).clip(max=_THREE_CHAR_BITS.size - 1)
+    return (at, index) if np.array_equal(_THREE_CHAR_BITS[index], found) else None
+
+
+def _layout_words(blocks):
+    """The blocks of a matrix whose nonzero entries all render in three
+    characters, in the layout of _LAYOUT_KEY after its first row's "  [\n":
+    for each block, an (rows, m + 1) grid of the words _read_layout reads,
+    the zero entries and row breaks of the row template with each nonzero
+    entry's code in its word."""
+    m = blocks[0].shape[1]
+    template = _row_template(m)
+    for block in blocks:
+        at, index = _layout_entries(block)
+        grid = np.empty((len(block), m + 1), "<u8")
+        grid[:] = template
+        # entry (i, j) of the block is word i * (m + 1) + j of the grid
+        grid.ravel()[at + at // m] = template[at % m] & _FRAME | _THREE_CHAR_CODES[index]
+        if block is blocks[-1]:
+            grid[-1, -1] = _LAYOUT_END
+        yield grid
 
 
 def load_document(path) -> IngestResult:
@@ -312,6 +364,25 @@ _FRAME = int.from_bytes(b"\xff\xff\xff\0\0\0\xff\xff", "little")
 # the characters of a JSON number, and the space before each entry (or
 # inside one, where JSON reads it as whitespace)
 _NUMBER_CHARS = b" 0123456789+-.eE"
+# The finite nonzero floats that render in three characters, as the encoder
+# renders a float, are 0.1, 0.2, ..., 9.9 (an exponent takes at least five):
+# k / 10 is the float "d.d" names. Their bit patterns, ascending as the
+# floats do, and the code of each: its characters where an entry's word
+# holds them.
+_THREE_CHAR_VALUES = np.arange(1, 100) / 10
+_THREE_CHAR_BITS = _THREE_CHAR_VALUES.view(np.int64)
+_THREE_CHAR_CODES = np.array(
+    [int.from_bytes(text.encode(), "little") << 24
+     for text in map(float.__repr__, _THREE_CHAR_VALUES.tolist())], "<u8"
+)
+
+
+def _row_template(m: int) -> np.ndarray:
+    """The m + 1 words of a row of zeros in the layout of _LAYOUT_KEY, up
+    to the next row's "  [\n"."""
+    template = np.full(m + 1, _ZERO_WORD, "<u8")
+    template[m - 1 :] = _LAST_ZERO_WORD, _ROW_BREAK
+    return template
 
 
 def _decode_file(path):
@@ -387,8 +458,7 @@ def _read_layout(raw: bytes, start: int):
     words = np.frombuffer(raw, "<u8", n * (m + 1), start + 6)
     if words[-1] != _LAYOUT_END:
         return None
-    template = np.full(m + 1, _ZERO_WORD, np.uint64)
-    template[m - 1 :] = _LAST_ZERO_WORD, _ROW_BREAK
+    template = _row_template(m)
     step = max(1, _BLOCK_CHARS // (8 * m + 8)) * (m + 1)
     # where the words differ from the template, but for the last one
     at = np.concatenate(

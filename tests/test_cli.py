@@ -562,3 +562,31 @@ def test_reduce_ssbve_bad_graph(tmp_path, capsys):
                  "--delta", "1", "--out", str(tmp_path / "o.json")])
     assert code == 1
     assert "edge line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines, line_no, message", [
+    ("users=abc\nartists=5\n", 1, "users must be an integer, got 'abc'"),
+    ("users=10\nartists=5\nlambda=x\n", 3, "lambda must be a number, got 'x'"),
+    ("users=10\nartists=5\nrange=12\n", 3, "range must be two integers 'lo,hi', got '12'"),
+], ids=["users", "lambda", "range"])
+def test_sweep_config_names_a_value_that_does_not_parse(tmp_path, capsys, lines, line_no, message):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(lines)
+    code = main(["sweep", "--config", str(config), "--alphas", "0.5", "--k", "1",
+                 "--seeds", "1", "--out", str(tmp_path / "rows.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {config}:{line_no}: {message}\n"
+    assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 x\n0 0\n", "first line must be 'LEFT RIGHT', two integers, got '2 x'"),
+    ("2 2\n0 0\n0 a\n", "edge line must be 'u v', two integers, got '0 a'"),
+], ids=["header", "edge"])
+def test_reduce_ssbve_names_a_graph_line_that_does_not_parse(tmp_path, capsys, text, message):
+    graph = tmp_path / "bad.graph"
+    graph.write_text(text)
+    code = main(["reduce-ssbve", "--graph", str(graph), "--ell", "1",
+                 "--delta", "1", "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {graph}: {message}\n"

@@ -645,6 +645,62 @@ def test_save_document_rows_wider_than_a_block(tmp_path):
     _assert_saved_as_json_dump(tmp_path, Instance(w, 0.5))
 
 
+def _record_writer_paths(monkeypatch):
+    """A list that fills as documents are saved: "words" for each matrix
+    written as the word grid, "text" for each block rendered as text."""
+    paths = []
+    rows_text, layout_words = ingest._rows_text, ingest._layout_words
+    monkeypatch.setattr(ingest, "_rows_text", lambda block: paths.append("text") or rows_text(block))
+    monkeypatch.setattr(ingest, "_layout_words",
+                        lambda *tables: paths.append("words") or layout_words(*tables))
+    return paths
+
+
+def _three_char_values(rng, shape, last_column):
+    """Valid weights whose nonzero entries all render in three characters
+    (k / 10 for k in 1..99), a third of them nonzero, the last column all
+    zero or all nonzero."""
+    w = rng.integers(1, 100, size=shape) / 10 * (rng.random(shape) < 0.3)
+    w[:, -1] = rng.integers(1, 100, size=shape[0]) / 10 if last_column == "nonzero" else 0.0
+    w[w.sum(axis=1) == 0, 0] = 1.0
+    return w
+
+
+@pytest.mark.parametrize("block_cells", [ingest._SAVE_BLOCK_CELLS, 7], ids=["default", "tiny"])
+@pytest.mark.parametrize("shape, last_column", [
+    ((1, 1), "nonzero"), ((1, 9), "nonzero"), ((1, 9), "zero"), ((23, 1), "nonzero"),
+    ((23, 9), "nonzero"), ((23, 9), "zero"), ((5, 16), "zero"),
+], ids=lambda p: "x".join(map(str, p)) if isinstance(p, tuple) else f"last-{p}")
+def test_three_character_matrices_are_written_as_words(tmp_path, monkeypatch, shape, last_column,
+                                                       block_cells):
+    """A matrix whose nonzero entries render in three characters is written
+    as the word grid, in blocks that split the rows unevenly when a block
+    holds 7 cells, to json.dump's bytes; the document loads back from its
+    bytes through _read_layout to the same float64 bits."""
+    monkeypatch.setattr(ingest, "_SAVE_BLOCK_CELLS", block_cells)
+    w = _three_char_values(np.random.default_rng(sum(shape)), shape, last_column)
+    paths = _record_writer_paths(monkeypatch)
+    _assert_saved_as_json_dump(tmp_path, Instance(w, 0.7))
+    assert paths == ["words"]
+    reads = _record_bytes_reads(monkeypatch)
+    loaded = load_document(tmp_path / "saved.json").instance.weights
+    assert reads == [True]
+    assert np.array_equal(loaded.view(np.int64), w.view(np.int64))
+
+
+@pytest.mark.parametrize("value", [-0.0, 10.0], ids=["negative zero", "ten"])
+def test_other_matrices_are_written_as_text(tmp_path, monkeypatch, value):
+    """One -0.0, or a 10.0 among values up to 9.0, sends the whole matrix
+    to the text writer, which also writes json.dump's bytes."""
+    monkeypatch.setattr(ingest, "_SAVE_BLOCK_CELLS", 7)
+    w = np.random.default_rng(5).integers(0, 10, size=(23, 9)).astype(float)
+    w[:, 0] = 9.0
+    w[17, 3] = value
+    paths = _record_writer_paths(monkeypatch)
+    _assert_saved_as_json_dump(tmp_path, Instance(w, 0.7))
+    assert paths and set(paths) == {"text"}
+
+
 SQUARE = [[1.0, 1.0], [2.0, 2.0]]
 
 

@@ -212,7 +212,10 @@ def _parse_sweep_config(path) -> SynthConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            keys[key] = (f"{path}:{line_no}", value)
+            if key in keys:
+                raise ValueError(f"{path}:{line_no}: {key} is set twice, "
+                                 f"on lines {keys[key][0]} and {line_no}")
+            keys[key] = (line_no, value)
     known = {"users", "artists", "range", "lambda", "seed"}
     unknown = set(keys) - known
     if unknown:
@@ -222,10 +225,11 @@ def _parse_sweep_config(path) -> SynthConfig:
             raise ValueError(f"sweep config missing {key!r}")
 
     def read(key, parse, what, default=None):
-        where, value = keys.get(key, (path, default))
+        line_no, value = keys.get(key, (None, default))
         try:
             return parse(value)
         except ValueError:
+            where = path if line_no is None else f"{path}:{line_no}"
             raise ValueError(f"{where}: {key} must be {what}, got {value!r}") from None
 
     users, artists = read("users", int, "an integer"), read("artists", int, "an integer")

@@ -9,20 +9,22 @@ bytes, and takes one of two paths. A document in the layout save_document
 writes, with every weight in three characters as the counts of gen and the
 small integers of reduce-ssbve are, is read from those bytes: only its
 header members are decoded to text (they must be ASCII) and parsed by the
-standard decoder, and the weight matrix, the last member, is checked and
-read as a grid of eight-byte words, one per entry, each compared with the
-word of a "0.0" entry. Every other document is decoded to text as
+standard decoder, and the weight matrix, the last member, is read as a
+grid of eight-byte words, one per entry. The bytes path takes exactly the
+words save_document writes: the word of a "0.0" entry, or that word with
+one of the 99 three-character codes of 0.1 to 9.9 in place of "0.0",
+whose value is taken from the writer's own table. Every other document,
+another spelling of a number included, is decoded to text as
 open(path).read() decodes it (the locale codec, universal newlines, the
-same decode errors) and parsed by the standard decoder whole. The bytes
-reader writes the zeros without parsing them and hands every other entry
-to the standard decoder, so the loaded weights are bit for bit those of
-json.load followed by np.array, and every document loads or fails to load
-as it does there. The loaded matrix is frozen and reaches the instance,
-and every with_alpha of it, without a copy. Saving one writes the bytes of
-json.dump(doc, fh, indent=1) and a newline, so the format is unchanged, but
-no nested list of the matrix is made: the header members are rendered by
-json's C string encoder and the indent=1 separators, and the weights go out
-a block of rows at a time, each block written before the next is built.
+same decode errors) and parsed by the standard decoder whole. So the
+loaded weights are bit for bit those of json.load followed by np.array,
+and every document loads or fails to load as it does there. The loaded
+matrix is frozen and reaches the instance, and every with_alpha of it,
+without a copy. Saving one writes the bytes of json.dump(doc, fh, indent=1)
+and a newline, so the format is unchanged, but no nested list of the matrix
+is made: the header members are rendered by json's C string encoder and the
+indent=1 separators, and the weights go out a block of rows at a time, each
+block written before the next is built.
 When every nonzero weight renders in three characters, the matrix is
 written as the same grid of eight-byte words the bytes reader reads, from
 the reader's own zero-entry and row-break words with each nonzero entry's
@@ -184,7 +186,8 @@ def default_ids(instance: Instance):
 
 def save_document(path, instance: Instance, user_ids=None, artist_ids=None) -> None:
     """Write the versioned JSON document for an instance, after checking it
-    as load_document does: the id tables, their lengths, then validate.
+    as load_document does: the id tables the caller gives, their lengths,
+    then validate.
 
     The bytes are those of json.dump(doc, fh, indent=1) followed by a
     newline. The header members are rendered by the standard encoder's
@@ -197,12 +200,13 @@ def save_document(path, instance: Instance, user_ids=None, artist_ids=None) -> N
     gen catalog with a high stream rate or ingested counts) is rendered as
     text, one block of rows at a time.
     """
+    # the default tables are valid as built; only a caller's are checked
     if user_ids is None or artist_ids is None:
-        gen_users, gen_artists = default_ids(instance)
-        user_ids = gen_users if user_ids is None else user_ids
-        artist_ids = gen_artists if artist_ids is None else artist_ids
-    users = _id_table(list(user_ids), "user_ids")
-    artists = _id_table(list(artist_ids), "artist_ids")
+        users, artists = default_ids(instance)
+    if user_ids is not None:
+        users = _id_table(list(user_ids), "user_ids")
+    if artist_ids is not None:
+        artists = _id_table(list(artist_ids), "artist_ids")
     if len(users) != instance.n_users or len(artists) != instance.n_artists:
         raise SchemaError("id table lengths do not match the weight matrix")
     validate(instance)
@@ -342,9 +346,6 @@ def _reject_constant(name: str):
     raise SchemaError(f"non-finite literal {name} is not allowed")
 
 
-# Rows are read in blocks of about this many characters, so that the
-# reader's temporary arrays stay small next to the matrix itself.
-_BLOCK_CHARS = 1 << 17
 # The layout save_document writes when every weight renders in three
 # characters, as the counts 0.0 to 9.0 that gen writes do. The weights
 # member comes last: "\n "weights": [\n", the rows, "\n ]\n}\n". A row is
@@ -361,9 +362,6 @@ _ZERO_WORD, _LAST_ZERO_WORD, _ROW_BREAK, _LAYOUT_END = (
 )
 # the bytes of an entry's word around its three characters
 _FRAME = int.from_bytes(b"\xff\xff\xff\0\0\0\xff\xff", "little")
-# the characters of a JSON number, and the space before each entry (or
-# inside one, where JSON reads it as whitespace)
-_NUMBER_CHARS = b" 0123456789+-.eE"
 # The finite nonzero floats that render in three characters, as the encoder
 # renders a float, are 0.1, 0.2, ..., 9.9 (an exponent takes at least five):
 # k / 10 is the float "d.d" names. Their bit patterns, ascending as the
@@ -374,6 +372,10 @@ _THREE_CHAR_BITS = _THREE_CHAR_VALUES.view(np.int64)
 _THREE_CHAR_CODES = np.array(
     [int.from_bytes(text.encode(), "little") << 24
      for text in map(float.__repr__, _THREE_CHAR_VALUES.tolist())], "<u8"
+)
+# the codes ascending, for the reader's lookup, and the value of each
+_SORTED_CODES, _CODE_VALUES = (
+    table[np.argsort(_THREE_CHAR_CODES)] for table in (_THREE_CHAR_CODES, _THREE_CHAR_VALUES)
 )
 
 
@@ -439,15 +441,14 @@ def _decode_layout(raw: bytes):
 
 def _read_layout(raw: bytes, start: int):
     """The weights matrix at raw[start] when it runs to the document's end
-    in the layout of _LAYOUT_KEY, or None.
+    in the layout of _LAYOUT_KEY, as _layout_words writes it, or None.
 
-    m comes from the first row's length and n from the bytes left. Every
-    word is compared, a block of rows at a time, with the zero entry or the
-    row break it should be. The entries that differ, 2-3% of a gen catalog,
-    may differ in their three characters alone, which must be number
-    characters or spaces; each distinct one is parsed by the standard
-    decoder, once, and every other entry is +0.0. Equal bit for bit to
-    np.array of the JSON matrix.
+    m comes from the first row's length and n from the bytes left. The
+    words that differ from the row template, 2-3% of a gen catalog, must be
+    entries (not row breaks), each exactly the word _layout_words writes for
+    one of the codes of _THREE_CHAR_CODES; every other entry is +0.0. Any
+    other spelling of a number ("1e5", "  7", "1e0") leaves the document to
+    the text path. Equal bit for bit to np.array of the JSON matrix.
     """
     m, odd = divmod(raw.find(b"]", start) - start - 7, 8)
     if odd or m < 1 or raw[start : start + 6] != _LAYOUT_OPEN:
@@ -459,26 +460,17 @@ def _read_layout(raw: bytes, start: int):
     if words[-1] != _LAYOUT_END:
         return None
     template = _row_template(m)
-    step = max(1, _BLOCK_CHARS // (8 * m + 8)) * (m + 1)
     # where the words differ from the template, but for the last one
-    at = np.concatenate(
-        [np.flatnonzero(words[i : i + step].reshape(-1, m + 1) != template) + i
-         for i in range(0, words.size, step)]
-    )[:-1]
-    codes = words[at]
-    # A row break that differs here keeps the comma before these bytes,
-    # which the number characters below do not include.
-    if ((codes ^ template[at % (m + 1)]) & _FRAME).any():
+    at = np.flatnonzero(words.reshape(n, m + 1) != template)[:-1]
+    column = at % (m + 1)
+    # a row break can frame a code too (" ],1.0[\n"), but is no entry
+    if (column == m).any():
         return None
-    # each entry as the code of its four bytes " ddd"
-    distinct, inverse = np.unique((codes >> 16).astype(np.uint32), return_inverse=True)
-    if distinct.tobytes().translate(None, _NUMBER_CHARS):
-        return None
-    try:
-        values = np.array(json.loads(b"[" + b",".join(distinct.view("S4").tolist()) + b"]"),
-                          dtype=float)
-    except ValueError:
+    # with the template's frame, a word's other bits are its code
+    found, frame = words[at], template[column] & _FRAME
+    index = np.searchsorted(_SORTED_CODES, found ^ frame).clip(max=_SORTED_CODES.size - 1)
+    if not np.array_equal(found, frame | _SORTED_CODES[index]):
         return None
     weights = np.zeros((n, m))
-    weights.ravel()[at - at // (m + 1)] = values[inverse]
+    weights.ravel()[at - at // (m + 1)] = _CODE_VALUES[index]
     return weights

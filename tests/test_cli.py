@@ -568,7 +568,8 @@ def test_reduce_ssbve_bad_graph(tmp_path, capsys):
     ("users=abc\nartists=5\n", 1, "users must be an integer, got 'abc'"),
     ("users=10\nartists=5\nlambda=x\n", 3, "lambda must be a number, got 'x'"),
     ("users=10\nartists=5\nrange=12\n", 3, "range must be two integers 'lo,hi', got '12'"),
-], ids=["users", "lambda", "range"])
+    ("users=5\nartists=3\n# again\nusers=7\n", 4, "users is set twice, on lines 1 and 4"),
+], ids=["users", "lambda", "range", "repeated"])
 def test_sweep_config_names_a_value_that_does_not_parse(tmp_path, capsys, lines, line_no, message):
     config = tmp_path / "sweep.cfg"
     config.write_text(lines)

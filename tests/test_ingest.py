@@ -412,9 +412,10 @@ def _saved(token="0.0", indent=1, weights_first=False):
 
 
 # the corpus in the layout save_document writes, where the weights are read
-# from the document's bytes unless an entry is wider or narrower than three
-# characters or the layout is another one (CRLF line ends in the matrix
-# included: the text path, which decodes as text mode does, turns them into LF)
+# from the document's bytes unless an entry is not one save_document writes
+# (other widths, and other three-character spellings such as "1e5") or the
+# layout is another one (CRLF line ends in the matrix included: the text
+# path, which decodes as text mode does, turns them into LF)
 LAYOUT_CORPUS = (
     [("layout", _saved())]
     + [(f"layout {t}", _saved(t)) for t in ("1e5", "-0", "1.e", "NaN", "true", "10.0", "\u0663.0")]
@@ -452,6 +453,8 @@ LAYOUT_CORPUS = (
        ("layout whitespace after the document", _saved() + " \n"),
        ("layout cut off in the last row", _saved()[: _saved().rindex("0.0")]),
        ("layout member after weights", _saved()[: -len("\n}\n")] + ',\n "x": 1\n}\n'),
+       # a row break word holding an entry's code where its "\n  " stands
+       ("layout digits in a row break", _saved().replace(" ],\n  [\n", " ],1.0[\n", 1)),
        # headers for _decode_layout's parse with a placeholder for the matrix
        ("layout weights alone", '{\n "weights": [\n  [\n   1.0\n  ]\n ]\n}\n'),
        ("layout no comma before weights", _saved().replace('],\n "weights"', ']\n "weights"')),
@@ -461,7 +464,7 @@ LAYOUT_CORPUS = (
        ("layout array root", "[" + _saved()[1:])]
 )
 # the corpus documents whose weights _read_layout reads from the bytes
-READ_FROM_BYTES = {"layout", "layout 1e5", "layout zero row", "layout one column",
+READ_FROM_BYTES = {"layout", "layout zero row", "layout one column",
                    "layout weights also in the header", "layout CRLF in the header",
                    "layout weights alone"}
 
@@ -484,24 +487,32 @@ def _record_bytes_reads(monkeypatch):
     return reads
 
 
-@pytest.mark.parametrize("block", [ingest._BLOCK_CHARS, 1], ids=["one-block", "row-blocks"])
+@pytest.mark.parametrize("block", [ingest._SAVE_BLOCK_CELLS, 1], ids=["one-block", "row-blocks"])
 @pytest.mark.parametrize("label, text", CORPUS + LAYOUT_CORPUS,
                          ids=[label for label, _ in CORPUS + LAYOUT_CORPUS])
 def test_load_document_matches_json_and_np_array(tmp_path, monkeypatch, label, text, block):
+    """Each document loads, or fails, as the reference does, from its bytes
+    exactly for READ_FROM_BYTES; one that loads is written back by
+    save_document, in one block or a block per row, to json.dump's bytes,
+    which load to the same outcome."""
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
     expected = _outcome(_reference_load, path)
-    monkeypatch.setattr(ingest, "_BLOCK_CHARS", block)
     reads = _record_bytes_reads(monkeypatch)
     assert _outcome(load_document, path) == expected
     assert reads == [label in READ_FROM_BYTES]
+    if not isinstance(expected[0], type):
+        monkeypatch.setattr(ingest, "_SAVE_BLOCK_CELLS", block)
+        loaded = load_document(path)
+        _assert_saved_as_json_dump(tmp_path, loaded.instance, loaded.user_ids, loaded.artist_ids)
+        assert _outcome(load_document, tmp_path / "saved.json") == expected
 
 
 @pytest.mark.parametrize("token", NUMBERS)
 def test_matrix_reader_takes_json_numbers(tmp_path, monkeypatch, token):
     """A JSON number as an entry of save_document's layout loads as
-    json.load reads it: from the bytes when it is three characters wide,
-    from the text otherwise."""
+    json.load reads it: from the bytes when it is three characters wide
+    (2.5, as save_document writes it), from the text otherwise."""
     path = tmp_path / "doc.json"
     path.write_text(_saved(token))
     reads = _record_bytes_reads(monkeypatch)
@@ -659,7 +670,9 @@ def _record_writer_paths(monkeypatch):
 def _three_char_values(rng, shape, last_column):
     """Valid weights whose nonzero entries all render in three characters
     (k / 10 for k in 1..99), a third of them nonzero, the last column all
-    zero or all nonzero."""
+    zero or all nonzero; or, for "every-code", k / 10 across row k - 1."""
+    if last_column == "every-code":
+        return np.repeat(np.arange(1, 100) / 10, shape[1]).reshape(shape)
     w = rng.integers(1, 100, size=shape) / 10 * (rng.random(shape) < 0.3)
     w[:, -1] = rng.integers(1, 100, size=shape[0]) / 10 if last_column == "nonzero" else 0.0
     w[w.sum(axis=1) == 0, 0] = 1.0
@@ -669,7 +682,7 @@ def _three_char_values(rng, shape, last_column):
 @pytest.mark.parametrize("block_cells", [ingest._SAVE_BLOCK_CELLS, 7], ids=["default", "tiny"])
 @pytest.mark.parametrize("shape, last_column", [
     ((1, 1), "nonzero"), ((1, 9), "nonzero"), ((1, 9), "zero"), ((23, 1), "nonzero"),
-    ((23, 9), "nonzero"), ((23, 9), "zero"), ((5, 16), "zero"),
+    ((23, 9), "nonzero"), ((23, 9), "zero"), ((5, 16), "zero"), ((99, 3), "every-code"),
 ], ids=lambda p: "x".join(map(str, p)) if isinstance(p, tuple) else f"last-{p}")
 def test_three_character_matrices_are_written_as_words(tmp_path, monkeypatch, shape, last_column,
                                                        block_cells):

@@ -216,32 +216,31 @@ def _parse_sweep_config(path) -> SynthConfig:
                 raise ValueError(f"{path}:{line_no}: {key} is set twice, "
                                  f"on lines {keys[key][0]} and {line_no}")
             keys[key] = (line_no, value)
-    known = {"users", "artists", "range", "lambda", "seed"}
-    unknown = set(keys) - known
+    # each key's SynthConfig field, parser and what the parser takes
+    fields = {
+        "users": ("n_users", int, "an integer"),
+        "artists": ("n_artists", int, "an integer"),
+        "range": ("artist_count_range", lambda text: _int_pair(text, ","), "two integers 'lo,hi'"),
+        "lambda": ("stream_lambda", float, "a number"),
+        "seed": ("seed", int, "an integer"),
+    }
+    unknown = set(keys) - set(fields)
     if unknown:
         raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
     for key in ("users", "artists"):
         if key not in keys:
             raise ValueError(f"sweep config missing {key!r}")
 
-    def read(key, parse, what, default=None):
-        line_no, value = keys.get(key, (None, default))
+    def read(key, parse, what):
+        line_no, value = keys[key]
         try:
             return parse(value)
         except ValueError:
-            where = path if line_no is None else f"{path}:{line_no}"
-            raise ValueError(f"{where}: {key} must be {what}, got {value!r}") from None
+            raise ValueError(f"{path}:{line_no}: {key} must be {what}, got {value!r}") from None
 
-    users, artists = read("users", int, "an integer"), read("artists", int, "an integer")
-    return SynthConfig(
-        n_users=users,
-        n_artists=artists,
-        # without a range, each user follows gen's default 1 to min(10, artists)
-        artist_count_range=read("range", lambda text: _int_pair(text, ","),
-                                "two integers 'lo,hi'", f"1,{min(10, artists)}"),
-        stream_lambda=read("lambda", float, "a number", "1.0"),
-        seed=read("seed", int, "an integer", "0"),
-    )
+    # a key left out takes SynthConfig's default (range: gen's 1 to min(10, artists))
+    return SynthConfig(**{field: read(key, parse, what)
+                          for key, (field, parse, what) in fields.items() if key in keys})
 
 
 def _int_pair(text: str, sep=None) -> tuple:

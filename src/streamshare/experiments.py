@@ -29,13 +29,16 @@ logger = logging.getLogger(__name__)
 class SynthConfig:
     n_users: int
     n_artists: int
-    artist_count_range: tuple = (1, 100)
+    # each user follows lo to hi artists; by default gen's 1 to min(10, n_artists)
+    artist_count_range: tuple | None = None
     stream_lambda: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         whole(self.n_users, ValueError, "n_users", 1)
         top = whole(self.n_artists, ValueError, "n_artists", 1) + 1
+        if self.artist_count_range is None:
+            object.__setattr__(self, "artist_count_range", (1, min(10, top - 1)))
         lo, hi = self.artist_count_range
         lo = whole(lo, ValueError, "artist_count_range's low end", 1, top)
         whole(hi, ValueError, "artist_count_range's high end", lo, top)
@@ -72,9 +75,7 @@ class AggregateRow:
 def desk_config(seed: int = 0) -> SynthConfig:
     """Default desk-scale setup: 1,000 users over 100 artists, each
     following 1 to 10 artists."""
-    return SynthConfig(
-        n_users=1000, n_artists=100, artist_count_range=(1, 10), seed=seed
-    )
+    return SynthConfig(n_users=1000, n_artists=100, seed=seed)
 
 
 DESK_SEEDS = 20

@@ -18,19 +18,19 @@ another spelling of a number included, is decoded to text as
 open(path).read() decodes it (the locale codec, universal newlines, the
 same decode errors) and parsed by the standard decoder whole. So the
 loaded weights are bit for bit those of json.load followed by np.array,
-and every document loads or fails to load as it does there. The loaded
-matrix is frozen and reaches the instance, and every with_alpha of it,
-without a copy. Saving one writes the bytes of json.dump(doc, fh, indent=1)
-and a newline, so the format is unchanged, but no nested list of the matrix
-is made: the header members are rendered by json's C string encoder and the
-indent=1 separators, and the weights go out a block of rows at a time, each
-block written before the next is built.
-When every nonzero weight renders in three characters, the matrix is
-written as the same grid of eight-byte words the bytes reader reads, from
-the reader's own zero-entry and row-break words with each nonzero entry's
-characters put in its word. Every other matrix (a -0.0, a weight of four or
-more characters, as in a gen catalog with a high stream rate or ingested
-counts) is rendered as text, each distinct value of a block once.
+and every document loads or fails to load as it does there, but that a
+string, a boolean or an integer too large for a float where a number
+belongs is refused. The loaded matrix is frozen and reaches the instance,
+and every with_alpha of it, without a copy. Saving one writes the bytes of
+json.dump(doc, fh, indent=1) and a newline, so the format is unchanged, but
+no nested list of the matrix is made: the header members are rendered by
+json's C string encoder and the indent=1 separators, and the weights go out
+a block of rows at a time, each block written before the next is built.
+Each block takes its own path: when its nonzero weights all render in three
+characters, it is the grid of eight-byte words the bytes reader reads, with
+each entry's characters put in the reader's own zero-entry word; any other
+block (a -0.0, a weight of four or more characters) is rendered as text,
+each distinct value once.
 """
 
 from __future__ import annotations
@@ -192,13 +192,11 @@ def save_document(path, instance: Instance, user_ids=None, artist_ids=None) -> N
     The bytes are those of json.dump(doc, fh, indent=1) followed by a
     newline. The header members are rendered by the standard encoder's
     pieces: each id by json's C string encoder, joined with the indent=1
-    separators. When every nonzero weight renders in three characters (the
-    counts of a default gen catalog, the small integers of reduce-ssbve),
-    the weights are written as the grid of eight-byte words _read_layout
-    reads, a block of rows at a time, straight to the file's binary buffer.
-    Every other matrix (a -0.0, a value of four or more characters, as in a
-    gen catalog with a high stream rate or ingested counts) is rendered as
-    text, one block of rows at a time.
+    separators. The weights go out a block of rows at a time, each block
+    as the grid of eight-byte words _read_layout reads when its nonzero
+    weights all render in three characters (the counts of a default gen
+    catalog, the small integers of reduce-ssbve), else as text (a -0.0, a
+    value of four or more characters, as in ingested counts).
     """
     # the default tables are valid as built; only a caller's are checked
     if user_ids is None or artist_ids is None:
@@ -211,25 +209,19 @@ def save_document(path, instance: Instance, user_ids=None, artist_ids=None) -> N
         raise SchemaError("id table lengths do not match the weight matrix")
     validate(instance)
     w = instance.weights
-    rows = max(1, _SAVE_BLOCK_CELLS // w.shape[1])
-    blocks = [w[start : start + rows] for start in range(0, w.shape[0], rows)]
-    as_words = all(_layout_entries(block) is not None for block in blocks)
-    with open(path, "w") as fh:
-        # the members in json.dump's order, "weights" last
-        fh.write(
+    n, m = w.shape
+    rows = max(1, _SAVE_BLOCK_CELLS // m)
+    with open(path, "wb") as fh:
+        # the members in json.dump's order, "weights" last, up to its first row
+        fh.write((
             f'{{\n "version": {DOCUMENT_VERSION},\n "alpha": {json.dumps(instance.alpha)},\n'
             f' "user_ids": {_ids_text(users)},\n "artist_ids": {_ids_text(artists)},\n'
-            ' "weights": [\n'
-        )
-        if as_words:
-            fh.write("  [\n")
-            fh.flush()
-            for grid in _layout_words(blocks):
-                fh.buffer.write(grid)
-        else:
-            for i, block in enumerate(blocks):
-                fh.write((",\n" if i else "") + _rows_text(block))
-            fh.write("\n ]\n}\n")
+            ' "weights": [\n  [\n'
+        ).encode())
+        for start in range(0, n, rows):
+            block, last = w[start : start + rows], start + rows >= n
+            words = _layout_words(block, last)
+            fh.write(_rows_text(block, last).encode() if words is None else words)
 
 
 def _ids_text(ids: tuple) -> str:
@@ -243,53 +235,39 @@ def _ids_text(ids: tuple) -> str:
 _SAVE_BLOCK_CELLS = 1 << 16
 
 
-def _rows_text(block: np.ndarray) -> str:
-    """The rows of a block of finite weights as json.dump(..., indent=1)
-    writes them inside the weights member, separated by a comma and a
-    newline.
-
+def _rows_text(block: np.ndarray, last: bool) -> str:
+    """The span of _layout_words for a block of finite weights, as text.
     Each distinct bit pattern is rendered once, as the encoder renders a
-    float (so -0.0 and 0.0 keep their own text), and the rendered strings
-    are gathered back into place.
-    """
+    float (so -0.0 and 0.0 keep their own text), and gathered into place."""
     r, m = block.shape
     patterns, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
     rendered = np.array(list(map(float.__repr__, patterns.view(np.float64).tolist())), dtype=object)
     cells = rendered[inverse].tolist()
-    sep = ",\n   "
-    return ",\n".join(
-        ["  [\n   " + sep.join(cells[i : i + m]) + "\n  ]" for i in range(0, r * m, m)]
-    )
+    sep, row_break = ",\n   ", "\n  ],\n  [\n"
+    rows = ["   " + sep.join(cells[i : i + m]) for i in range(0, r * m, m)]
+    return row_break.join(rows) + ("\n  ]\n ]\n}\n" if last else row_break)
 
 
-def _layout_entries(block: np.ndarray):
-    """The flat positions of a block's nonzero entries and the index of each
-    in _THREE_CHAR_BITS, or None when one of them renders in other than
-    three characters (a -0.0 takes four)."""
+def _layout_words(block: np.ndarray, last: bool):
+    """A block of rows from its first entry up to the next row's "  [\n",
+    or to the document's end after the last block, as the (rows, m + 1)
+    grid of words _read_layout reads: the row template's, with each nonzero
+    entry's code in its word; None when a nonzero entry renders in other
+    than three characters (a -0.0 takes four)."""
     bits = block.view(np.int64).ravel()
     at = np.flatnonzero(bits != 0)  # the boolean scan is the fast one
     found = bits[at]
     index = np.searchsorted(_THREE_CHAR_BITS, found).clip(max=_THREE_CHAR_BITS.size - 1)
-    return (at, index) if np.array_equal(_THREE_CHAR_BITS[index], found) else None
-
-
-def _layout_words(blocks):
-    """The blocks of a matrix whose nonzero entries all render in three
-    characters, in the layout of _LAYOUT_KEY after its first row's "  [\n":
-    for each block, an (rows, m + 1) grid of the words _read_layout reads,
-    the zero entries and row breaks of the row template with each nonzero
-    entry's code in its word."""
-    m = blocks[0].shape[1]
+    if not np.array_equal(_THREE_CHAR_BITS[index], found):
+        return None
+    r, m = block.shape
     template = _row_template(m)
-    for block in blocks:
-        at, index = _layout_entries(block)
-        grid = np.empty((len(block), m + 1), "<u8")
-        grid[:] = template
-        # entry (i, j) of the block is word i * (m + 1) + j of the grid
-        grid.ravel()[at + at // m] = template[at % m] & _FRAME | _THREE_CHAR_CODES[index]
-        if block is blocks[-1]:
-            grid[-1, -1] = _LAYOUT_END
-        yield grid
+    grid = np.tile(template, (r, 1))
+    # entry (i, j) of the block is word i * (m + 1) + j of the grid
+    grid.ravel()[at + at // m] = template[at % m] & _FRAME | _THREE_CHAR_CODES[index]
+    if last:
+        grid[-1, -1] = _LAYOUT_END
+    return grid
 
 
 def load_document(path) -> IngestResult:
@@ -307,10 +285,17 @@ def load_document(path) -> IngestResult:
             raise SchemaError(f"missing field {key!r}")
     users = _id_table(doc["user_ids"], "user_ids")
     artists = _id_table(doc["artist_ids"], "artist_ids")
+    alpha, weights = _number(doc["alpha"], "alpha"), doc["weights"]
+    # the text path's entries (the bytes path's come from the code table);
+    # a list in a row fails the shape check
+    for i, row in enumerate(weights if isinstance(weights, list) else ()):
+        if isinstance(row, list) and not set(map(type, row)) <= {float}:
+            for j, x in enumerate(row):
+                if not isinstance(x, list):
+                    _number(x, f"weights[{i}][{j}]")
     try:
-        w = np.asarray(doc["weights"], dtype=float)
-        alpha = float(doc["alpha"])
-    except (TypeError, ValueError) as exc:
+        w = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad numeric payload: {exc}") from exc
     if w.ndim != 2:
         raise SchemaError(f"weights must be a matrix, got ndim {w.ndim}")
@@ -340,6 +325,18 @@ def _id_table(ids, key: str) -> tuple:
         i = next(i for i, x in enumerate(ids) if first.setdefault(x, i) != i)
         raise SchemaError(f"{key}[{i}] repeats the id {json.dumps(ids[i])} of {key}[{first[ids[i]]}]")
     return tuple(ids)
+
+
+def _number(x, key: str) -> float:
+    """The member ``key`` as a float: a JSON number (not a string or a
+    boolean) that a float can hold, or a SchemaError naming the member."""
+    if type(x) not in (int, float):
+        raise SchemaError(f"{key} must be a JSON number, got {json.dumps(x)}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise SchemaError(f"{key} must be a number a float can hold, "
+                          f"got an integer of {len(str(abs(x)))} digits") from None
 
 
 def _reject_constant(name: str):

@@ -13,6 +13,7 @@ from streamshare import (
     alpha_sweep,
     desk_config,
     gen_synthetic,
+    load_document,
     replicate,
     sweep_seeds,
     validate,
@@ -20,6 +21,7 @@ from streamshare import (
     write_rows_csv,
 )
 from streamshare import experiments
+from streamshare.cli import main
 
 
 def _small():
@@ -46,6 +48,18 @@ def test_desk_config_shape():
     assert (cfg.n_users, cfg.n_artists) == (1000, 100)
     assert cfg.artist_count_range == (1, 10)
     assert DESK_SEEDS == 20 and DESK_K == 10
+
+
+@pytest.mark.parametrize("artists, high", [(20, 10), (3, 3), (10, 10), (150, 10)])
+def test_synth_config_default_follow_range_is_gens(tmp_path, artists, high):
+    """Without a range, each user follows 1 to min(10, n_artists) artists,
+    as in gen without --follow-min/--follow-max: the same catalog."""
+    config = SynthConfig(50, artists, seed=4)
+    assert config.artist_count_range == (1, high)
+    path = tmp_path / "gen.json"
+    assert main(["gen", "--users", "50", "--artists", str(artists), "--seed", "4",
+                 "--out", str(path)]) == 0
+    assert np.array_equal(load_document(path).instance.weights, gen_synthetic(config).weights)
 
 
 def test_gen_synthetic_is_valid_and_deterministic():

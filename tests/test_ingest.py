@@ -1,6 +1,7 @@
 """Triple parsing, aggregation filters, and the JSON document round trip."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -262,14 +263,57 @@ ID_DOC = {"version": 1, "alpha": 1.0, "user_ids": ["u0", "u1", "u2"],
      'user_ids[2] repeats the id "y" of user_ids[1]'),
 ])
 def test_load_document_refuses_bad_ids(tmp_path, capsys, ids, message):
-    path = _write(tmp_path, {**ID_DOC, **ids})
+    _assert_refused(_write(tmp_path, {**ID_DOC, **ids}), message, capsys)
+
+
+def _assert_refused(path, message, capsys):
+    """load_document raises a SchemaError with ``message``, and divide
+    exits 1 with an error line and no output."""
     with pytest.raises(SchemaError) as info:
         load_document(path)
     assert str(info.value) == message
     assert main(["divide", "--rule", "globalprop", "--instance", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.err == f"error: {message}\n"
+
+
+HUGE_INT = int("1" * 400)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"weights": [["1.5", True], [False, "2"], [1.0, 1.0]]},
+     'weights[0][0] must be a JSON number, got "1.5"'),
+    ({"weights": [[1.0, True], [0.0, 1.0], [1.0, 1.0]]}, "weights[0][1] must be a JSON number, got true"),
+    ({"weights": [[1.0, 0.0], [0.0, 1.0], [False, 1.0]]}, "weights[2][0] must be a JSON number, got false"),
+    ({"weights": [[1.0, 0.0], [0.0, -HUGE_INT], [1.0, 1.0]]},
+     "weights[1][1] must be a number a float can hold, got an integer of 400 digits"),
+    ({"alpha": "0.5"}, 'alpha must be a JSON number, got "0.5"'),
+    ({"alpha": True}, "alpha must be a JSON number, got true"),
+    ({"alpha": None}, "alpha must be a JSON number, got null"),
+    ({"alpha": HUGE_INT}, "alpha must be a number a float can hold, got an integer of 400 digits"),
+], ids=["string weight", "true weight", "false weight", "huge weight", "string alpha",
+        "true alpha", "null alpha", "huge alpha"])
+def test_load_document_refuses_non_numbers(tmp_path, capsys, fields, message):
+    """A string, a boolean or an integer too large for a float where the
+    document needs a number is refused, the member named, rather than
+    converted (or overflowing) as np.array and float would."""
+    _assert_refused(_write(tmp_path, {**ID_DOC, **fields}), message, capsys)
+
+
+@pytest.mark.parametrize("alpha, message", [
+    ('"0.5"', 'alpha must be a JSON number, got "0.5"'),
+    ("true", "alpha must be a JSON number, got true"),
+    ("1" * 400, "alpha must be a number a float can hold, got an integer of 400 digits"),
+], ids=["string", "true", "huge"])
+def test_bytes_path_refuses_a_non_number_alpha(tmp_path, monkeypatch, capsys, alpha, message):
+    """A document whose matrix is read from its bytes still has its alpha
+    checked."""
+    path = tmp_path / "doc.json"
+    path.write_text(_saved().replace('"alpha": 1.0', f'"alpha": {alpha}'))
+    reads = _record_bytes_reads(monkeypatch)
+    _assert_refused(path, message, capsys)
+    assert reads[0]
 
 
 def test_load_document_keeps_distinct_string_ids(tmp_path):
@@ -285,7 +329,9 @@ def test_load_document_keeps_distinct_string_ids(tmp_path):
 
 def _reference_load(path):
     """The reference loader: json.load parses the whole document, then
-    np.array converts the weights."""
+    np.array converts the weights, once alpha and every entry of a row but
+    a list (which np.array refuses as a shape) are JSON numbers a float can
+    hold."""
     with open(path) as fh:
         try:
             doc = json.load(fh, parse_constant=ingest._reject_constant)
@@ -298,10 +344,14 @@ def _reference_load(path):
     for key in ("alpha", "user_ids", "artist_ids", "weights"):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
+    alpha, weights = _reference_number(doc["alpha"], "alpha"), doc["weights"]
+    for i, row in enumerate(weights if isinstance(weights, list) else []):
+        for j, x in enumerate(row if isinstance(row, list) else []):
+            if not isinstance(x, list):
+                _reference_number(x, f"weights[{i}][{j}]")
     try:
-        w = np.array(doc["weights"], dtype=float)
-        alpha = float(doc["alpha"])
-    except (TypeError, ValueError) as exc:
+        w = np.array(weights, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad numeric payload: {exc}") from exc
     if w.ndim != 2:
         raise SchemaError(f"weights must be a matrix, got ndim {w.ndim}")
@@ -314,6 +364,17 @@ def _reference_load(path):
     instance = Instance(w, alpha)
     validate(instance)
     return ingest.IngestResult(instance, users, artists)
+
+
+def _reference_number(x, key):
+    """x, an int or a float from json.load and no bool, as a float: its
+    decimal text read as a float (an integer too long is infinite)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise SchemaError(f"{key} must be a JSON number, got {json.dumps(x)}")
+    if isinstance(x, int) and math.isinf(float(str(x))):
+        raise SchemaError(f"{key} must be a number a float can hold, "
+                          f"got an integer of {len(str(abs(x)))} digits")
+    return float(x)
 
 
 def _outcome(load, path):
@@ -367,6 +428,9 @@ CORPUS = (
         ("ragged", _zero_rows()[:-2] + ", 0.0]]"), ("string with comma in both rows",
                                                       _zero_rows('"1,5"').replace("[2.0", '["2,5"')),
         ("depth-3", "[[" + _zero_rows() + "]]"), ("row-of-rows", "[" + _zero_rows() + "]"),
+        # not an entry of a row, so np.array meets it: a bad numeric payload
+        ("flat with a huge integer", "[" + HUGE[0] + ", 2.0]"),
+        ("depth-3 with a huge integer", "[[[" + HUGE[0] + "]], [[2.0]]]"),
         ("trailing-comma", _zero_rows()[:-1] + ",]"), ("no-comma", _zero_rows().replace("], [", "] [")),
         ("control character after a row", _zero_rows().replace("], [", "]\x01, [")),
         ("control character before a row", _zero_rows().replace("], [", "], \x01[")),
@@ -657,13 +721,20 @@ def test_save_document_rows_wider_than_a_block(tmp_path):
 
 
 def _record_writer_paths(monkeypatch):
-    """A list that fills as documents are saved: "words" for each matrix
-    written as the word grid, "text" for each block rendered as text."""
+    """A list that fills as documents are saved, one item a block of rows:
+    "words" for a block written as the word grid, "text" for a block
+    rendered as text."""
     paths = []
     rows_text, layout_words = ingest._rows_text, ingest._layout_words
-    monkeypatch.setattr(ingest, "_rows_text", lambda block: paths.append("text") or rows_text(block))
-    monkeypatch.setattr(ingest, "_layout_words",
-                        lambda *tables: paths.append("words") or layout_words(*tables))
+
+    def words(block, last):
+        grid = layout_words(block, last)
+        if grid is not None:
+            paths.append("words")
+        return grid
+
+    monkeypatch.setattr(ingest, "_rows_text", lambda *block: paths.append("text") or rows_text(*block))
+    monkeypatch.setattr(ingest, "_layout_words", words)
     return paths
 
 
@@ -687,31 +758,43 @@ def _three_char_values(rng, shape, last_column):
 def test_three_character_matrices_are_written_as_words(tmp_path, monkeypatch, shape, last_column,
                                                        block_cells):
     """A matrix whose nonzero entries render in three characters is written
-    as the word grid, in blocks that split the rows unevenly when a block
-    holds 7 cells, to json.dump's bytes; the document loads back from its
-    bytes through _read_layout to the same float64 bits."""
+    as the word grid, every block of it, in blocks that split the rows
+    unevenly when a block holds 7 cells, to json.dump's bytes; the document
+    loads back from its bytes through _read_layout to the same float64
+    bits."""
     monkeypatch.setattr(ingest, "_SAVE_BLOCK_CELLS", block_cells)
     w = _three_char_values(np.random.default_rng(sum(shape)), shape, last_column)
     paths = _record_writer_paths(monkeypatch)
     _assert_saved_as_json_dump(tmp_path, Instance(w, 0.7))
-    assert paths == ["words"]
+    rows = max(1, block_cells // shape[1])
+    assert paths == ["words"] * -(-shape[0] // rows)
     reads = _record_bytes_reads(monkeypatch)
     loaded = load_document(tmp_path / "saved.json").instance.weights
     assert reads == [True]
     assert np.array_equal(loaded.view(np.int64), w.view(np.int64))
 
 
-@pytest.mark.parametrize("value", [-0.0, 10.0], ids=["negative zero", "ten"])
-def test_other_matrices_are_written_as_text(tmp_path, monkeypatch, value):
-    """One -0.0, or a 10.0 among values up to 9.0, sends the whole matrix
-    to the text writer, which also writes json.dump's bytes."""
-    monkeypatch.setattr(ingest, "_SAVE_BLOCK_CELLS", 7)
+@pytest.mark.parametrize("value, row", [
+    (-0.0, 17), (10.0, 17), (-0.0, 0), (10.0, 0), (-0.0, 22), (10.0, 22),
+], ids=["negative zero", "ten", "negative zero-first-block", "ten-first-block",
+        "negative zero-last-block", "ten-last-block"])
+def test_other_matrices_are_written_as_text(tmp_path, monkeypatch, value, row):
+    """One -0.0, or a 10.0 among values up to 9.0, sends the block of two
+    rows that holds it to the text writer, be it the first block, a middle
+    one or the last, one row that closes the document; every other block
+    goes out as words. The document is json.dump's bytes and loads through
+    the text path as the reference does."""
+    monkeypatch.setattr(ingest, "_SAVE_BLOCK_CELLS", 18)
     w = np.random.default_rng(5).integers(0, 10, size=(23, 9)).astype(float)
     w[:, 0] = 9.0
-    w[17, 3] = value
+    w[row, 3] = value
     paths = _record_writer_paths(monkeypatch)
     _assert_saved_as_json_dump(tmp_path, Instance(w, 0.7))
-    assert paths and set(paths) == {"text"}
+    assert paths == ["text" if block == row // 2 else "words" for block in range(12)]
+    reads = _record_bytes_reads(monkeypatch)
+    path = tmp_path / "saved.json"
+    assert _outcome(load_document, path) == _outcome(_reference_load, path)
+    assert reads == [False]
 
 
 SQUARE = [[1.0, 1.0], [2.0, 2.0]]

@@ -116,13 +116,14 @@ class ViolationWitness:
     target_set: tuple
     gain: float
     bound: float
-    margin: float
     source: str = ""
 
+    @property
+    def margin(self) -> float:
+        return self.gain - self.bound
+
     def __post_init__(self):
-        # written so that a NaN margin, gain or bound fails both guards
-        if not abs(self.margin - (self.gain - self.bound)) <= 1e-9:
-            raise ValueError("margin must equal gain - bound")
+        # written so that a NaN gain or bound fails the guard
         if not self.margin > MARGIN_TOL:
             raise ValueError(
                 f"margin {self.margin:.3g} does not clear the noise floor {MARGIN_TOL}"
@@ -321,16 +322,9 @@ def _pd_apply(instance: Instance, transfer) -> tuple[Instance, int]:
 def verify_pigou_dalton(rule, instance: Instance, transfer) -> GainReport:
     """Drop of an artist's payment under the equalizing transfer
     ``(donor, recipient, artist, delta)`` of its engagement (bound 0)."""
-    return _pigou_dalton(rule, instance, transfer)[0]
-
-
-def _pigou_dalton(rule, instance: Instance, transfer) -> tuple[GainReport, Instance]:
-    """verify_pigou_dalton's report and the validated instance after the
-    transfer, built once."""
     core.validate(instance)
     manipulated, artist = _pd_apply(instance, transfer)
-    report = _one_artist_drop(AxiomId.PIGOU_DALTON, rule, instance, manipulated, artist)
-    return report, manipulated
+    return _one_artist_drop(AxiomId.PIGOU_DALTON, rule, instance, manipulated, artist)
 
 
 def verify_user_addition_monotone(rule, instance: Instance, profile) -> GainReport:
@@ -427,13 +421,6 @@ def candidate_profiles(base: Instance, rng) -> np.ndarray:
     return np.vstack([points, np.where(keep, random_rows, 0.0)])
 
 
-def _as_rows(profiles, m: int) -> np.ndarray:
-    rows = np.asarray(profiles, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != m:
-        raise core.DimensionError(f"profiles have shape {rows.shape}, instance has {m} artists")
-    return rows
-
-
 def _bribes(base: Instance, rows: np.ndarray, victims, budget=None):
     """(victims, rows) of the bribes to try, victim by victim, skipping rows
     equal to the victim's own row and stopping after ``budget`` bribes."""
@@ -460,48 +447,16 @@ def _candidates(base: Instance, rows: np.ndarray, victims=None) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class _Scores:
-    """Every candidate of one manipulation, scored in one call.
-
-    ``best`` is the candidate with the largest margin over the bound of one
-    manipulated user; ties keep the earliest candidate.
-    """
-
-    stack: np.ndarray
-    alpha: float
-    deltas: np.ndarray
-    gains: np.ndarray
-    best: int
-
-    @property
-    def gain(self) -> float:
-        return float(self.gains[self.best])
-
-    def winner(self) -> tuple[Instance, tuple]:
-        """The best candidate's manipulated instance and target set."""
-        return Instance(self.stack[self.best], self.alpha), self.target_set(self.best)
-
-    def target_set(self, k: int) -> tuple:
-        """Candidate ``k``'s best artist subset, as :func:`_score` scores it."""
-        pos = np.flatnonzero(self.deltas[k] > 0)
-        if pos.size:
-            return tuple(int(j) for j in pos)
-        return (int(np.argmax(self.deltas[k])),)
-
-    def swing(self) -> float:
-        """Largest single-artist payment change over all candidates."""
-        per_row = np.abs(self.deltas).max(axis=1)
-        return float(per_row[~np.isnan(per_row)].max(initial=-np.inf))
-
-
 def _score(rule, base: Instance, stack: np.ndarray):
     """Score the candidate stack of one manipulation (see :func:`_candidates`).
 
     A candidate's gain is its payment delta summed over its best artist
     subset. Subset gain is additive, so that subset is the positive
-    coordinates; with none, the single least-bad artist stands in.
-    Returns None when there is no candidate.
+    coordinates; with none, the single least-bad artist stands in. The best
+    candidate has the largest margin over the bound of one manipulated user;
+    ties keep the earliest. Returns its gain, its manipulated instance, its
+    target set and the (candidates, artists) deltas, or None when there is
+    no candidate.
     """
     base_pay = evaluate(rule, base)
     if stack.shape[0] == 0:
@@ -511,7 +466,24 @@ def _score(rule, base: Instance, stack: np.ndarray):
     gains = np.where(pos, deltas, 0.0).sum(axis=1)
     none = ~pos.any(axis=1)
     gains[none] = deltas[none].max(axis=1)
-    return _Scores(stack, base.alpha, deltas, gains, core.first_max(gains - 1.0))
+    best = core.first_max(gains - 1.0)
+    tset = np.flatnonzero(pos[best]) if pos[best].any() else [np.argmax(deltas[best])]
+    manipulated = Instance(stack[best], base.alpha)
+    return float(gains[best]), manipulated, tuple(int(j) for j in tset), deltas
+
+
+def _search_rows(base: Instance, profiles, budget, seed) -> tuple[np.ndarray, int]:
+    """A search's checked budget and candidate rows: ``profiles``, or the
+    default ones drawn from ``base`` once it is validated."""
+    budget = core.whole(budget, ValueError, "budget", 1)
+    seed = core.whole(seed, ValueError, "seed", 0)
+    core.validate(base)
+    if profiles is None:
+        profiles = candidate_profiles(base, np.random.default_rng(seed))
+    rows, m = np.asarray(profiles, dtype=float), base.n_artists
+    if rows.ndim != 2 or rows.shape[1] != m:
+        raise core.DimensionError(f"profiles have shape {rows.shape}, instance has {m} artists")
+    return rows, budget
 
 
 def _search(axiom, rule, base, rows, victims, seed) -> Optional[ViolationWitness]:
@@ -522,13 +494,12 @@ def _search(axiom, rule, base, rows, victims, seed) -> Optional[ViolationWitness
     if not valid.all():
         core.validate(Instance(stack[int(np.argmin(valid))], base.alpha))
     rule = coerce_rule(rule)
-    scores = _score(rule, base, stack)
-    if scores is None or scores.gain - 1.0 <= MARGIN_TOL:
+    scored = _score(rule, base, stack)
+    if scored is None or scored[0] - 1.0 <= MARGIN_TOL:
         return None
-    manipulated, tset = scores.winner()
+    gain, manipulated, tset, _ = scored
     return ViolationWitness(
-        axiom, rule_name(rule), base, manipulated, tset,
-        scores.gain, 1.0, scores.gain - 1.0, source=f"seed:{seed}",
+        axiom, rule_name(rule), base, manipulated, tset, gain, 1.0, source=f"seed:{seed}"
     )
 
 
@@ -547,12 +518,8 @@ def search_fraud(
     or None when nothing clears the noise floor. An invalid ``base`` or
     candidate raises the :class:`core.InstanceError` of its instance.
     """
-    budget = core.whole(budget, ValueError, "budget", 1)
-    core.validate(base)  # before the default candidates are drawn from it
-    if profiles is None:
-        profiles = candidate_profiles(base, np.random.default_rng(seed))
-    rows = _as_rows(profiles, base.n_artists)[:budget]
-    return _search(AxiomId.FRAUD_PROOF, rule, base, rows, None, seed)
+    rows, budget = _search_rows(base, profiles, budget, seed)
+    return _search(AxiomId.FRAUD_PROOF, rule, base, rows[:budget], None, seed)
 
 
 def search_bribery(
@@ -572,13 +539,10 @@ def search_bribery(
     maximal-margin witness (ties keep the earliest bribe) or None, and
     rejects invalid input as :func:`search_fraud` does.
     """
-    budget = core.whole(budget, ValueError, "budget", 1)
-    core.validate(base)  # before the default candidates are drawn from it
-    if profiles is None:
-        profiles = candidate_profiles(base, np.random.default_rng(seed))
+    rows, budget = _search_rows(base, profiles, budget, seed)
     if victims is None:
         victims = range(base.n_users)
-    who, rows = _bribes(base, _as_rows(profiles, base.n_artists), victims, budget)
+    who, rows = _bribes(base, rows, victims, budget)
     return _search(AxiomId.BRIBERY_PROOF, rule, base, rows, who, seed)
 
 
@@ -615,21 +579,21 @@ class SuiteResult:
 
 
 def _fraud_trial(rule, inst, rng):
-    scores = _score(rule, inst, _candidates(inst, candidate_profiles(inst, rng)))
-    manipulated, tset = scores.winner()
-    return (scores.gain - 1.0, scores.gain, 1.0, inst, manipulated, tset, None)
+    rows = candidate_profiles(inst, rng)
+    gain, manipulated, tset, _ = _score(rule, inst, _candidates(inst, rows))
+    return (gain, 1.0, inst, manipulated, tset, None)
 
 
 def _bribery_trial(rule, inst, rng):
     victim = int(rng.integers(inst.n_users))
     who, rows = _bribes(inst, candidate_profiles(inst, rng), [victim])
-    scores = _score(rule, inst, _candidates(inst, rows, who))
-    if scores is None:
+    scored = _score(rule, inst, _candidates(inst, rows, who))
+    if scored is None:
         return None
-    manipulated, tset = scores.winner()
-    return (
-        scores.gain - 1.0, scores.gain, 1.0, inst, manipulated, tset, scores.swing() - 1.0,
-    )
+    gain, manipulated, tset, deltas = scored
+    swing = np.abs(deltas).max(axis=1)  # largest single-artist payment change
+    swing = float(swing[~np.isnan(swing)].max(initial=-np.inf))
+    return (gain, 1.0, inst, manipulated, tset, swing - 1.0)
 
 
 def _sybil_trial(rule, inst, rng):
@@ -643,7 +607,7 @@ def _sybil_trial(rule, inst, rng):
     manipulated = Instance(w, inst.alpha)
     cstar = [c for c in range(inst.n_artists) if c != j]
     report = verify_sybil_pair(rule, inst, manipulated, cstar)
-    return (report.margin, report.gain, 0.0, inst, manipulated, (j,), None)
+    return (report.gain, report.bound, inst, manipulated, (j,), None)
 
 
 def _strong_sybil_trial(rule, inst, rng):
@@ -662,7 +626,7 @@ def _strong_sybil_trial(rule, inst, rng):
     new_w[:, comp] = (mass * rng.dirichlet(np.ones(n * comp.size))).reshape(n, comp.size)
     manipulated = Instance(new_w, inst.alpha)
     report = verify_strong_sybil(rule, inst, manipulated, cstar)
-    return (report.margin, report.gain, 0.0, inst, manipulated, tuple(comp), None)
+    return (report.gain, report.bound, inst, manipulated, tuple(comp), None)
 
 
 def _nfr_trial(rule, inst, rng):
@@ -677,7 +641,7 @@ def _nfr_trial(rule, inst, rng):
     w[:, j] = 0.0
     planted = Instance(w, inst.alpha)
     report = verify_no_free_ridership(rule, planted)
-    return (report.margin, report.gain, 0.0, planted, planted, (j,), None)
+    return (report.gain, report.bound, planted, planted, (j,), None)
 
 
 def _em_trial(rule, inst, rng):
@@ -689,7 +653,7 @@ def _em_trial(rule, inst, rng):
     w[:, others] *= rng.uniform(0.2, 1.0, size=(n, int(others.sum())))
     manipulated = Instance(w, inst.alpha)
     report = verify_engagement_monotone(rule, inst, manipulated, jstar)
-    return (report.margin, report.gain, 0.0, inst, manipulated, (jstar,), None)
+    return (report.gain, report.bound, inst, manipulated, (jstar,), None)
 
 
 def _pd_trial(rule, inst, rng):
@@ -705,12 +669,14 @@ def _pd_trial(rule, inst, rng):
         delta = 0.5 * gap * float(rng.uniform(0.2, 1.0))
         if delta <= 0:
             continue
-        transfer = (int(donor), int(recipient), j, delta)
-        report, manipulated = _pigou_dalton(rule, inst, transfer)
-        return (report.margin, report.gain, 0.0, inst, manipulated, (j,), None)
+        manipulated = _pd_apply(inst, (int(donor), int(recipient), j, delta))[0]
+        report = _one_artist_drop(AxiomId.PIGOU_DALTON, rule, inst, manipulated, j)
+        return (report.gain, report.bound, inst, manipulated, (j,), None)
     return None
 
 
+#: Each trial returns None when it has nothing to score, else (gain, bound,
+#: base, manipulated, target_set, swing_margin); only bribery has a swing.
 _TRIALS = {
     AxiomId.FRAUD_PROOF: _fraud_trial,
     AxiomId.BRIBERY_PROOF: _bribery_trial,
@@ -742,6 +708,7 @@ def run_suite(
     click-fraud condition.
     """
     trials = core.whole(trials, ValueError, "trials", 1)
+    seed = core.whole(seed, ValueError, "seed", 0)
     try:
         trial_fn = _TRIALS[AxiomId(axiom)]
     except KeyError:
@@ -759,7 +726,8 @@ def run_suite(
         out = trial_fn(rule, inst, rng)
         if out is None:
             continue
-        margin, gain, bound, base, manipulated, tset, swing_margin = out
+        gain, bound, base, manipulated, tset, swing_margin = out
+        margin = gain - bound
         if swing_margin is not None:
             cf_margin = swing_margin if cf_margin is None else max(cf_margin, swing_margin)
         if margin > max_margin:
@@ -767,7 +735,7 @@ def run_suite(
             if margin > MARGIN_TOL:
                 witness = ViolationWitness(
                     AxiomId(axiom), rule_name(rule), base, manipulated, tset,
-                    gain, bound, margin, source=f"seed:{seed}/trial:{t}",
+                    gain, bound, source=f"seed:{seed}/trial:{t}",
                 )
                 logger.info("violation witness: %s", witness_line(witness))
     return SuiteResult(AxiomId(axiom), rule_name(rule), trials, max_margin, witness, cf_margin)

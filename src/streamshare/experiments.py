@@ -44,6 +44,7 @@ class SynthConfig:
         whole(hi, ValueError, "artist_count_range's high end", lo, top)
         if not self.stream_lambda > 0:
             raise ValueError("stream_lambda must be positive")
+        whole(self.seed, ValueError, "seed", 0)
 
 
 @dataclass(frozen=True)

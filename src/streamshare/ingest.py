@@ -20,8 +20,9 @@ same decode errors) and parsed by the standard decoder whole. So the
 loaded weights are bit for bit those of json.load followed by np.array,
 and every document loads or fails to load as it does there, but that a
 string, a boolean or an integer too large for a float where a number
-belongs is refused. The loaded matrix is frozen and reaches the instance,
-and every with_alpha of it, without a copy. Saving one writes the bytes of
+belongs is refused, and so is an integer longer than int() converts. The
+loaded matrix is frozen and reaches the instance, and every with_alpha of
+it, without a copy. Saving one writes the bytes of
 json.dump(doc, fh, indent=1) and a newline, so the format is unchanged, but
 no nested list of the matrix is made: the header members are rendered by
 json's C string encoder and the indent=1 separators, and the weights go out
@@ -343,6 +344,28 @@ def _reject_constant(name: str):
     raise SchemaError(f"non-finite literal {name} is not allowed")
 
 
+def _parse_int(text: str) -> int:
+    """A JSON integer as json.loads reads it, or a SchemaError naming its
+    digit count when it is longer than int() converts."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("-"))
+        raise SchemaError(f"an integer of {digits} digits is longer than int() converts") from None
+
+
+def _loads(text: str):
+    """json.loads of ``text``, where a non-finite literal or an integer
+    longer than int() converts is a SchemaError. Only a second parse names
+    the integer, so a document that parses pays nothing for _parse_int."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except (json.JSONDecodeError, SchemaError):
+        raise
+    except ValueError:  # int()'s digit limit
+        return json.loads(text, parse_constant=_reject_constant, parse_int=_parse_int)
+
+
 # The layout save_document writes when every weight renders in three
 # characters, as the counts 0.0 to 9.0 that gen writes do. The weights
 # member comes last: "\n "weights": [\n", the rows, "\n ]\n}\n". A row is
@@ -397,7 +420,7 @@ def _decode_file(path):
     with io.TextIOWrapper(io.BytesIO(raw)) as fh:
         text = fh.read()
     del raw  # not kept while the text is parsed
-    return json.loads(text, parse_constant=_reject_constant)
+    return _loads(text)
 
 
 def _decode_layout(raw: bytes):
@@ -429,7 +452,7 @@ def _decode_layout(raw: bytes):
     if weights is None:
         return None
     try:
-        doc = json.loads(header.decode("ascii") + "0}", parse_constant=_reject_constant)
+        doc = _loads(header.decode("ascii") + "0}")
     except json.JSONDecodeError:
         return None
     doc["weights"] = weights

@@ -1,5 +1,6 @@
 """Verifiers, the fixture library, pathological rules, and the random suites."""
 
+import hashlib
 import inspect
 
 import numpy as np
@@ -63,6 +64,7 @@ from streamshare.axioms import (
     verify_sybil_pair,
     verify_user_addition_monotone,
 )
+from streamshare.core import first_max
 from streamshare.fixtures import DomainError
 
 DEFAULT_TOL = 1e-9
@@ -77,34 +79,22 @@ def _any_instance():
     return make([[1.0, 1.0]])
 
 
-def test_witness_rejects_inconsistent_margin():
-    inst = _any_instance()
-    with pytest.raises(ValueError):
-        ViolationWitness(
-            AxiomId.FRAUD_PROOF, "globalprop", inst, inst, (0,),
-            gain=3.0, bound=1.0, margin=1.0,
-        )
-
-
 def test_witness_rejects_noise_floor_margin():
     inst = _any_instance()
     with pytest.raises(ValueError):
         ViolationWitness(
             AxiomId.FRAUD_PROOF, "globalprop", inst, inst, (0,),
-            gain=1.0 + 1e-9, bound=1.0, margin=1e-9,
+            gain=1.0 + 1e-9, bound=1.0,
         )
 
 
-@pytest.mark.parametrize(
-    "gain, bound, margin",
-    [(np.nan, 1.0, np.nan), (3.0, 1.0, np.nan), (np.nan, 1.0, 2.0), (3.0, np.nan, 2.0)],
-)
-def test_witness_rejects_nan(gain, bound, margin):
+@pytest.mark.parametrize("gain, bound", [(np.nan, 1.0), (3.0, np.nan)])
+def test_witness_rejects_nan(gain, bound):
     inst = _any_instance()
     with pytest.raises(ValueError):
         ViolationWitness(
             AxiomId.FRAUD_PROOF, "globalprop", inst, inst, (0,),
-            gain=gain, bound=bound, margin=margin,
+            gain=gain, bound=bound,
         )
 
 
@@ -112,7 +102,7 @@ def test_witness_line_format():
     inst = _any_instance()
     w = ViolationWitness(
         AxiomId.FRAUD_PROOF, "globalprop", inst, inst, (1, 0),
-        gain=3.0, bound=1.0, margin=2.0, source="seed:4/trial:7",
+        gain=3.0, bound=1.0, source="seed:4/trial:7",
     )
     line = witness_line(w)
     assert line == (
@@ -336,47 +326,35 @@ def test_pigou_dalton_verdicts_on_the_known_split():
     assert verify_pigou_dalton("userprop", inst, transfer).violation
 
 
-def _suite_fields(result):
-    w = result.witness
-    witness = None if w is None else (
-        w.base.weights.view(np.int64).tobytes(), w.manipulated.weights.view(np.int64).tobytes(),
-        w.target_set, w.gain, w.bound, w.margin, w.source)
-    return result.max_margin, result.clickfraud_margin, witness
-
-
 @pytest.mark.parametrize("rule", ["usereq", "userprop"])
 def test_pigou_dalton_suite_builds_each_transfer_once(monkeypatch, rule):
     """Each trial that draws a transfer builds its manipulated instance in
-    exactly one _pd_apply call, and the suite's result (with a witness under
-    userprop) is bit for bit the one of the verifier followed by a second
-    _pd_apply for the witness."""
-    events = []
-    pd_apply, pigou_dalton = axioms._pd_apply, axioms._pigou_dalton
+    exactly one _pd_apply call, and scores it as verify_pigou_dalton does."""
+    pd_apply, applied = axioms._pd_apply, []
 
     def counted_apply(instance, transfer):
-        events.append("apply")
-        return pd_apply(instance, transfer)
+        out = pd_apply(instance, transfer)
+        applied.append((instance, transfer, out[0]))
+        return out
 
-    def counted_verifier(rule, instance, transfer):
-        events.append("trial")
-        return pigou_dalton(rule, instance, transfer)
+    trial, trials = axioms._TRIALS[AxiomId.PIGOU_DALTON], []
+
+    def recorded_trial(rule, inst, rng):
+        trials.append(trial(rule, inst, rng))
+        return trials[-1]
 
     monkeypatch.setattr(axioms, "_pd_apply", counted_apply)
-    monkeypatch.setattr(axioms, "_pigou_dalton", counted_verifier)
+    monkeypatch.setitem(axioms._TRIALS, AxiomId.PIGOU_DALTON, recorded_trial)
     result = run_suite(AxiomId.PIGOU_DALTON, rule, trials=100, seed=0)
-    transfers = events.count("trial")
-    assert transfers > 50
-    assert events == ["trial", "apply"] * transfers
-
-    def built_twice(rule, instance, transfer):
-        report = pigou_dalton(rule, instance, transfer)[0]
-        return report, pd_apply(instance, transfer)[0]
-
-    monkeypatch.setattr(axioms, "_pd_apply", pd_apply)
-    monkeypatch.setattr(axioms, "_pigou_dalton", built_twice)
-    reference = run_suite(AxiomId.PIGOU_DALTON, rule, trials=100, seed=0)
+    monkeypatch.undo()
+    scored = [out for out in trials if out is not None]
+    assert len(scored) > 50
+    assert len(applied) == len(scored)
+    for (inst, transfer, built), (gain, bound, base, manipulated, *_) in zip(applied, scored):
+        assert base is inst and manipulated is built
+        report = verify_pigou_dalton(rule, inst, transfer)
+        assert (gain, bound) == (report.gain, report.bound)
     assert (result.witness is None) == (rule == "usereq")
-    assert _suite_fields(result) == _suite_fields(reference)
 
 
 @given(inst=instances(max_users=5))
@@ -823,15 +801,19 @@ def test_batched_scores_equal_the_per_row_path():
                     assert str(info.value) == str(exc), (t, rule)
                     raised += 1
                     continue
-                batched = _score(rule, inst, _candidates(inst, cand, who))
-                assert np.array_equal(batched.deltas, looped), (t, rule)
-                winner, tset = batched.winner()
-                assert np.array_equal(winner.weights, manipulated[batched.best].weights)
+                stack = _candidates(inst, cand, who)
+                gain, winner, tset, deltas = _score(rule, inst, stack)
+                assert np.array_equal(deltas, looped), (t, rule)
+                gains = np.array([row[row > 0].sum() if (row > 0).any() else row.max()
+                                  for row in looped])
+                best = first_max(gains - 1.0)
+                assert gain == gains[best], (t, rule)
+                assert np.array_equal(winner.weights, manipulated[best].weights)
                 assert winner.alpha == inst.alpha
-                assert not np.shares_memory(winner.weights, batched.stack)
-                pos = np.flatnonzero(looped[batched.best] > 0)
+                assert not np.shares_memory(winner.weights, stack)
+                pos = np.flatnonzero(looped[best] > 0)
                 assert tset == (tuple(pos) if pos.size else
-                                (int(np.argmax(looped[batched.best])),)), (t, rule)
+                                (int(np.argmax(looped[best])),)), (t, rule)
     assert raised > 0  # min and geo degenerate on sparse draws
 
 
@@ -840,6 +822,19 @@ def test_batched_scores_equal_the_per_row_path():
 def test_search_rejects_a_budget_that_is_not_a_whole_count(search, budget):
     with pytest.raises(ValueError, match="budget"):
         search("globalprop", make([[1, 0]] * 5), budget=budget)
+
+
+@pytest.mark.parametrize("search", SEARCHES)
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_search_rejects_a_seed_that_is_not_a_whole_count(search, seed):
+    with pytest.raises(ValueError, match="seed"):
+        search("globalprop", make([[1, 0]] * 5), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_run_suite_rejects_a_seed_that_is_not_a_whole_count(seed):
+    with pytest.raises(ValueError, match="seed"):
+        run_suite(AxiomId.FRAUD_PROOF, "userprop", trials=3, seed=seed)
 
 
 def test_verifiers_reject_target_artists_that_are_not_whole():
@@ -1024,6 +1019,52 @@ def test_sybil_suite_results_are_pinned(rule, max_margin):
         assert result.witness.source == "seed:7/trial:1370"
     else:
         assert result.witness is None
+
+
+#: The seven suites whose witness lines the CI smoke test pins, at its seed
+#: and trial counts: the witness line, a sha256 of the manipulated weights
+#: and, for bribery, the click-fraud margin.
+_WITNESS_PINS = [
+    (AxiomId.FRAUD_PROOF, "util", 40,
+     "axiom=FraudProof rule=util gain=2.92556741831 bound=1 margin=1.92556741831 "
+     "target={1} source=seed:3/trial:33",
+     "fd38f1bff7415d98796f4e60c6d3df99cea673b66da1edec6675eaa90a55c072", None),
+    (AxiomId.FRAUD_PROOF, "egal", 10,
+     "axiom=FraudProof rule=egal gain=2.11547540376 bound=1 margin=1.11547540376 "
+     "target={0,3,4} source=seed:3/trial:9",
+     "0c5a61f046a32b3d8f5271149d1415ef674999361988f9eac2eace4312f8b08f", None),
+    (AxiomId.BRIBERY_PROOF, "egal", 10,
+     "axiom=BriberyProof rule=egal gain=1.62056131285 bound=1 margin=0.620561312846 "
+     "target={2,4} source=seed:3/trial:9",
+     "3733407dd71f02b83fff7ce58d24fbc1072dc6e56d72c3b490467745237b6cbf", 0.4919311932869168),
+    (AxiomId.BRIBERY_PROOF, "globalprop", 50,
+     "axiom=BriberyProof rule=globalprop gain=3.86774307657 bound=1 margin=2.86774307657 "
+     "target={1} source=seed:3/trial:37",
+     "6e503ea7c35384087e282264b7c3ec04b52a4a6195c6d72a45a0ac9ffb25da53", 2.867743076570185),
+    (AxiomId.PIGOU_DALTON, "userprop", 50,
+     "axiom=PigouDalton rule=userprop gain=0.0224696555881 bound=0 margin=0.0224696555881 "
+     "target={0} source=seed:3/trial:3",
+     "aa0693fbb7fec29763e08bd89b78761168020009626c0da3f23d32d18c704475", None),
+    (AxiomId.STRONG_SYBIL_PROOF, "userprop", 50,
+     "axiom=StrongSybilProof rule=userprop gain=1.2773872882 bound=0 margin=1.2773872882 "
+     "target={1} source=seed:3/trial:2",
+     "1bd6992ee15cac299fb0ac3ebeb5a25e344a4ee6dcccc5dc9c9851ffb812f66e", None),
+    (AxiomId.SYBIL_PROOF, "usereq", 50,
+     "axiom=SybilProof rule=usereq gain=1.17395158225 bound=0 margin=1.17395158225 "
+     "target={3} source=seed:3/trial:21",
+     "048c6fd2448a26623a90e2e363e36139bd3eba6137ef2b5c74154e24a07a7a1b", None),
+]
+
+
+@pytest.mark.parametrize("axiom, rule, trials, line, weights_sha256, clickfraud_margin",
+                         _WITNESS_PINS, ids=[f"{a.value}-{r}" for a, r, *_ in _WITNESS_PINS])
+def test_suite_witnesses_are_pinned(axiom, rule, trials, line, weights_sha256,
+                                    clickfraud_margin):
+    result = run_suite(axiom, rule, trials=trials, seed=3)
+    assert witness_line(result.witness) == line
+    digest = hashlib.sha256(result.witness.manipulated.weights.tobytes()).hexdigest()
+    assert digest == weights_sha256
+    assert result.clickfraud_margin == clickfraud_margin
 
 
 def test_run_suite_strong_sybil_search_breaks_user_rules():

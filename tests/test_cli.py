@@ -435,6 +435,24 @@ def test_gen_bad_follow_range(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "gen", "sweep"])
+def test_a_negative_seed_is_a_usage_error_naming_the_seed(tmp_path, capsys, command):
+    out = tmp_path / "out.json"
+    config = tmp_path / "sweep.cfg"
+    config.write_text("users=10\nartists=4\nseed=-2\n")
+    argv = {
+        "check": ["check", "--axiom", "fraud", "--rule", "scaledup",
+                  "--random-trials", "3", "--seed", "-1"],
+        "gen": ["gen", "--users", "5", "--artists", "3", "--seed", "-1", "--out", str(out)],
+        "sweep": ["sweep", "--config", str(config), "--alphas", "0.5", "--k", "1",
+                  "--seeds", "1", "--out", str(out)],
+    }[command]
+    assert main(argv) == 1
+    seed = "-2" if command == "sweep" else "-1"
+    assert capsys.readouterr().err == f"error: seed must be >= 0 and be whole, got {seed}\n"
+    assert not out.exists()
+
+
 def test_sweep_round_trip(tmp_path, capsys):
     config = tmp_path / "sweep.cfg"
     config.write_text("users = 40\nartists = 6\nrange = 1,3\nseed = 5\n# comment\n")

@@ -41,6 +41,9 @@ def test_synth_config_validation():
         SynthConfig(n_users=5, n_artists=5, artist_count_range=(1, 2.5))
     with pytest.raises(ValueError):
         SynthConfig(n_users=5, n_artists=5, artist_count_range=(1, 3), stream_lambda=0.0)
+    for seed in (-1, 1.5):
+        with pytest.raises(ValueError, match=f"seed must be >= 0 and be whole, got {seed}"):
+            SynthConfig(5, 3, seed=seed)
 
 
 def test_desk_config_shape():

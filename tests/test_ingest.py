@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -334,7 +335,8 @@ def _reference_load(path):
     hold."""
     with open(path) as fh:
         try:
-            doc = json.load(fh, parse_constant=ingest._reject_constant)
+            doc = json.load(fh, parse_constant=ingest._reject_constant,
+                            parse_int=_reference_int)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -364,6 +366,15 @@ def _reference_load(path):
     instance = Instance(w, alpha)
     validate(instance)
     return ingest.IngestResult(instance, users, artists)
+
+
+def _reference_int(text):
+    """int(text), once the integer is no longer than int() converts."""
+    limit = sys.get_int_max_str_digits()
+    digits = len(text.lstrip("-"))
+    if 0 < limit < digits:
+        raise SchemaError(f"an integer of {digits} digits is longer than int() converts")
+    return int(text)
 
 
 def _reference_number(x, key):
@@ -413,11 +424,15 @@ NUMBERS = ["-0", "-0.0", "0", "1E400", "5e-324", "1e-400", "1e+5", "1E-05", "0.5
            "1" + "0" * 308, "2.5"]
 # integers json reads but np.array cannot convert to a float
 HUGE = ["1" * 400, "-" + "1" * 400, "1" + "0" * 309]
+# an integer longer than int() converts
+TOO_LONG = "1" * 5000
 SPELLINGS = ["01", "1.", ".5", "+1", "1e", "-", "1_0", "0x10", "NaN", "Infinity",
              "-Infinity", "00", "-01", "1.e5", "1e5.5", "1.2.3", "--1", "1-2", "1 2", "0. 0"]
 CORPUS = (
     [(f"number {t[:12]}", _document(_zero_rows(t))) for t in NUMBERS]
     + [(f"huge {t[:5]}", _document(_zero_rows(t))) for t in HUGE]
+    + [("too long weight", _document(_zero_rows(TOO_LONG))),
+       ("too long alpha", _document(_zero_rows()).replace('"alpha": 1.0', f'"alpha": -{TOO_LONG}'))]
     + [(f"spelling {t}", _document(_zero_rows(t))) for t in SPELLINGS]
     + [(f"last {t}", _document(_zero_rows().replace("1.0]", t + "]", 1)))
        for t in ("-0", "7", "01", "1e")]

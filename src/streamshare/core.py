@@ -96,25 +96,47 @@ class Instance:
         return self.alpha * self.n_users
 
     def user_totals(self) -> np.ndarray:
-        return self.weights.sum(axis=1)
+        """``weights.sum(axis=1)``, summed on the first call; every call
+        returns that same read-only array."""
+        out = self.__dict__.get("_user_totals")
+        return _memo_sum(self, "_user_totals", 1) if out is None else out
 
     def artist_totals(self) -> np.ndarray:
-        return self.weights.sum(axis=0)
+        """``weights.sum(axis=0)``, summed on the first call; every call
+        returns that same read-only array."""
+        out = self.__dict__.get("_artist_totals")
+        return _memo_sum(self, "_artist_totals", 0) if out is None else out
+
+
+def _memo_sum(instance: Instance, key: str, axis: int) -> np.ndarray:
+    """Sum ``instance``'s weights along ``axis`` and keep the frozen sums in
+    its ``__dict__`` under ``key``. A plain entry, not a cached_property:
+    the instance is frozen and its weights read-only, so the sums never go
+    stale, and no lock is taken on the small instances validated by the
+    thousand."""
+    out = instance.weights.sum(axis=axis)
+    out.setflags(write=False)
+    instance.__dict__[key] = out
+    return out
 
 
 def validate(instance: Instance) -> None:
     """Raise the first violated input invariant, or return quietly.
 
     Checked in order: dimensions, finiteness, alpha, negative weights, zero rows.
-    The matrix is read twice, for its row sums and its minimum: a NaN or
-    infinite weight makes its row's sum NaN or infinite, so the weights
-    themselves are tested only when some row sum is (a finite row may also
-    overflow).
+    The matrix is read twice, for its row sums (:meth:`Instance.user_totals`,
+    kept for later callers) and its minimum: a NaN or infinite weight makes
+    its row's sum NaN or infinite, so the weights themselves are tested only
+    when some row sum is (a finite row may also overflow). A pass is recorded
+    on the instance, whose weights and alpha cannot change, so validating it
+    again returns at once; a failure records nothing and raises every time.
     """
+    if "_valid" in instance.__dict__:
+        return
     w = instance.weights
     if w.shape[0] == 0 or w.shape[1] == 0:
         raise DimensionError(f"weights must be nonempty, got shape {w.shape}")
-    row_sums = w.sum(axis=1)
+    row_sums = instance.user_totals()
     if not np.isfinite(row_sums).all() and not np.isfinite(w).all():
         raise InstanceError("weights must be finite")
     if not 0.0 < instance.alpha <= 1.0:
@@ -124,6 +146,7 @@ def validate(instance: Instance) -> None:
         raise NegativeWeightError(int(i), int(j))
     if row_sums.min() == 0:
         raise ZeroRowError(int(np.flatnonzero(row_sums == 0)[0]))
+    instance.__dict__["_valid"] = True
 
 
 def finalize_payments(payments: np.ndarray) -> np.ndarray:
@@ -135,10 +158,10 @@ def finalize_payments(payments: np.ndarray) -> np.ndarray:
 
 def whole(value, error: type, what: str, low: int = 0, high: int | None = None) -> int:
     """``value`` as an int in [low, high) (no upper end when ``high`` is
-    None); one outside it, or one ``operator.index`` refuses (a float, a
-    string), raises ``error``."""
+    None); one outside it, a bool, or one ``operator.index`` refuses (a
+    float, a string), raises ``error``."""
     try:
-        out = operator.index(value)
+        out = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         out = None
     if out is None or out < low or (high is not None and out >= high):

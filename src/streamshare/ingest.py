@@ -287,16 +287,18 @@ def load_document(path) -> IngestResult:
     users = _id_table(doc["user_ids"], "user_ids")
     artists = _id_table(doc["artist_ids"], "artist_ids")
     alpha, weights = _number(doc["alpha"], "alpha"), doc["weights"]
-    # the text path's entries (the bytes path's come from the code table);
-    # a list in a row fails the shape check
-    for i, row in enumerate(weights if isinstance(weights, list) else ()):
-        if isinstance(row, list) and not set(map(type, row)) <= {float}:
-            for j, x in enumerate(row):
-                if not isinstance(x, list):
-                    _number(x, f"weights[{i}][{j}]")
+    # The text path's entries (the bytes path's come from the code table).
+    # Rows of JSON numbers go straight to the conversion. A row holding
+    # anything else, or a failed conversion (an integer too large for a
+    # float, a ragged matrix), sends the rows through _check_entries first,
+    # so the first bad entry is named wherever it lies.
+    rows = weights if isinstance(weights, list) else ()
+    if not all(set(map(type, row)) <= {int, float} for row in rows if isinstance(row, list)):
+        _check_entries(rows)
     try:
         w = np.asarray(weights, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
+        _check_entries(rows)
         raise SchemaError(f"bad numeric payload: {exc}") from exc
     if w.ndim != 2:
         raise SchemaError(f"weights must be a matrix, got ndim {w.ndim}")
@@ -310,6 +312,17 @@ def load_document(path) -> IngestResult:
     instance = Instance(w, alpha)
     validate(instance)
     return IngestResult(instance, users, artists)
+
+
+def _check_entries(rows) -> None:
+    """Raise _number's SchemaError for the first entry of ``rows``, in row
+    order, that is not a JSON number a float can hold; a row of floats alone
+    is passed over, and a list in a row is left to the shape check."""
+    for i, row in enumerate(rows):
+        if isinstance(row, list) and not set(map(type, row)) <= {float}:
+            for j, x in enumerate(row):
+                if not isinstance(x, list):
+                    _number(x, f"weights[{i}][{j}]")
 
 
 def _id_table(ids, key: str) -> tuple:

@@ -261,7 +261,7 @@ def _signature_buckets(w: np.ndarray, tau: np.ndarray) -> list:
     """Columns grouped by the sorted (weight, user total) pairs of their
     nonzero entries, each group ascending. Interchangeable artists always
     share a group, since relabeling users permutes those pairs."""
-    i, j = np.nonzero(w)
+    i, j = np.divmod(np.flatnonzero(w.ravel() != 0), w.shape[1])  # np.nonzero's order
     o = np.lexsort((tau[i], w[i, j], j))
     i, j = i[o], j[o]
     pos = np.arange(j.size) - np.searchsorted(j, j)  # rank within the column
@@ -287,8 +287,9 @@ def _artist_orbits(instance: Instance) -> list:
             n_diff = diff.sum(axis=0)
             joined = n_diff == 0
             pairs = np.flatnonzero(n_diff == 2)
-            if pairs.size:  # a swap maps user a to b: they differ only there
-                a, b = np.nonzero(diff[:, pairs].T)[1].reshape(-1, 2).T
+            if pairs.size:  # a swap maps user a to b, the first and last users that differ
+                block = diff[:, pairs]
+                a, b = block.argmax(axis=0), w.shape[0] - 1 - block[::-1].argmax(axis=0)
                 j = others[pairs]
                 cross = (w[a, rep] == w[b, j]) & (w[a, j] == w[b, rep])
                 joined[pairs] = cross & ((w[a] != w[b]).sum(axis=1) == 2)

@@ -831,7 +831,7 @@ def test_search_rejects_a_seed_that_is_not_a_whole_count(search, seed):
         search("globalprop", make([[1, 0]] * 5), seed=seed)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("seed", [-1, 1.5, False])
 def test_run_suite_rejects_a_seed_that_is_not_a_whole_count(seed):
     with pytest.raises(ValueError, match="seed"):
         run_suite(AxiomId.FRAUD_PROOF, "userprop", trials=3, seed=seed)
@@ -1085,7 +1085,7 @@ def test_run_suite_rejects_unknown_axiom():
         run_suite(AxiomId.ANONYMITY, "userprop", trials=5)
 
 
-@pytest.mark.parametrize("trials", [0, -3, 2.5, "3"])
+@pytest.mark.parametrize("trials", [0, -3, 2.5, "3", True])
 def test_run_suite_rejects_trials_below_one(trials):
     with pytest.raises(ValueError, match="trials"):
         run_suite(AxiomId.FRAUD_PROOF, "userprop", trials=trials)

@@ -158,12 +158,12 @@ def test_subset_payment_dedups_and_sums():
         subset_payment(p, [-1])
 
 
-@pytest.mark.parametrize("bad", [0.9, 2.0, np.float64(1.0), "1", None])
+@pytest.mark.parametrize("bad", [0.9, 2.0, np.float64(1.0), "1", None, True])
 def test_subset_payment_rejects_indices_that_are_not_whole(bad):
     p = np.array([1.0, 2.0, 4.0])
     with pytest.raises(DimensionError, match="whole"):
         subset_payment(p, [0, bad])
-    assert subset_payment(p, [np.int64(2), True]) == 6.0
+    assert subset_payment(p, [np.int64(2), 1]) == 6.0
 
 
 def test_whole_names_the_range_it_checks():
@@ -172,6 +172,9 @@ def test_whole_names_the_range_it_checks():
         whole(4, DimensionError, "k", 1, 4)
     with pytest.raises(ValueError, match=r"^n must be >= 0 and be whole, got 2\.0$"):
         whole(2.0, ValueError, "n")
+    for flag in (True, False, np.bool_(True)):  # as a float is, though operator.index takes a bool
+        with pytest.raises(ValueError, match=rf"^n must be >= 0 and be whole, got {flag!r}$"):
+            whole(flag, ValueError, "n")
 
 
 def test_add_user():
@@ -203,6 +206,52 @@ def test_with_alpha():
     out = with_alpha(inst, 0.2)
     assert out.alpha == 0.2
     assert out.weights is not None and np.allclose(out.weights, inst.weights)
+
+
+@given(instances())
+@settings(max_examples=40, deadline=None)
+def test_totals_are_the_sums_kept_read_only(inst):
+    """Each total is bit-equal to the weights' sum, read-only, and the same
+    array on every call, validated or not."""
+    for totals, axis in ((inst.user_totals, 1), (inst.artist_totals, 0)):
+        first = totals()
+        assert first.tobytes() == inst.weights.sum(axis=axis).tobytes()
+        assert not first.flags.writeable
+        validate(inst)
+        assert totals() is first
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+
+
+@pytest.mark.parametrize("rows, alpha, error", [
+    ([[1.0, -0.5], [1.0, 1.0]], 1.0, NegativeWeightError),
+    ([[1.0, 1.0], [0.0, 0.0]], 1.0, ZeroRowError),
+    ([[1.0, np.nan]], 1.0, InstanceError),
+    ([[1.0, 1.0]], 1.5, BadAlphaError),
+    (np.zeros((0, 2)), 1.0, DimensionError),
+])
+def test_validate_raises_on_every_call_of_an_invalid_instance(rows, alpha, error):
+    inst = make(rows, alpha=alpha)
+    for _ in range(3):
+        with pytest.raises(error):
+            validate(inst)
+
+
+def test_a_passed_verdict_stays_with_its_instance():
+    """A valid instance's derived instances carry no verdict of their own:
+    one with a bad alpha, sharing the weights and the totals' values, still
+    fails."""
+    inst = make([[1.0, 2.0], [0.0, 3.0]], alpha=0.5)
+    validate(inst)
+    validate(inst)
+    bad = with_alpha(inst, 1.5)
+    assert bad.weights is inst.weights
+    for _ in range(2):
+        with pytest.raises(BadAlphaError):
+            validate(bad)
+    with pytest.raises(ZeroRowError):
+        validate(replace_user(inst, 1, [0.0, 0.0]))
+    validate(with_alpha(inst, 0.25))
 
 
 @given(instances())

@@ -41,9 +41,11 @@ def test_synth_config_validation():
         SynthConfig(n_users=5, n_artists=5, artist_count_range=(1, 2.5))
     with pytest.raises(ValueError):
         SynthConfig(n_users=5, n_artists=5, artist_count_range=(1, 3), stream_lambda=0.0)
-    for seed in (-1, 1.5):
+    for seed in (-1, 1.5, True):
         with pytest.raises(ValueError, match=f"seed must be >= 0 and be whole, got {seed}"):
             SynthConfig(5, 3, seed=seed)
+    with pytest.raises(ValueError, match="n_users must be >= 1 and be whole, got True"):
+        SynthConfig(n_users=True, n_artists=1)
 
 
 def test_desk_config_shape():

@@ -11,6 +11,7 @@ from streamshare import (
     BipartiteGraph,
     ParameterError,
     TooLargeError,
+    core,
     exceeds_threshold,
     find_suspicious,
     psp_exact,
@@ -320,6 +321,18 @@ def test_orbits_match_pairwise_reference(kind):
     assert joined == (0 if kind in ("not-swap", "three-cycle") else 60)
 
 
+@pytest.mark.parametrize("rows, orbits", [
+    ([[1, 2, 4], [3, 3, 1], [2, 1, 4]], [[0, 1], [2]]),
+    # the same pair of users, but they differ in two more columns
+    ([[1, 2, 4, 0], [3, 3, 1, 0], [2, 1, 3, 1]], [[0], [1], [2], [3]]),
+])
+def test_orbits_read_a_swap_in_the_first_and_last_users(rows, orbits):
+    """Columns 0 and 1 differ only in the first and the last user, who share
+    a total: the pair step reads them from either end of the users."""
+    inst = make(rows)
+    assert _artist_orbits(inst) == orbits == _pairwise_orbits(inst)
+
+
 def test_orbits_match_pairwise_reference_on_reductions():
     for n_left, n_right in ((1, 2), (2, 2), (2, 3), (3, 2)):
         cells = list(itertools.product(range(n_left), range(n_right)))
@@ -507,6 +520,24 @@ def test_greedy_search_validates_once(monkeypatch):
         calls.clear()
         find_suspicious(inst, k, "greedy")
         assert calls == [inst]
+
+
+def test_exact_search_and_later_calls_sum_the_rows_once(monkeypatch):
+    """The search and direct psp_exact calls after it validate the instance
+    and read its user totals each time, from one row sum: the first
+    validate's, kept on the instance."""
+    fills, validated = [], []
+    memo_sum, validate = core._memo_sum, core.validate
+    monkeypatch.setattr(core, "_memo_sum", lambda *a: fills.append(a[1:]) or memo_sum(*a))
+    monkeypatch.setattr(pspdetect, "validate", lambda inst: validated.append(inst) or validate(inst))
+    red = ssbve_reduction(BipartiteGraph(2, 2, ((0, 0), (1, 0))), 2, 1)
+    inst = red.instance
+    coalition, best = find_suspicious(inst, red.k, "exact")
+    assert best.profit > 0
+    for u in (coalition, (0,), (inst.n_artists - 2, inst.n_artists - 1)):
+        psp_exact(inst, u)
+    assert fills == [("_user_totals", 1)]
+    assert len(validated) >= 5 and set(map(id, validated)) == {id(inst)}
 
 
 def _exact_candidates(inst, k):

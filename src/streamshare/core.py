@@ -62,6 +62,15 @@ class Instance:
     :func:`add_user` / :func:`replace_user` to derive modified instances.
     Construction only coerces shape and dtype. Call :func:`validate` to check
     the full input contract.
+
+    What is derived from the weights alone is kept on the instance after
+    its first use, read-only, as plain ``__dict__`` entries: the totals,
+    the nonzero view (:meth:`nonzero`) and :func:`validate`'s verdict on
+    the weights. The instance is frozen and its weights read-only, so they
+    never go stale, and no lock is taken on the small instances validated
+    by the thousand. :func:`with_alpha` hands them on;
+    :func:`add_user` and :func:`replace_user`, whose weights differ, start
+    without them.
     """
 
     weights: np.ndarray
@@ -107,17 +116,32 @@ class Instance:
         out = self.__dict__.get("_artist_totals")
         return _memo_sum(self, "_artist_totals", 0) if out is None else out
 
+    def nonzero(self) -> tuple:
+        """``np.nonzero(weights)``: the rows and the columns of the nonzero
+        weights, in row-major order, as read-only arrays, found with one
+        flat scan of the matrix on the first call; every call returns that
+        same tuple."""
+        out = self.__dict__.get("_nonzero")
+        if out is None:
+            at = np.flatnonzero(self.weights.ravel() != 0)  # faster than np.nonzero
+            out = np.divmod(at, self.n_artists)
+            for part in out:
+                part.setflags(write=False)
+            self.__dict__["_nonzero"] = out
+        return out
+
 
 def _memo_sum(instance: Instance, key: str, axis: int) -> np.ndarray:
     """Sum ``instance``'s weights along ``axis`` and keep the frozen sums in
-    its ``__dict__`` under ``key``. A plain entry, not a cached_property:
-    the instance is frozen and its weights read-only, so the sums never go
-    stale, and no lock is taken on the small instances validated by the
-    thousand."""
+    its ``__dict__`` under ``key``."""
     out = instance.weights.sum(axis=axis)
     out.setflags(write=False)
     instance.__dict__[key] = out
     return out
+
+
+# the entries of an instance's __dict__ that depend on its weights alone
+_WEIGHT_MEMOS = ("_user_totals", "_artist_totals", "_nonzero", "_weights_valid")
 
 
 def validate(instance: Instance) -> None:
@@ -127,26 +151,28 @@ def validate(instance: Instance) -> None:
     The matrix is read twice, for its row sums (:meth:`Instance.user_totals`,
     kept for later callers) and its minimum: a NaN or infinite weight makes
     its row's sum NaN or infinite, so the weights themselves are tested only
-    when some row sum is (a finite row may also overflow). A pass is recorded
-    on the instance, whose weights and alpha cannot change, so validating it
-    again returns at once; a failure records nothing and raises every time.
+    when some row sum is (a finite row may also overflow). When the weights
+    pass, that verdict is kept on the instance, whose weights cannot change,
+    and :func:`with_alpha` hands it on: validating again checks alpha alone.
+    A failure records nothing and raises every time.
     """
-    if "_valid" in instance.__dict__:
-        return
+    known = "_weights_valid" in instance.__dict__
     w = instance.weights
-    if w.shape[0] == 0 or w.shape[1] == 0:
-        raise DimensionError(f"weights must be nonempty, got shape {w.shape}")
-    row_sums = instance.user_totals()
-    if not np.isfinite(row_sums).all() and not np.isfinite(w).all():
-        raise InstanceError("weights must be finite")
+    if not known:
+        if w.shape[0] == 0 or w.shape[1] == 0:
+            raise DimensionError(f"weights must be nonempty, got shape {w.shape}")
+        row_sums = instance.user_totals()
+        if not np.isfinite(row_sums).all() and not np.isfinite(w).all():
+            raise InstanceError("weights must be finite")
     if not 0.0 < instance.alpha <= 1.0:
         raise BadAlphaError(f"alpha must be in (0, 1], got {instance.alpha}")
-    if w.min() < 0:
-        i, j = np.argwhere(w < 0)[0]
-        raise NegativeWeightError(int(i), int(j))
-    if row_sums.min() == 0:
-        raise ZeroRowError(int(np.flatnonzero(row_sums == 0)[0]))
-    instance.__dict__["_valid"] = True
+    if not known:
+        if w.min() < 0:
+            i, j = np.argwhere(w < 0)[0]
+            raise NegativeWeightError(int(i), int(j))
+        if row_sums.min() == 0:
+            raise ZeroRowError(int(np.flatnonzero(row_sums == 0)[0]))
+        instance.__dict__["_weights_valid"] = True
 
 
 def finalize_payments(payments: np.ndarray) -> np.ndarray:
@@ -214,5 +240,11 @@ def replace_user(instance: Instance, user: int, profile) -> Instance:
 
 
 def with_alpha(instance: Instance, alpha: float) -> Instance:
-    """Same weights, different subscription share."""
-    return Instance(instance.weights, alpha)
+    """Same weights, different subscription share. The new instance shares
+    the weights and everything kept from them (the totals, the nonzero
+    view, a passed check of the weights), so :func:`validate` checks only
+    its alpha."""
+    out = Instance(instance.weights, alpha)
+    memos = instance.__dict__
+    out.__dict__.update((key, memos[key]) for key in _WEIGHT_MEMOS if key in memos)
+    return out

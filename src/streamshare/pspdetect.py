@@ -247,59 +247,123 @@ def psp_greedy(instance: Instance, artist_set) -> PspResult:
     return _result(u, removed[0], profit[0])
 
 
-def _exchangeable(w: np.ndarray, x: int, y: int) -> bool:
+def _exchangeable(w: np.ndarray, x: int, y: int, users=None) -> bool:
     """True when swapping columns x and y extends to a relabeling of users
     that leaves the weight matrix unchanged, so the two artists play
-    identical roles in every coalition."""
-    rows = w[w[:, x] != w[:, y]]  # the users the swap changes
+    identical roles in every coalition. ``users``, when given, are the
+    users whose x and y entries differ, the only ones the swap changes."""
+    rows = w[w[:, x] != w[:, y]] if users is None else w[users]
     swapped = rows.copy()
     swapped[:, [x, y]] = rows[:, [y, x]]
     return Counter(r.tobytes() for r in rows) == Counter(r.tobytes() for r in swapped)
 
 
-def _signature_buckets(w: np.ndarray, tau: np.ndarray) -> list:
-    """Columns grouped by the sorted (weight, user total) pairs of their
-    nonzero entries, each group ascending. Interchangeable artists always
-    share a group, since relabeling users permutes those pairs."""
-    i, j = np.divmod(np.flatnonzero(w.ravel() != 0), w.shape[1])  # np.nonzero's order
-    o = np.lexsort((tau[i], w[i, j], j))
-    i, j = i[o], j[o]
-    pos = np.arange(j.size) - np.searchsorted(j, j)  # rank within the column
+def _ranges(lo: np.ndarray, size: np.ndarray):
+    """The ranges [lo[q], lo[q] + size[q]) back to back: each index with its q."""
+    q = np.arange(size.size).repeat(size)
+    return q, np.arange(q.size) + (lo - size.cumsum() + size).repeat(size)
+
+
+def _signature_buckets(instance: Instance):
+    """The nonzeros column by column, each column's sorted by (weight, user
+    total), as their users and weights with each column's first entry and
+    count; and the columns grouped by those pairs, with the number of each
+    one's bucket of equal pairs, ascending within a bucket. Interchangeable
+    artists always share a bucket, since relabeling users permutes the
+    pairs."""
+    i, j = instance.nonzero()
+    v, tau = instance.weights[i, j], instance.user_totals()[i]
+    o = np.lexsort((tau, v, j))
+    i, j, v = i[o], j[o], v[o]
+    count = np.bincount(j, minlength=instance.n_artists)
+    first = count.cumsum() - count
+    pos = np.arange(j.size) - first[j]  # rank within the column
     # one row per column: its pairs in order, zero-padded (weights are nonzero)
-    sig = np.zeros((w.shape[1], 2 * int(pos.max(initial=-1)) + 2))
-    sig[j, 2 * pos], sig[j, 2 * pos + 1] = w[i, j], tau[i]
-    o = np.lexsort(sig.T[::-1])  # stable, so each bucket stays ascending
-    return np.split(o, np.flatnonzero((sig[o[1:]] != sig[o[:-1]]).any(axis=1)) + 1)
+    sig = np.zeros((instance.n_artists, int(count.max()), 2))
+    sig[j, pos, 0], sig[j, pos, 1] = v, tau[o]
+    # each row as one item: its floats are nonzero weights, positive user
+    # totals and +0.0 padding, never -0.0 or NaN, so equal bytes are equal pairs
+    sig = sig.reshape(instance.n_artists, -1).view(np.dtype((np.void, sig[0].nbytes))).ravel()
+    o = sig.argsort(kind="stable")  # so each bucket stays ascending
+    sig = sig[o]
+    bucket = np.concatenate(([0], (sig[1:] != sig[:-1]).cumsum()))
+    return (i, v, first, count), o, bucket
+
+
+def _joins(instance: Instance, entries, j: np.ndarray, rep: np.ndarray) -> np.ndarray:
+    """Whether each column j[q] is interchangeable with rep[q], a column of
+    the same signature, read off their nonzeros: no differing user means
+    identical columns, two a swapped pair when the swap maps each one's
+    entries to the other's and the two rows differ nowhere else, and more
+    go to ``_exchangeable``."""
+    w = instance.weights
+    users, weights, first, count = entries
+    # the k-th entry of j[q] beside the k-th of rep[q] (equal counts)
+    start = first[j]
+    q, at = _ranges(start, count[j])
+    rep_at = at + (first[rep] - start)[q]
+    own, reps = users[at], users[rep_at]
+    # a user differs where j's entry is not rep's weight, or where rep has an
+    # entry and j none
+    j_side = w[own, rep[q]] != weights[at]
+    rep_side = w[reps, j[q]] == 0
+    diff_q = np.concatenate((q[j_side], q[rep_side]))
+    n_diff = np.bincount(diff_q, minlength=j.size)
+    joined = n_diff == 0
+    if diff_q.size == 0:
+        return joined
+    o = diff_q.argsort(kind="stable")  # each column's differing users together
+    found = np.concatenate((own[j_side], reps[rep_side]))[o]
+    end = n_diff.cumsum()
+    pair = (n_diff == 2).nonzero()[0]
+    if pair.size:
+        a, b, jj, rr = found[end[pair] - 2], found[end[pair] - 1], j[pair], rep[pair]
+        cross = (w[a, rr] == w[b, jj]) & (w[a, jj] == w[b, rr])
+        joined[pair[cross]] = _row_differences(instance, a[cross], b[cross]) == 2
+    for k in (n_diff > 2).nonzero()[0].tolist():
+        joined[k] = _exchangeable(w, int(rep[k]), int(j[k]), found[end[k] - n_diff[k] : end[k]])
+    return joined
+
+
+def _row_differences(instance: Instance, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The number of columns where rows a[q] and b[q] differ, from the
+    nonzeros of row a: its count, plus b's, less the columns it shares with
+    b and those of them where the two weights are equal."""
+    w, (rows, cols) = instance.weights, instance.nonzero()
+    ab = np.concatenate((a, b))
+    lo = rows.searchsorted(ab)
+    size = rows.searchsorted(ab, "right") - lo
+    q, at = _ranges(lo[: a.size], size[: a.size])
+    c = cols[at]
+    other = w[b[q], c]
+    shared = np.bincount(q, other != 0, a.size) + np.bincount(q, other == w[a[q], c], a.size)
+    return size[: a.size] + size[a.size :] - shared
 
 
 def _artist_orbits(instance: Instance) -> list:
-    """Partition artists into interchangeability classes. Within a signature
-    bucket the lowest column is compared with all others at once: no
-    differing user means identical columns, two a swapped pair of users,
-    and more go to ``_exchangeable``. Interchangeability is an equivalence,
-    so peeling off that column's class and repeating gives the partition."""
-    w = instance.weights
-    orbits = []
-    for rest in _signature_buckets(w, instance.user_totals()):
-        while rest.size > 1:
-            rep, others = rest[0], rest[1:]
-            diff = w[:, others] != w[:, [rep]]
-            n_diff = diff.sum(axis=0)
-            joined = n_diff == 0
-            pairs = np.flatnonzero(n_diff == 2)
-            if pairs.size:  # a swap maps user a to b, the first and last users that differ
-                block = diff[:, pairs]
-                a, b = block.argmax(axis=0), w.shape[0] - 1 - block[::-1].argmax(axis=0)
-                j = others[pairs]
-                cross = (w[a, rep] == w[b, j]) & (w[a, j] == w[b, rep])
-                joined[pairs] = cross & ((w[a] != w[b]).sum(axis=1) == 2)
-            for q in np.flatnonzero(n_diff > 2):
-                joined[q] = _exchangeable(w, rep, others[q])
-            orbits.append([int(rep)] + others[joined].tolist())
-            rest = others[~joined]
-        if rest.size:
-            orbits.append([int(rest[0])])
-    return sorted(orbits)  # by first member, as the classes are disjoint
+    """Partition artists into interchangeability classes. Every round takes
+    the lowest column left in each signature bucket as its representative
+    and tests the bucket's other columns against it at once, over their
+    nonzeros (``_joins``). Interchangeability is an equivalence, so peeling
+    off each representative's class and repeating gives the partition; its
+    work grows with the nonzeros of the columns a round tests."""
+    entries, rest, bucket = _signature_buckets(instance)
+    rep_of = np.arange(instance.n_artists)
+    lead = np.concatenate(([True], bucket[1:] != bucket[:-1]))
+    while not lead.all():
+        tested = ~lead
+        j, rep = rest[tested], rest[lead][lead.cumsum()[tested] - 1]
+        joined = _joins(instance, entries, j, rep)
+        rep_of[j[joined]] = rep[joined]
+        tested[tested] = ~joined
+        rest, bucket = rest[tested], bucket[tested]
+        lead = np.concatenate(([True], bucket[1:] != bucket[:-1]))
+    # each class ascending, and the classes by first member, the representative
+    members = rep_of.argsort(kind="stable")
+    rep_of = rep_of[members]
+    ends = [0, *((rep_of[1:] != rep_of[:-1]).nonzero()[0] + 1).tolist(), rep_of.size]
+    members = members.tolist()
+    return [members[x:y] for x, y in zip(ends[:-1], ends[1:])]
 
 
 def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
@@ -373,8 +437,9 @@ def _profit_bounds(instance: Instance, candidates) -> np.ndarray:
             paid = alpha * n * a_u / total
             r = np.arange(1, min(n, int(paid.max()) + 1) + 1)
             top = np.sort(np.partition(s, n - r.size, axis=1)[:, n - r.size :], axis=1)
-            removal = _removal_profit(instance, a_u[:, None], total)
-            profit = removal(r, top[:, ::-1].cumsum(axis=1), 0.0)
+            # _removal_profit's at v_t = 0, without its zero terms
+            kept = alpha * (n - r) * (a_u[:, None] - top[:, ::-1].cumsum(axis=1)) / total
+            profit = paid[:, None] - kept - r
             bounds.append(np.maximum(profit.max(axis=1) + THRESHOLD_SLACK * (1 + paid), 0.0))
     return np.concatenate(bounds)
 

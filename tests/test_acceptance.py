@@ -260,6 +260,47 @@ def test_criterion_07_reduction_equivalence():
     assert elapsed < 120.0, f"took {elapsed:.0f}s, budget is 120s"
 
 
+def _sampled_graphs(rng, side, max_degree, count):
+    """``count`` bipartite graphs on side x side vertices, each left vertex
+    joined to 0 to ``max_degree`` right vertices drawn without repeats, and
+    at least one edge in all."""
+    graphs = []
+    while len(graphs) < count:
+        degrees = rng.integers(0, max_degree + 1, size=side)
+        edges = tuple((u, int(v)) for u in range(side)
+                      for v in rng.choice(side, size=int(degrees[u]), replace=False))
+        if edges:
+            graphs.append(BipartiteGraph(side, side, edges))
+    return graphs
+
+
+def test_criterion_07_sampled_4x4_and_5x5_graphs():
+    """Criterion 7's equivalence past 3x3 graphs, on a seeded sample: twelve
+    4x4 graphs of any degree and twelve 5x5 graphs of maximum left degree 3,
+    at every ell and delta. The degree cap keeps every reduction under
+    4,000 users (a dense matrix of at most 116 MB); a 5x5 graph of degree 5
+    at delta 5 reduces to 9,305 users, 690 MB."""
+    rng = np.random.default_rng(7)
+    start = time.perf_counter()
+    checked = 0
+    for side, max_degree in ((4, 4), (5, 3)):
+        for graph in _sampled_graphs(rng, side, max_degree, 12):
+            for delta in range(side + 1):
+                red = ssbve_reduction(graph, 1, delta, 1.0)
+                _, res = find_suspicious(red.instance, red.k, "exact")
+                for ell in range(1, side + 1):
+                    want = ssbve_brute(graph, ell, delta)
+                    got = exceeds_threshold(res.profit, (ell - 1) / red.d)
+                    assert got == want, (graph.edges, ell, delta, res.profit)
+                    checked += 1
+    elapsed = time.perf_counter() - start
+    ok = elapsed < 60.0
+    _report(7, ok, f"{checked} sampled 4x4 and 5x5 (graph, ell, delta) cells agree with "
+                   f"brute force, {elapsed:.0f}s")
+    assert checked == 600
+    assert elapsed < 60.0, f"took {elapsed:.0f}s, budget is 60s"
+
+
 def test_criterion_08_market_medians():
     rng = np.random.default_rng(3)
     worst = 0.0

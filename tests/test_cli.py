@@ -246,6 +246,20 @@ def test_check_random_trials_witness(capsys):
     assert capsys.readouterr().out.startswith("axiom=FraudProof rule=globalprop")
 
 
+@pytest.mark.parametrize("rule, line", [
+    ("scaledup", "axiom=StrongSybilProof rule=scaledup gain=1.05465606332 bound=0 "
+                 "margin=1.05465606332 target={0} source=seed:0/trial:110"),
+    ("usereq", "axiom=StrongSybilProof rule=usereq gain=1.08055741939 bound=0 "
+               "margin=1.08055741939 target={1} source=seed:0/trial:76"),
+])
+def test_strong_sybil_suite_finds_scaledup_and_usereq_violations(rule, line, capsys):
+    """The randomized StrongSybilProof suite at seed 0 refutes the axiom for
+    scaledup and usereq, as for userprop; globalprop passes."""
+    argv = ["check", "--axiom", "strong-sybil", "--rule", rule, "--random-trials", "300", "--seed", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == line + "\n"
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_check_random_trials_below_one_is_a_usage_error(trials, capsys):
     code = main([

@@ -223,6 +223,35 @@ def test_totals_are_the_sums_kept_read_only(inst):
             first[0] = 1.0
 
 
+@given(instances())
+@settings(max_examples=40, deadline=None)
+def test_nonzero_view_is_np_nonzero_kept_read_only(inst):
+    """The view found on first use is np.nonzero of the weights, row-major,
+    read-only, and the same tuple on every call."""
+    view = inst.nonzero()
+    assert len(view) == 2
+    for got, want in zip(view, np.nonzero(inst.weights)):
+        assert np.array_equal(got, want) and not got.flags.writeable
+    assert inst.nonzero() is view
+    with pytest.raises(ValueError):
+        view[0][...] = 0
+
+
+def test_with_alpha_shares_what_the_weights_determine():
+    """with_alpha hands on the totals and the nonzero view; an instance
+    with another row, replaced or added, builds its own."""
+    inst = make([[1.0, 0.0], [2.0, 3.0]], alpha=0.5)
+    validate(inst)
+    kept = (inst.user_totals(), inst.artist_totals(), inst.nonzero())
+    out = with_alpha(inst, 0.25)
+    validate(out)
+    assert out.weights is inst.weights and out.alpha == 0.25
+    assert all(a is b for a, b in zip((out.user_totals(), out.artist_totals(), out.nonzero()), kept))
+    for other in (replace_user(inst, 0, [1.0, 0.0]), add_user(inst, [0.0, 1.0])):
+        derived = (other.user_totals(), other.artist_totals(), other.nonzero())
+        assert not any(a is b for a, b in zip(derived, kept))
+
+
 @pytest.mark.parametrize("rows, alpha, error", [
     ([[1.0, -0.5], [1.0, 1.0]], 1.0, NegativeWeightError),
     ([[1.0, 1.0], [0.0, 0.0]], 1.0, ZeroRowError),

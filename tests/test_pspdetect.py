@@ -1,10 +1,14 @@
 """Coalition profit search: oracles, exact solve, greedy, orbits, reduction."""
 
 import itertools
+import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import instances, make, psp_enumerate
 from streamshare import (
@@ -23,6 +27,7 @@ from streamshare import (
 )
 from streamshare.axioms import random_instance
 from streamshare.experiments import SynthConfig, gen_synthetic
+from streamshare.ingest import default_ids, load_document, save_document
 from streamshare.pspdetect import (
     THRESHOLD_SLACK,
     PspResult,
@@ -340,7 +345,45 @@ def test_orbits_match_pairwise_reference_on_reductions():
             edges = tuple(cells[i] for i in range(len(cells)) if bits >> i & 1)
             graph = BipartiteGraph(n_left, n_right, edges)
             inst = ssbve_reduction(graph, 1, n_right // 2).instance
+            assert all(np.array_equal(a, b) for a, b in zip(inst.nonzero(), np.nonzero(inst.weights)))
             assert _artist_orbits(inst) == _pairwise_orbits(inst), (n_left, n_right, bits)
+
+
+@st.composite
+def _symmetric_weights(draw):
+    """A small matrix of weights 0, 1 and 2, half the time stacked on a copy
+    of itself with its columns permuted: the permutation then relabels the
+    users, and a transposition in it joins two columns while a longer cycle
+    only makes its columns look alike."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    w = np.array(draw(st.lists(st.integers(0, 2), min_size=n * m, max_size=n * m)), dtype=float)
+    w = w.reshape(n, m)
+    w[w.sum(axis=1) == 0, 0] = 1.0
+    if draw(st.booleans()):
+        w = np.vstack((w, w[:, draw(st.permutations(range(m)))]))
+    return w
+
+
+@given(_symmetric_weights(), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_orbits_match_pairwise_reference_on_loaded_documents(w, as_text):
+    """A document in save_document's layout is read by the bytes path, one
+    in json.dump's default spacing by the text path. Either way the view
+    the loaded instance finds is np.nonzero of the weights and the orbits
+    are the pairwise reference's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        if as_text:
+            users, artists = default_ids(make(w))
+            doc = {"version": 1, "alpha": 1.0, "user_ids": list(users),
+                   "artist_ids": list(artists), "weights": w.tolist()}
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+        else:
+            save_document(path, make(w))
+        inst = load_document(path).instance
+    assert all(np.array_equal(a, b) for a, b in zip(inst.nonzero(), np.nonzero(inst.weights)))
+    assert _artist_orbits(inst) == _pairwise_orbits(inst)
 
 
 def _product_coalitions(orbits, k):

@@ -267,8 +267,7 @@ def verify_strong_sybil(rule, base: Instance, manipulated: Instance, cstar) -> G
     """
     _pair(base, manipulated, PremiseError, artists=False)
     keep_b, keep_m = _common_masks(base, manipulated, cstar)
-    tot_b = base.weights.sum(axis=0)
-    tot_m = manipulated.weights.sum(axis=0)
+    tot_b, tot_m = base.artist_totals(), manipulated.artist_totals()
     if np.any(np.abs(tot_b[keep_b] - tot_m[keep_m]) > PREMISE_TOL):
         raise PremiseError("an untouched artist's column total changed")
     if abs(tot_b[~keep_b].sum() - tot_m[~keep_m].sum()) > PREMISE_TOL:

@@ -51,6 +51,18 @@ class DimensionError(InstanceError):
     """Empty or non-2D weight data, or mismatched shapes."""
 
 
+class _Facts:
+    """The record of what one weight matrix determines: see :class:`Instance`."""
+
+    user_totals = artist_totals = nonzero = None
+    valid = False
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Instance:
     """A streaming scenario: weights[i, j] is user i's engagement with artist j.
@@ -63,14 +75,13 @@ class Instance:
     Construction only coerces shape and dtype. Call :func:`validate` to check
     the full input contract.
 
-    What is derived from the weights alone is kept on the instance after
-    its first use, read-only, as plain ``__dict__`` entries: the totals,
-    the nonzero view (:meth:`nonzero`) and :func:`validate`'s verdict on
-    the weights. The instance is frozen and its weights read-only, so they
-    never go stale, and no lock is taken on the small instances validated
-    by the thousand. :func:`with_alpha` hands them on;
-    :func:`add_user` and :func:`replace_user`, whose weights differ, start
-    without them.
+    Each instance holds one record of what its weights determine: the
+    totals, the nonzero view (:meth:`nonzero`) and :func:`validate`'s pass
+    of the weights, each found on first use and then kept, read-only; no
+    lock is taken on the small instances validated by the thousand.
+    :func:`with_alpha` gives its instance the same record, so a fact found
+    on either serves both; :func:`add_user` and :func:`replace_user`, whose
+    weights differ, start a fresh one.
     """
 
     weights: np.ndarray
@@ -84,12 +95,12 @@ class Instance:
             and w.flags.owndata
             and w.dtype == np.float64
         ):
-            w = np.array(w, dtype=float)
-            w.setflags(write=False)
+            w = _frozen(np.array(w, dtype=float))
         if w.ndim != 2:
             raise DimensionError(f"weights must be 2-D, got ndim={w.ndim}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "_facts", _Facts())
 
     @property
     def n_users(self) -> int:
@@ -105,43 +116,28 @@ class Instance:
         return self.alpha * self.n_users
 
     def user_totals(self) -> np.ndarray:
-        """``weights.sum(axis=1)``, summed on the first call; every call
-        returns that same read-only array."""
-        out = self.__dict__.get("_user_totals")
-        return _memo_sum(self, "_user_totals", 1) if out is None else out
+        """``weights.sum(axis=1)``, summed once; every call returns that read-only array."""
+        facts = self._facts
+        if facts.user_totals is None:
+            facts.user_totals = _frozen(self.weights.sum(axis=1))
+        return facts.user_totals
 
     def artist_totals(self) -> np.ndarray:
-        """``weights.sum(axis=0)``, summed on the first call; every call
-        returns that same read-only array."""
-        out = self.__dict__.get("_artist_totals")
-        return _memo_sum(self, "_artist_totals", 0) if out is None else out
+        """``weights.sum(axis=0)``, summed once; every call returns that read-only array."""
+        facts = self._facts
+        if facts.artist_totals is None:
+            facts.artist_totals = _frozen(self.weights.sum(axis=0))
+        return facts.artist_totals
 
     def nonzero(self) -> tuple:
-        """``np.nonzero(weights)``: the rows and the columns of the nonzero
-        weights, in row-major order, as read-only arrays, found with one
-        flat scan of the matrix on the first call; every call returns that
-        same tuple."""
-        out = self.__dict__.get("_nonzero")
-        if out is None:
+        """``np.nonzero(weights)``: the rows and columns of the nonzero weights,
+        in row-major order, as read-only arrays, found by one flat scan of the
+        matrix on the first call; every call returns that same tuple."""
+        facts = self._facts
+        if facts.nonzero is None:
             at = np.flatnonzero(self.weights.ravel() != 0)  # faster than np.nonzero
-            out = np.divmod(at, self.n_artists)
-            for part in out:
-                part.setflags(write=False)
-            self.__dict__["_nonzero"] = out
-        return out
-
-
-def _memo_sum(instance: Instance, key: str, axis: int) -> np.ndarray:
-    """Sum ``instance``'s weights along ``axis`` and keep the frozen sums in
-    its ``__dict__`` under ``key``."""
-    out = instance.weights.sum(axis=axis)
-    out.setflags(write=False)
-    instance.__dict__[key] = out
-    return out
-
-
-# the entries of an instance's __dict__ that depend on its weights alone
-_WEIGHT_MEMOS = ("_user_totals", "_artist_totals", "_nonzero", "_weights_valid")
+            facts.nonzero = tuple(map(_frozen, np.divmod(at, self.n_artists)))
+        return facts.nonzero
 
 
 def validate(instance: Instance) -> None:
@@ -151,14 +147,13 @@ def validate(instance: Instance) -> None:
     The matrix is read twice, for its row sums (:meth:`Instance.user_totals`,
     kept for later callers) and its minimum: a NaN or infinite weight makes
     its row's sum NaN or infinite, so the weights themselves are tested only
-    when some row sum is (a finite row may also overflow). When the weights
-    pass, that verdict is kept on the instance, whose weights cannot change,
-    and :func:`with_alpha` hands it on: validating again checks alpha alone.
-    A failure records nothing and raises every time.
+    when some row sum is (a finite row may also overflow). A pass of the
+    weights is kept in the instance's record, shared with :func:`with_alpha`,
+    so a later call on either checks alpha alone. A failure records nothing
+    and raises every time.
     """
-    known = "_weights_valid" in instance.__dict__
-    w = instance.weights
-    if not known:
+    facts, w = instance._facts, instance.weights
+    if not facts.valid:
         if w.shape[0] == 0 or w.shape[1] == 0:
             raise DimensionError(f"weights must be nonempty, got shape {w.shape}")
         row_sums = instance.user_totals()
@@ -166,13 +161,13 @@ def validate(instance: Instance) -> None:
             raise InstanceError("weights must be finite")
     if not 0.0 < instance.alpha <= 1.0:
         raise BadAlphaError(f"alpha must be in (0, 1], got {instance.alpha}")
-    if not known:
+    if not facts.valid:
         if w.min() < 0:
             i, j = np.argwhere(w < 0)[0]
             raise NegativeWeightError(int(i), int(j))
         if row_sums.min() == 0:
             raise ZeroRowError(int(np.flatnonzero(row_sums == 0)[0]))
-        instance.__dict__["_weights_valid"] = True
+        facts.valid = True
 
 
 def finalize_payments(payments: np.ndarray) -> np.ndarray:
@@ -216,24 +211,26 @@ def subset_payment(payments: np.ndarray, artists) -> float:
     return float(p[index_set(artists, DimensionError, "artist index", p.shape[0])].sum())
 
 
-def add_user(instance: Instance, profile) -> Instance:
-    """Return a new instance with one extra user row appended."""
+def _profile_row(instance: Instance, profile) -> np.ndarray:
+    """``profile`` as one row of ``instance``'s weights; a row of another
+    length raises :class:`DimensionError`."""
     row = np.asarray(profile, dtype=float).reshape(-1)
     if row.shape[0] != instance.n_artists:
         raise DimensionError(
             f"profile has {row.shape[0]} entries, instance has {instance.n_artists} artists"
         )
-    return Instance(np.vstack([instance.weights, row[None, :]]), instance.alpha)
+    return row
+
+
+def add_user(instance: Instance, profile) -> Instance:
+    """Return a new instance with one extra user row appended."""
+    return Instance(np.vstack([instance.weights, _profile_row(instance, profile)]), instance.alpha)
 
 
 def replace_user(instance: Instance, user: int, profile) -> Instance:
     """Return a new instance with one user's row replaced."""
     user = whole(user, DimensionError, "user index", 0, instance.n_users)
-    row = np.asarray(profile, dtype=float).reshape(-1)
-    if row.shape[0] != instance.n_artists:
-        raise DimensionError(
-            f"profile has {row.shape[0]} entries, instance has {instance.n_artists} artists"
-        )
+    row = _profile_row(instance, profile)
     w = instance.weights.copy()
     w[user] = row
     return Instance(w, instance.alpha)
@@ -241,10 +238,9 @@ def replace_user(instance: Instance, user: int, profile) -> Instance:
 
 def with_alpha(instance: Instance, alpha: float) -> Instance:
     """Same weights, different subscription share. The new instance shares
-    the weights and everything kept from them (the totals, the nonzero
-    view, a passed check of the weights), so :func:`validate` checks only
-    its alpha."""
+    the weights and their record with ``instance``: a total, the nonzero
+    view or a pass of :func:`validate` found on either serves both, so
+    validating the new instance checks only its alpha."""
     out = Instance(instance.weights, alpha)
-    memos = instance.__dict__
-    out.__dict__.update((key, memos[key]) for key in _WEIGHT_MEMOS if key in memos)
+    object.__setattr__(out, "_facts", instance._facts)
     return out

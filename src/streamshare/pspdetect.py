@@ -34,6 +34,8 @@ _SOLVE_CELLS = 1 << 20
 
 THRESHOLD_SLACK = 1e-9
 
+_KEY_PAIRS = 8  # (weight, user total) pairs an orbit bucket key holds besides the count
+
 
 class TooLargeError(ValueError):
     """The exact coalition search would exceed its candidate cap."""
@@ -267,22 +269,24 @@ def _ranges(lo: np.ndarray, size: np.ndarray):
 def _signature_buckets(instance: Instance):
     """The nonzeros column by column, each column's sorted by (weight, user
     total), as their users and weights with each column's first entry and
-    count; and the columns grouped by those pairs, with the number of each
-    one's bucket of equal pairs, ascending within a bucket. Interchangeable
-    artists always share a bucket, since relabeling users permutes the
-    pairs."""
+    count; and the columns grouped by count and first ``_KEY_PAIRS`` pairs,
+    with the number of each one's bucket, ascending within a bucket.
+    Interchangeable artists always share a bucket, since relabeling users
+    permutes the pairs; ``_joins`` splits the rest (its columns' counts agree)."""
     i, j = instance.nonzero()
     v, tau = instance.weights[i, j], instance.user_totals()[i]
     o = np.lexsort((tau, v, j))
     i, j, v = i[o], j[o], v[o]
     count = np.bincount(j, minlength=instance.n_artists)
     first = count.cumsum() - count
-    pos = np.arange(j.size) - first[j]  # rank within the column
-    # one row per column: its pairs in order, zero-padded (weights are nonzero)
-    sig = np.zeros((instance.n_artists, int(count.max()), 2))
-    sig[j, pos, 0], sig[j, pos, 1] = v, tau[o]
-    # each row as one item: its floats are nonzero weights, positive user
-    # totals and +0.0 padding, never -0.0 or NaN, so equal bytes are equal pairs
+    # one row per column: its first pairs, zero-padded, then its count over the rest
+    width = min(int(count.max()), _KEY_PAIRS)
+    at = np.minimum(np.arange(j.size) - first[j], width)  # rank within the column
+    sig = np.zeros((instance.n_artists, width + 1, 2))
+    sig[j, at, 0], sig[j, at, 1] = v, tau[o]
+    sig[:, width] = count[:, None]
+    # each row as one item: nonzero weights, positive totals and counts, and
+    # +0.0 padding, never -0.0 or NaN, so equal bytes are equal keys
     sig = sig.reshape(instance.n_artists, -1).view(np.dtype((np.void, sig[0].nbytes))).ravel()
     o = sig.argsort(kind="stable")  # so each bucket stays ascending
     sig = sig[o]
@@ -292,7 +296,7 @@ def _signature_buckets(instance: Instance):
 
 def _joins(instance: Instance, entries, j: np.ndarray, rep: np.ndarray) -> np.ndarray:
     """Whether each column j[q] is interchangeable with rep[q], a column of
-    the same signature, read off their nonzeros: no differing user means
+    the same bucket, read off their nonzeros: no differing user means
     identical columns, two a swapped pair when the swap maps each one's
     entries to the other's and the two rows differ nowhere else, and more
     go to ``_exchangeable``."""

@@ -252,6 +252,20 @@ def test_with_alpha_shares_what_the_weights_determine():
         assert not any(a is b for a, b in zip(derived, kept))
 
 
+@pytest.mark.parametrize("found_on", ["copy", "original"])
+def test_a_fact_found_on_either_with_alpha_instance_serves_both(found_on):
+    """An instance and its with_alpha copy share one record: a total, the
+    nonzero view or a pass of validate first found on one is what the other
+    reads, whichever of the two was made first."""
+    inst = make([[1.0, 0.0], [2.0, 3.0]], alpha=0.5)
+    out = with_alpha(inst, 0.25)
+    first, other = (out, inst) if found_on == "copy" else (inst, out)
+    validate(first)
+    found = (first.user_totals(), first.artist_totals(), first.nonzero())
+    assert all(a is b for a, b in zip((other.user_totals(), other.artist_totals(), other.nonzero()), found))
+    assert other._facts.valid
+
+
 @pytest.mark.parametrize("rows, alpha, error", [
     ([[1.0, -0.5], [1.0, 1.0]], 1.0, NegativeWeightError),
     ([[1.0, 1.0], [0.0, 0.0]], 1.0, ZeroRowError),

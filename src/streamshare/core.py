@@ -58,6 +58,12 @@ class _Facts:
     valid = False
 
 
+@np.errstate(over="ignore", invalid="ignore")  # half the cost of the with-block form
+def _row_sums(w: np.ndarray) -> np.ndarray:
+    """A row that overflows, or holds inf and -inf, sums to inf or NaN without a warning."""
+    return w.sum(axis=1)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -119,7 +125,7 @@ class Instance:
         """``weights.sum(axis=1)``, summed once; every call returns that read-only array."""
         facts = self._facts
         if facts.user_totals is None:
-            facts.user_totals = _frozen(self.weights.sum(axis=1))
+            facts.user_totals = _frozen(_row_sums(self.weights))
         return facts.user_totals
 
     def artist_totals(self) -> np.ndarray:

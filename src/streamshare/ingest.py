@@ -302,14 +302,15 @@ def load_document(path) -> IngestResult:
         raise SchemaError(f"bad numeric payload: {exc}") from exc
     if w.ndim != 2:
         raise SchemaError(f"weights must be a matrix, got ndim {w.ndim}")
-    if not np.all(np.isfinite(w)):
-        raise SchemaError("weights must be finite")
-    if len(users) != w.shape[0] or len(artists) != w.shape[1]:
-        raise SchemaError("id table lengths do not match the weight matrix")
     # a new matrix that nothing else holds: frozen, the instance (and every
     # with_alpha of it) shares it rather than copying it
     w.setflags(write=False)
     instance = Instance(w, alpha)
+    # as in validate, the weights are scanned only when a kept row sum is not finite
+    if not np.isfinite(instance.user_totals()).all() and not np.isfinite(w).all():
+        raise SchemaError("weights must be finite")
+    if len(users) != w.shape[0] or len(artists) != w.shape[1]:
+        raise SchemaError("id table lengths do not match the weight matrix")
     validate(instance)
     return IngestResult(instance, users, artists)
 

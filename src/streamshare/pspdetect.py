@@ -34,8 +34,6 @@ _SOLVE_CELLS = 1 << 20
 
 THRESHOLD_SLACK = 1e-9
 
-_KEY_PAIRS = 8  # (weight, user total) pairs an orbit bucket key holds besides the count
-
 
 class TooLargeError(ValueError):
     """The exact coalition search would exceed its candidate cap."""
@@ -269,29 +267,23 @@ def _ranges(lo: np.ndarray, size: np.ndarray):
 def _signature_buckets(instance: Instance):
     """The nonzeros column by column, each column's sorted by (weight, user
     total), as their users and weights with each column's first entry and
-    count; and the columns grouped by count and first ``_KEY_PAIRS`` pairs,
-    with the number of each one's bucket, ascending within a bucket.
-    Interchangeable artists always share a bucket, since relabeling users
-    permutes the pairs; ``_joins`` splits the rest (its columns' counts agree)."""
+    count; and the columns grouped by count and the sums of their weights,
+    user totals and products, each added in that order, with the number of
+    each one's bucket, ascending within a bucket. Interchangeable artists
+    always share a bucket, since relabeling users permutes the pairs and
+    the sorted pairs add to the same bits; ``_joins`` splits the rest (its
+    columns' counts agree)."""
     i, j = instance.nonzero()
     v, tau = instance.weights[i, j], instance.user_totals()[i]
     o = np.lexsort((tau, v, j))
-    i, j, v = i[o], j[o], v[o]
-    count = np.bincount(j, minlength=instance.n_artists)
-    first = count.cumsum() - count
-    # one row per column: its first pairs, zero-padded, then its count over the rest
-    width = min(int(count.max()), _KEY_PAIRS)
-    at = np.minimum(np.arange(j.size) - first[j], width)  # rank within the column
-    sig = np.zeros((instance.n_artists, width + 1, 2))
-    sig[j, at, 0], sig[j, at, 1] = v, tau[o]
-    sig[:, width] = count[:, None]
-    # each row as one item: nonzero weights, positive totals and counts, and
-    # +0.0 padding, never -0.0 or NaN, so equal bytes are equal keys
-    sig = sig.reshape(instance.n_artists, -1).view(np.dtype((np.void, sig[0].nbytes))).ravel()
-    o = sig.argsort(kind="stable")  # so each bucket stays ascending
-    sig = sig[o]
-    bucket = np.concatenate(([0], (sig[1:] != sig[:-1]).cumsum()))
-    return (i, v, first, count), o, bucket
+    i, j, v, tau = i[o], j[o], v[o], tau[o]
+    m = instance.n_artists
+    count = np.bincount(j, minlength=m)
+    key = np.column_stack([count] + [np.bincount(j, x, m) for x in (v, tau, v * tau)])
+    o = np.lexsort(key.T[::-1])  # stable, so each bucket stays ascending
+    key = key[o]
+    bucket = np.concatenate(([0], (key[1:] != key[:-1]).any(axis=1).cumsum()))
+    return (i, v, count.cumsum() - count, count), o, bucket
 
 
 def _joins(instance: Instance, entries, j: np.ndarray, rep: np.ndarray) -> np.ndarray:

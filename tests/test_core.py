@@ -79,7 +79,7 @@ def test_validate_rejects_nonfinite():
     [[np.nan, 1.0]], [[1.0, np.inf]], [[-np.inf, 1.0]], [[np.inf, -np.inf]],
     [[1e308, 1e308], [np.nan, 1.0]], [[1.0, 2.0], [1.0, -np.inf]],
 ], ids=["nan", "inf", "-inf", "inf and -inf", "overflow then nan", "-inf in the second row"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the row sums overflow or meet inf - inf
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the row sums overflow or meet inf - inf, quietly
 def test_validate_names_nonfinite_weights_before_the_rest(rows):
     """A non-finite weight is reported as such, ahead of a negative one or a
     bad alpha, also next to a finite row whose sum overflows."""
@@ -89,7 +89,7 @@ def test_validate_names_nonfinite_weights_before_the_rest(rows):
 
 
 @pytest.mark.parametrize("rows", [[[1e308, 1e308]], [[1.7976931348623157e308] * 3, [1.0, 0.0, 0.0]]])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_validate_accepts_finite_rows_whose_sum_overflows(rows):
     validate(make(rows))
 

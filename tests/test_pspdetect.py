@@ -387,19 +387,69 @@ def test_orbits_match_pairwise_reference_on_loaded_documents(w, as_text):
     assert _artist_orbits(inst) == _pairwise_orbits(inst)
 
 
-@pytest.mark.parametrize("pairs", [None, 1, 2])
-def test_orbits_with_a_widely_streamed_artist(monkeypatch, pairs):
+def _coarse_buckets(keep):
+    """``_signature_buckets`` with its key cut to the first ``keep`` of
+    (count, sum of weights), so columns alike only in those share a bucket."""
+    real = pspdetect._signature_buckets
+
+    def buckets(instance):
+        entries, _, _ = real(instance)
+        _, v, _, count = entries
+        m = instance.n_artists
+        key = np.column_stack((count, np.bincount(np.repeat(np.arange(m), count), v, m)))[:, :keep]
+        o = np.lexsort(key.T[::-1])
+        key = key[o]
+        return entries, o, np.concatenate(([0], (key[1:] != key[:-1]).any(axis=1).cumsum()))
+
+    return buckets
+
+
+@pytest.mark.parametrize("keep", [None, 1, 2])
+def test_orbits_with_a_widely_streamed_artist(monkeypatch, keep):
     """The planted draws with one more artist whom every user streams. With
-    one or two pairs in a bucket key, columns alike only in their first
-    pairs share a bucket, and the joins must still split them as the
-    pairwise reference does."""
-    if pairs is not None:
-        monkeypatch.setattr(pspdetect, "_KEY_PAIRS", pairs)
+    the bucket key cut to the count, or the count and weight sum, columns
+    alike only in those share a bucket, and the joins must still split them
+    as the pairwise reference does."""
+    if keep is not None:
+        monkeypatch.setattr(pspdetect, "_signature_buckets", _coarse_buckets(keep))
     for kind in ("duplicate", "swap", "not-swap", "three-cycle", "two-swaps"):
         for t in range(20):
             w = _planted(np.random.default_rng([53, t]), kind).weights
             inst = make(np.hstack((w, np.ones((w.shape[0], 1)))))
-            assert _artist_orbits(inst) == _pairwise_orbits(inst), (pairs, kind, t)
+            assert _artist_orbits(inst) == _pairwise_orbits(inst), (keep, kind, t)
+
+
+def test_orbits_split_columns_that_share_a_bucket_key():
+    """Columns 0, 1 and 2 each hold two entries whose weights, user totals
+    and products sum to 4, 8 and 16, so they share one bucket; only 0 and 2
+    are interchangeable (users 0 and 1 swap), and the joins split off 1."""
+    inst = make([[1, 0, 3, 0], [3, 0, 1, 0], [0, 2, 0, 1], [0, 2, 0, 3]])
+    _, columns, bucket = pspdetect._signature_buckets(inst)
+    shared = bucket[np.isin(columns, [0, 1, 2])]
+    assert (shared == shared[0]).all() and bucket[columns == 3][0] != shared[0]
+    assert _artist_orbits(inst) == [[0, 2], [1], [3]] == _pairwise_orbits(inst)
+
+
+def test_orbits_join_columns_whose_sums_depend_on_the_order():
+    """Columns 0 and 1 are interchangeable (users 0 and 2 swap), but in row
+    order column 0's weights sum to 1e16 and column 1's to 1e16 + 2: the key
+    adds each column in sorted order, so they share a bucket and join."""
+    inst = make([[1e16, 1], [1, 1], [1, 1e16]])
+    assert _artist_orbits(inst) == [[0, 1]] == _pairwise_orbits(inst)
+
+
+@pytest.mark.parametrize("n_users, n_artists, seeds", [(1000, 100, [1]), (2400, 240, [1, 2, 3, 4])],
+                         ids=["1000x100", "2400x240"])
+def test_gen_catalog_orbits_need_no_dense_test(monkeypatch, n_users, n_artists, seeds):
+    """On these gen catalogs some columns agree in their leading sorted
+    (weight, user total) pairs and differ further on; the whole-column sums
+    tell them apart, so no bucket holds columns the joins must hand to the
+    dense pairwise test."""
+    calls = []
+    monkeypatch.setattr(pspdetect, "_exchangeable", lambda *args: calls.append(args))
+    for seed in seeds:
+        _artist_orbits(gen_synthetic(SynthConfig(n_users, n_artists, seed=seed)))
+    assert calls == []
 
 
 def test_bucket_keys_follow_the_nonzeros():

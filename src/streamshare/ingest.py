@@ -279,8 +279,9 @@ def load_document(path) -> IngestResult:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")
-    if doc.get("version") != DOCUMENT_VERSION:
-        raise SchemaError(f"unsupported document version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != DOCUMENT_VERSION:  # true and 1.0 equal 1 too
+        raise SchemaError(f"unsupported document version {version!r}")
     for key in ("alpha", "user_ids", "artist_ids", "weights"):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")

@@ -29,7 +29,7 @@ from .rules import global_prop
 # Cap on candidate artist sets enumerated by the exact coalition search.
 CANDIDATE_CAP = 1 << 17
 
-# Array cells per block of the exact solve, its bounds and the greedy climb; bounds their memory.
+# Array cells per block of the exact solve and of every `_streams` gather; bounds their memory.
 _SOLVE_CELLS = 1 << 20
 
 THRESHOLD_SLACK = 1e-9
@@ -123,8 +123,7 @@ def _removal_groups(instance: Instance, artist_set):
     ascending members. Users at the minimum total are dropped: removing one
     changes the target payment by at most alpha, never covering its unit
     cost when alpha <= 1, so no optimal removal set needs them."""
-    w = instance.weights
-    s = w[:, list(artist_set)].sum(axis=1)
+    s = next(_streams(instance, [artist_set]))[0]
     tau = instance.user_totals()
     kept = np.flatnonzero(tau > tau.min())
     if kept.size == 0:
@@ -137,19 +136,28 @@ def _removal_groups(instance: Instance, artist_set):
     return np.column_stack((ss[starts], tt[starts])), ends - starts, members, s, tau
 
 
-def _removal_profit(instance: Instance, a_u: float, total: float):
-    """Profit of removing r users with v_u of the artist set's ``a_u`` streams
-    and v_t of all ``total`` streams. ``du`` and ``dt`` subtract one more
-    user's pair after those sums, as the greedy step does, without
-    re-rounding them."""
-    n = instance.n_users
-    alpha = instance.alpha
-    base = alpha * n * a_u / total
+def _streams(instance: Instance, sets):
+    """The per-user streams of equal-size artist sets, one (sets, users)
+    array per block of at most ``_SOLVE_CELLS`` gathered cells (users x sets
+    x set size), or of one set when it is wider. Each set's columns add as
+    ``w[:, list(u)].sum(axis=1)`` adds them."""
+    step = max(1, _SOLVE_CELLS // (instance.n_users * len(sets[0])))
+    for i in range(0, len(sets), step):
+        yield np.ascontiguousarray(instance.weights[:, np.array(sets[i : i + step])].sum(axis=2).T)
+
+
+def _removal_profit(instance: Instance, a_u, total: float):
+    """The payment P = alpha n a_u / total of an artist set with ``a_u`` of
+    all ``total`` streams, and the profit of removing r users with v_u of its
+    streams and v_t of all. ``du`` and ``dt`` subtract one more user's pair
+    after those sums, as the greedy step does, without re-rounding them."""
+    n, alpha = instance.n_users, instance.alpha
+    paid = alpha * n * a_u / total
 
     def profit(r, v_u, v_t, du=0.0, dt=0.0):
-        return base - alpha * (n - r) * (a_u - v_u - du) / (total - v_t - dt) - r
+        return paid - alpha * (n - r) * (a_u - v_u - du) / (total - v_t - dt) - r
 
-    return profit
+    return paid, profit
 
 
 def _best_takes(r, counts, values, a_u, total):
@@ -187,15 +195,15 @@ def psp_exact(instance: Instance, artist_set) -> PspResult:
     u = _clean_artist_set(instance, artist_set)
     values, counts, members, s, tau = _removal_groups(instance, u)
     a_u, total = float(s.sum()), float(tau.sum())
-    # one more r than the payment bound absorbs rounding
-    r_max = min(int(counts.sum()), int(instance.alpha * instance.n_users * a_u / total) + 1)
+    paid, profit_of = _removal_profit(instance, a_u, total)
+    r_max = min(int(counts.sum()), int(paid) + 1)  # one more r than P absorbs rounding
     if r_max == 0:
         return PspResult(u, (), 0.0)
     r = np.arange(1, r_max + 1)
     step = max(1, _SOLVE_CELLS // counts.size)
     take = np.concatenate([_best_takes(r[i : i + step], counts, values, a_u, total)
                            for i in range(0, r_max, step)])
-    profit = _removal_profit(instance, a_u, total)(r, take @ values[:, 0], take @ values[:, 1])
+    profit = profit_of(r, take @ values[:, 0], take @ values[:, 1])
     pick = int(np.argmax(profit))
     if profit[pick] <= 0.0:
         return PspResult(u, (), 0.0)
@@ -203,21 +211,19 @@ def psp_exact(instance: Instance, artist_set) -> PspResult:
     return PspResult(u, tuple(sorted(removed)), float(profit[pick]))
 
 
-def _climb(instance: Instance, artist_sets) -> tuple:
-    """``psp_greedy``'s hill-climb for equal-size artist sets at once, on a
-    validated instance. Each pass removes, from every set whose last removal
-    raised its profit, the first user whose removal raises it most. Returns
-    the removed users as a (sets, users) mask and each set's profit, floored
-    at 0."""
+def _climb(instance: Instance, s: np.ndarray) -> tuple:
+    """``psp_greedy``'s hill-climb for equal-size artist sets at once, from
+    their (sets, users) streams ``s``, on a validated instance. Each pass
+    removes, from every set whose last removal raised its profit, the first
+    user whose removal raises it most. Returns the removed users as a (sets,
+    users) mask and each set's profit, floored at 0."""
     tau = instance.user_totals()
-    # each set's columns add in the order of w[:, list(u)].sum(axis=1)
-    s = np.ascontiguousarray(instance.weights[:, np.array(artist_sets)].sum(axis=2).T)
     a_u, total = s.sum(axis=1)[:, None], float(tau.sum())  # rows add as 1-D sums do
-    removed, live = np.zeros(s.shape, dtype=bool), np.arange(len(artist_sets))
-    v_u, v_t, profit = np.zeros((3, len(artist_sets), 1))  # per set, as columns
+    removed, live = np.zeros(s.shape, dtype=bool), np.arange(len(s))
+    v_u, v_t, profit = np.zeros((3, len(s), 1))  # per set, as columns
     for r in range(1, instance.n_users):
         with np.errstate(divide="ignore", invalid="ignore"):
-            profit_of = _removal_profit(instance, a_u[live], total)
+            _, profit_of = _removal_profit(instance, a_u[live], total)
             cand = profit_of(r, v_u[live], v_t[live], s[live], tau)
         cand[removed[live]] = -np.inf
         pick = np.argmax(cand, axis=1)
@@ -243,7 +249,7 @@ def psp_greedy(instance: Instance, artist_set) -> PspResult:
     removal most increases the profit, until no removal improves it."""
     validate(instance)
     u = _clean_artist_set(instance, artist_set)
-    removed, profit = _climb(instance, [u])
+    removed, profit = _climb(instance, next(_streams(instance, [u])))
     return _result(u, removed[0], profit[0])
 
 
@@ -288,11 +294,12 @@ def _signature_buckets(instance: Instance):
 
 def _joins(instance: Instance, entries, j: np.ndarray, rep: np.ndarray) -> np.ndarray:
     """Whether each column j[q] is interchangeable with rep[q], a column of
-    the same bucket, read off their nonzeros: no differing user means
-    identical columns, two a swapped pair when the swap maps each one's
-    entries to the other's and the two rows differ nowhere else, and more
-    go to ``_exchangeable``."""
-    w = instance.weights
+    the same bucket, read off their nonzeros. It is not when their sorted
+    (weight, user total) pairs differ, as a relabeling of users keeps them.
+    Otherwise no differing user means identical columns, two a swapped pair
+    (the equal pairs make the swap map each one's entries to the other's)
+    when the two rows differ nowhere else, and more go to ``_exchangeable``."""
+    w, tau = instance.weights, instance.user_totals()
     users, weights, first, count = entries
     # the k-th entry of j[q] beside the k-th of rep[q] (equal counts)
     start = first[j]
@@ -308,15 +315,14 @@ def _joins(instance: Instance, entries, j: np.ndarray, rep: np.ndarray) -> np.nd
     joined = n_diff == 0
     if diff_q.size == 0:
         return joined
+    apart = np.bincount(q, (weights[at] != weights[rep_at]) | (tau[own] != tau[reps]), j.size) > 0
     o = diff_q.argsort(kind="stable")  # each column's differing users together
     found = np.concatenate((own[j_side], reps[rep_side]))[o]
     end = n_diff.cumsum()
-    pair = (n_diff == 2).nonzero()[0]
+    pair = ((n_diff == 2) & ~apart).nonzero()[0]
     if pair.size:
-        a, b, jj, rr = found[end[pair] - 2], found[end[pair] - 1], j[pair], rep[pair]
-        cross = (w[a, rr] == w[b, jj]) & (w[a, jj] == w[b, rr])
-        joined[pair[cross]] = _row_differences(instance, a[cross], b[cross]) == 2
-    for k in (n_diff > 2).nonzero()[0].tolist():
+        joined[pair] = _row_differences(instance, found[end[pair] - 2], found[end[pair] - 1]) == 2
+    for k in ((n_diff > 2) & ~apart).nonzero()[0].tolist():
         joined[k] = _exchangeable(w, int(rep[k]), int(j[k]), found[end[k] - n_diff[k] : end[k]])
     return joined
 
@@ -385,13 +391,12 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
 
     if mode == "greedy":
         chosen, best = [], PspResult((), (), 0.0)
-        block = max(1, _SOLVE_CELLS // instance.n_users)  # sets per climb
         for _ in range(k):
             sets = [tuple(sorted(chosen + [a])) for a in range(instance.n_artists) if a not in chosen]
-            climbs = [_climb(instance, sets[i : i + block]) for i in range(0, len(sets), block)]
-            i = first_max(np.concatenate([profit for _, profit in climbs]))  # the first best
-            removed, profit = climbs[i // block]
-            step = _result(sets[i], removed[i % block], profit[i % block])
+            climbs = zip(*(_climb(instance, s) for s in _streams(instance, sets)))
+            removed, profit = map(np.concatenate, climbs)
+            i = first_max(profit)  # the first best
+            step = _result(sets[i], removed[i], profit[i])
             chosen = list(step.artist_set)
             best = max(best, step, key=lambda res: res.profit)  # ties keep the shorter prefix
         return best.artist_set, best
@@ -414,29 +419,20 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
 
 def _profit_bounds(instance: Instance, candidates) -> np.ndarray:
     """Upper bound on ``psp_exact``'s profit for each artist set. Removing
-    r users from a set U with a_U of the T streams leaves U paid at least
-    alpha (n - r)(a_U - top_r) / T, where top_r sums the r largest per-user
-    streams into U, so the profit is at most
-    P - alpha (n - r)(a_U - top_r) / T - r for some 1 <= r <= P + 1, with
-    P = alpha n a_U / T; THRESHOLD_SLACK (1 + P) more covers rounding. The
-    per-user streams of equal-size sets are gathered in blocks of at most
-    ``_SOLVE_CELLS`` cells."""
-    n, alpha = instance.n_users, instance.alpha
-    cols, total = instance.weights.T, float(instance.user_totals().sum())
+    r users from a set U leaves U paid at least alpha (n - r)(a_U - top_r) / T,
+    where top_r sums the r largest per-user streams into U: the profit
+    ``_removal_profit`` gives for v_U = top_r and v_T = 0. So the profit is at
+    most the largest of those over 1 <= r <= P + 1, P the set's payment;
+    THRESHOLD_SLACK (1 + P) more covers rounding."""
+    n, total = instance.n_users, float(instance.user_totals().sum())
     bounds = []
-    for size, group in itertools.groupby(candidates, key=len):
-        group = list(group)
-        step = max(1, _SOLVE_CELLS // (n * size))
-        for i in range(0, len(group), step):
-            s = cols[np.array(group[i : i + step])].sum(axis=1)  # (sets, users)
-            a_u = s.sum(axis=1)
-            paid = alpha * n * a_u / total
+    for _, group in itertools.groupby(candidates, key=len):
+        for s in _streams(instance, list(group)):
+            paid, profit_of = _removal_profit(instance, s.sum(axis=1)[:, None], total)
             r = np.arange(1, min(n, int(paid.max()) + 1) + 1)
             top = np.sort(np.partition(s, n - r.size, axis=1)[:, n - r.size :], axis=1)
-            # _removal_profit's at v_t = 0, without its zero terms
-            kept = alpha * (n - r) * (a_u[:, None] - top[:, ::-1].cumsum(axis=1)) / total
-            profit = paid[:, None] - kept - r
-            bounds.append(np.maximum(profit.max(axis=1) + THRESHOLD_SLACK * (1 + paid), 0.0))
+            profit = profit_of(r, top[:, ::-1].cumsum(axis=1), 0.0)
+            bounds.append(np.maximum(profit.max(axis=1) + THRESHOLD_SLACK * (1 + paid[:, 0]), 0.0))
     return np.concatenate(bounds)
 
 

@@ -67,7 +67,7 @@ def psp_enumerate(instance, artist_set):
     idx = np.arange(n_combos, dtype=np.int64)
     digits = (idx[:, None] // (n_combos // np.cumprod(radices))) % radices
     r = digits.sum(axis=1)
-    profit_of = _removal_profit(instance, float(s.sum()), float(tau.sum()))
+    _, profit_of = _removal_profit(instance, float(s.sum()), float(tau.sum()))
     profit = profit_of(r, digits @ values[:, 0], digits @ values[:, 1])
     top = float(profit.max())
     if top <= 0.0:

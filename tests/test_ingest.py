@@ -201,6 +201,8 @@ def test_load_document_schema_errors(tmp_path):
 
     for mutation in (
         {"version": 2},
+        {"version": True},  # the JSON integer 1 only
+        {"version": 1.0},
         {"alpha": "high"},
         {"weights": [[1.0], [2.0, 3.0]]},  # ragged
         {"weights": [1.0, 2.0]},  # not a matrix
@@ -341,7 +343,7 @@ def _reference_load(path):
             raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")
-    if doc.get("version") != 1:
+    if type(doc.get("version")) is not int or doc.get("version") != 1:
         raise SchemaError(f"unsupported document version {doc.get('version')!r}")
     for key in ("alpha", "user_ids", "artist_ids", "weights"):
         if key not in doc:
@@ -477,6 +479,8 @@ CORPUS = (
        ("zero row", _document(_zero_rows().replace("[2.0", "[0.0"))),
        ("too few ids", _document(_zero_rows(), user_ids=["u0"])),
        ("version 2", _document(_zero_rows(), version=2)),
+       ("version true", _document(_zero_rows(), version=True)),
+       ("version 1.0", _document(_zero_rows(), version=1.0)),
        ("extra data", _document(_zero_rows()) + " x"),
        ("missing comma after weights", _document(_zero_rows())[:-1] + ' "x": 1}'),
        ("byte-order mark", "﻿" + _document(_zero_rows())),

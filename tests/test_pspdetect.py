@@ -430,6 +430,20 @@ def test_orbits_split_columns_that_share_a_bucket_key():
     assert _artist_orbits(inst) == [[0, 2], [1], [3]] == _pairwise_orbits(inst)
 
 
+def test_orbits_reject_unequal_sorted_pairs_without_the_dense_test(monkeypatch):
+    """Columns 0 and 1 share their count and the sums 4, 10 and 20 of their
+    weights, user totals and products, so they share a bucket, yet they
+    differ in all four users. Their sorted (weight, user total) pairs,
+    (1, 5), (3, 5) against (2, 4), (2, 6), already tell them apart."""
+    inst = make([[1, 0, 4], [3, 0, 2], [0, 2, 2], [0, 2, 4]])
+    _, columns, bucket = pspdetect._signature_buckets(inst)
+    assert bucket[columns == 0][0] == bucket[columns == 1][0]
+    calls = []
+    monkeypatch.setattr(pspdetect, "_exchangeable", lambda *args: calls.append(args))
+    assert _artist_orbits(inst) == [[0], [1], [2]] == _pairwise_orbits(inst)
+    assert calls == []
+
+
 def test_orbits_join_columns_whose_sums_depend_on_the_order():
     """Columns 0 and 1 are interchangeable (users 0 and 2 swap), but in row
     order column 0's weights sum to 1e16 and column 1's to 1e16 + 2: the key
@@ -587,7 +601,7 @@ def _climb_one_set(inst, u):
     """psp_greedy's hill-climb for one artist set, one user per step."""
     s = inst.weights[:, list(u)].sum(axis=1)
     tau = inst.user_totals()
-    profit_of = _removal_profit(inst, float(s.sum()), float(tau.sum()))
+    _, profit_of = _removal_profit(inst, float(s.sum()), float(tau.sum()))
     removed, v_u, v_t, profit = np.zeros(inst.n_users, dtype=bool), 0.0, 0.0, 0.0
     for r in range(1, inst.n_users):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -639,6 +653,31 @@ def test_greedy_search_equals_one_set_climbs_on_fractional_catalogs(cells, monke
             assert found == _greedy_by_calls(inst, k, _climb_one_set), (seed, k)
             removals += len(found[1].user_set) >= 2
     assert removals >= 6  # the climbs take several removal steps
+
+
+def test_greedy_climbs_hold_at_most_the_block_budget(monkeypatch):
+    """At 600 cells and 100 users, a greedy step over sets of size t climbs
+    600 // (100 t) sets at a time: 6 at size 1, one at 4 to 6, and one set,
+    wider than the budget, from size 7 on. The answers do not depend on the
+    blocks."""
+    inst = gen_synthetic(SynthConfig(100, 12, seed=2))
+    expected = [find_suspicious(inst, k, "greedy") for k in (3, 8)]
+    monkeypatch.setattr(pspdetect, "_SOLVE_CELLS", 600)
+    climb, shapes = pspdetect._climb, []
+    monkeypatch.setattr(pspdetect, "_climb",
+                        lambda instance, s: shapes.append(s.shape) or climb(instance, s))
+    for k, want in zip((3, 8), expected):
+        shapes.clear()
+        assert find_suspicious(inst, k, "greedy") == want
+        for size in range(1, k + 1):
+            left = inst.n_artists - size + 1  # the step's sets, one per artist not chosen
+            while left > 0:
+                sets, users = shapes.pop(0)
+                assert users == inst.n_users, (k, size)
+                assert sets == 1 or users * sets * size <= 600, (k, size)
+                left -= sets
+            assert left == 0
+        assert shapes == []
 
 
 def test_greedy_search_validates_once(monkeypatch):

@@ -39,7 +39,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -134,49 +136,35 @@ def ingest_triples(
     """
     if top_artists is not None:
         top_artists = whole(top_artists, ValueError, "top_artists")
-    by_user: dict = {}
-    artist_order: dict = {}
-    for rec in records:
-        row = by_user.setdefault(rec.user_id, {})
-        row[rec.artist_id] = row.get(rec.artist_id, 0.0) + rec.count
-        if rec.artist_id not in artist_order:
-            artist_order[rec.artist_id] = len(artist_order)
-
-    artists = list(artist_order)
+    if not isinstance(min_user_total, numbers.Real) or min_user_total != min_user_total:
+        raise ValueError(f"min_user_total must be a number, got {min_user_total!r}")
+    users, artists, cells = {}, {}, {}  # ids numbered by first appearance; counts by pair
+    for r in records:
+        key = users.setdefault(r.user_id, len(users)), artists.setdefault(r.artist_id, len(artists))
+        cells[key] = cells.get(key, 0.0) + r.count  # summed in stream order
+    ui, ai = np.array(list(cells), dtype=np.intp).reshape(-1, 2).T
+    c = np.fromiter(cells.values(), float, len(cells))
+    keep_a = np.ones(len(artists), dtype=bool)
     if top_artists is not None and top_artists < len(artists):
-        totals = {a: 0.0 for a in artists}
-        for row in by_user.values():
-            for a, c in row.items():
-                totals[a] += c
-        ranked = sorted(artists, key=lambda a: (-totals[a], artist_order[a]))
-        keep = set(ranked[:top_artists])
-        artists = [a for a in artists if a in keep]
-
-    kept_artists = set(artists)
-    users = []
-    for u, row in by_user.items():
-        total = sum(c for a, c in row.items() if a in kept_artists)
-        if total > 0 and total >= min_user_total:
-            users.append(u)
-
-    if not users or not artists:
-        raise EmptyAfterFilterError(
-            f"{len(users)} users x {len(artists)} artists left after filtering"
-        )
-    if len(users) * len(artists) > cell_budget:
-        raise CellBudgetError(
-            f"{len(users)} x {len(artists)} cells exceed the budget {cell_budget}"
-        )
-
-    col = {a: j for j, a in enumerate(artists)}
-    w = np.zeros((len(users), len(artists)))
-    for i, u in enumerate(users):
-        for a, c in by_user[u].items():
-            if a in kept_artists:
-                w[i, col[a]] = c
+        by_user = np.argsort(ui, kind="stable")  # each artist's cells user by user
+        totals = np.bincount(ai[by_user], c[by_user], len(artists))
+        keep_a[np.argsort(-totals, kind="stable")[top_artists:]] = False  # ties keep the earlier
+    live = keep_a[ai]
+    totals = np.bincount(ui[live], c[live], len(users))  # each user's cells in first appearance
+    # each total compares with the threshold as a Python float, whatever the threshold's type
+    keep_u = (totals > 0) & (totals.astype(object) >= np.array(min_user_total, dtype=object))
+    users, artists = tuple(compress(users, keep_u)), tuple(compress(artists, keep_a))
+    n, m = len(users), len(artists)
+    if not n or not m:
+        raise EmptyAfterFilterError(f"{n} users x {m} artists left after filtering")
+    if n * m > cell_budget:
+        raise CellBudgetError(f"{n} x {m} cells exceed the budget {cell_budget}")
+    live &= keep_u[ui]
+    w = np.zeros((n, m))
+    w[keep_u.cumsum()[ui[live]] - 1, keep_a.cumsum()[ai[live]] - 1] = c[live]
     instance = Instance(w, alpha)
     validate(instance)
-    return IngestResult(instance, tuple(users), tuple(artists))
+    return IngestResult(instance, users, artists)
 
 
 def default_ids(instance: Instance):

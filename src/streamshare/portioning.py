@@ -347,19 +347,16 @@ def _egal_share(norm: np.ndarray) -> np.ndarray:
             break
         try:
             p, z, duals = _minimax_stage(norm, caps, active, p)
+            # only active users' cuts carry t, whose column is dual feasible, so their
+            # prices sum to about 1: with under 1e8 cuts one exceeds 1e-9, or the basis is wrong
+            hit = active & (duals > 1e-9)
+            if not hit.any():
+                raise SolverFailure("no active user is priced")
         except SolverFailure as exc:
             frozen = n - int(active.sum())
             raise SolverFailure(
                 f"egal on {n}x{m} failed at stage {stage} with {frozen} frozen users: {exc}"
             ) from exc
-        hit = active & (duals > 1e-9)
-        if not hit.any():
-            # degenerate basis with no priced cuts: freeze everyone at the
-            # level rather than stall
-            dis = np.abs(norm - p[None, :]).sum(axis=1)
-            hit = active & (dis >= z - 1e-9)
-        if not hit.any():
-            hit = active
         # tiny slack keeps the stage optimum feasible for the next rung
         caps[hit] = z + 1e-12
         if z <= 1e-12:

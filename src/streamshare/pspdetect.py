@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Instance, first_max, index_set, subset_payment, validate, whole
+from .portioning import SolverFailure
 from .rules import global_prop
 
 # Cap on candidate artist sets enumerated by the exact coalition search.
@@ -166,7 +167,7 @@ def _best_takes(r, counts, values, a_u, total):
     at ratio lam the best r-set holds the r users with the largest
     s - lam * tau, and that set's ratio is the next lam. The key is scaled
     by the ratio's denominator, so exact data keeps exact ties, which go to
-    the earlier group. It stops when no ratio falls (the takes repeat)."""
+    the earlier group. It stops when no ratio falls: the takes repeat, or a ratio is NaN."""
     s_g, t_g, have_g = values[:, 0], values[:, 1], counts.astype(float)
     rows, want = np.arange(r.size)[:, None], r[:, None]
     num, den = np.full(r.size, a_u), np.full(r.size, total)  # removing nobody
@@ -178,7 +179,7 @@ def _best_takes(r, counts, values, a_u, total):
         take[rows, order] = np.minimum(np.maximum(want - have.cumsum(axis=1) + have, 0.0), have)
         num, den = a_u - take @ s_g, total - take @ t_g
         ratio = num / den
-        if (ratio >= best).all():
+        if not (ratio < best).any():
             return take
         best = np.minimum(best, ratio)
 
@@ -201,10 +202,12 @@ def psp_exact(instance: Instance, artist_set) -> PspResult:
         return PspResult(u, (), 0.0)
     r = np.arange(1, r_max + 1)
     step = max(1, _SOLVE_CELLS // counts.size)
-    take = np.concatenate([_best_takes(r[i : i + step], counts, values, a_u, total)
-                           for i in range(0, r_max, step)])
-    profit = profit_of(r, take @ values[:, 0], take @ values[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a NaN profit is refused below
+        take = np.concatenate([_best_takes(r[i : i + step], counts, values, a_u, total)
+                               for i in range(0, r_max, step)])
+        profit = profit_of(r, take @ values[:, 0], take @ values[:, 1])
     pick = int(np.argmax(profit))
+    _finite(instance, [u], profit[pick])  # argmax picks a NaN if there is one
     if profit[pick] <= 0.0:
         return PspResult(u, (), 0.0)
     removed = [int(i) for ms, t in zip(members, take[pick]) for i in ms[: int(t)]]
@@ -239,6 +242,14 @@ def _climb(instance: Instance, s: np.ndarray) -> tuple:
     return removed, np.maximum(profit[:, 0], 0.0)
 
 
+def _finite(instance: Instance, sets, profit: np.ndarray) -> None:
+    """Refuse a NaN profit of ``sets``: a removal left a total of 0 or inf - inf."""
+    nan = np.isnan(profit)
+    if nan.any():
+        raise SolverFailure(f"psp on {instance.n_users}x{instance.n_artists} has a NaN "
+                            f"profit for artist set {tuple(sets[int(nan.argmax())])}")
+
+
 def _result(artist_set, removed, profit) -> PspResult:
     """One climbed set's mask row and profit as a ``PspResult``."""
     return PspResult(tuple(artist_set), tuple(np.flatnonzero(removed).tolist()), float(profit))
@@ -250,6 +261,7 @@ def psp_greedy(instance: Instance, artist_set) -> PspResult:
     validate(instance)
     u = _clean_artist_set(instance, artist_set)
     removed, profit = _climb(instance, next(_streams(instance, [u])))
+    _finite(instance, [u], profit)
     return _result(u, removed[0], profit[0])
 
 
@@ -395,6 +407,7 @@ def find_suspicious(instance: Instance, k: int, mode: str = "exact"):
             sets = [tuple(sorted(chosen + [a])) for a in range(instance.n_artists) if a not in chosen]
             climbs = zip(*(_climb(instance, s) for s in _streams(instance, sets)))
             removed, profit = map(np.concatenate, climbs)
+            _finite(instance, sets, profit)
             i = first_max(profit)  # the first best
             step = _result(sets[i], removed[i], profit[i])
             chosen = list(step.artist_set)

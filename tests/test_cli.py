@@ -420,6 +420,30 @@ def test_psp_empty_answer(tmp_path, capsys):
     assert "artists=- users=- profit=0" in out
 
 
+@pytest.mark.parametrize(
+    "rows, mode",
+    [
+        ([[1e17, 0.0], [1.0, 1.0]], "exact"),
+        ([[3e16, 1.0], [1.0, 1.0], [2.0, 0.0]], "exact"),
+        ([[1e17, 0.0], [1.0, 1.0]], "greedy"),
+    ],
+)
+def test_psp_refuses_a_total_that_absorbs_a_user(tmp_path, rows, mode):
+    """Removing the big user leaves a total that rounds to 0, so a profit is
+    NaN: psp exits with a numeric failure, neither looping on the NaN ratio
+    nor dropping it as profit 0."""
+    path = _doc(tmp_path, rows)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(streamshare.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "streamshare.cli", "psp", "--instance", path, "--k", "1",
+         "--mode", mode],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stdout
+    assert proc.stderr.startswith("numeric failure: psp on "), proc.stderr
+    assert "NaN profit for artist set (0,)" in proc.stderr
+
+
 def test_gen_then_divide_round_trip(tmp_path, capsys):
     out = str(tmp_path / "gen.json")
     code = main(["gen", "--users", "30", "--artists", "6", "--seed", "7",

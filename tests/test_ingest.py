@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make
 from streamshare import (
@@ -30,6 +32,7 @@ from streamshare import (
 )
 from streamshare import cli
 from streamshare.cli import main
+from streamshare.ingest import DEFAULT_CELL_BUDGET
 
 SAMPLE = [
     "user\tartist\tcount",
@@ -133,6 +136,61 @@ def test_ingest_cell_budget():
     with pytest.raises(CellBudgetError):
         ingest_triples(recs, cell_budget=63)
     assert ingest_triples(recs, cell_budget=64).instance.n_users == 8
+
+
+@pytest.mark.parametrize("bad", [math.nan, np.float64("nan"), "1", None, 1j, [1.0]])
+def test_ingest_refuses_a_min_user_total_that_is_not_a_number(bad):
+    with pytest.raises(ValueError, match="min_user_total must be a number, got "):
+        ingest_triples(_sample_records(), min_user_total=bad)
+
+
+def _dense_ingest(records, min_user_total, top_artists, cell_budget):
+    """The documented aggregation on a dense matrix: ids, weights or error."""
+    users = list(dict.fromkeys(r.user_id for r in records))
+    artists = list(dict.fromkeys(r.artist_id for r in records))
+    w = np.zeros((len(users), len(artists)))
+    for r in records:
+        w[users.index(r.user_id), artists.index(r.artist_id)] += r.count
+    if top_artists is not None:
+        keep = np.sort(np.argsort(-w.sum(axis=0), kind="stable")[:top_artists])
+        w, artists = w[:, keep], [artists[j] for j in keep]
+    rows = (w.sum(axis=1) > 0) & (w.sum(axis=1) >= min_user_total)
+    w, users = w[rows], [u for u, kept in zip(users, rows) if kept]
+    n, m = len(users), len(artists)
+    if not n or not m:
+        return EmptyAfterFilterError, f"{n} users x {m} artists left after filtering"
+    if n * m > cell_budget:
+        return CellBudgetError, f"{n} x {m} cells exceed the budget {cell_budget}"
+    return tuple(users), tuple(artists), w.tobytes()
+
+
+@st.composite
+def _triples(draw):
+    """Records over a few users and artists, so pairs repeat, with counts in
+    eighths below 64: every sum is exact in any order, and totals tie often."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    record = st.builds(TripleRecord, st.sampled_from([f"u{i}" for i in range(n)]),
+                       st.sampled_from([f"a{j}" for j in range(m)]),
+                       st.sampled_from([0.0, 1.0]) | st.integers(0, 511).map(lambda k: k / 8))
+    records = draw(st.lists(record, max_size=24))
+    top = draw(st.none() | st.integers(0, len({r.artist_id for r in records}) + 1))
+    least = draw(st.sampled_from([0.0, -1.0, math.inf]) | st.integers(0, 80).map(lambda k: k / 8))
+    budget = draw(st.sampled_from([DEFAULT_CELL_BUDGET, 0, 1, 2, 4, 6, 9, 12]))
+    return records, least, top, budget
+
+
+@given(_triples())
+@settings(max_examples=300, deadline=None)
+def test_ingest_matches_a_dense_aggregation(case):
+    records, least, top, budget = case
+    want = _dense_ingest(records, least, top, budget)
+    try:
+        res = ingest_triples(iter(records), min_user_total=least, top_artists=top,
+                             cell_budget=budget)
+    except (EmptyAfterFilterError, CellBudgetError) as exc:
+        assert (type(exc), str(exc)) == want
+    else:
+        assert (res.user_ids, res.artist_ids, res.instance.weights.tobytes()) == want
 
 
 def test_default_ids():

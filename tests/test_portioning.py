@@ -307,6 +307,17 @@ def test_egal_failure_counts_the_users_frozen_before_it(monkeypatch):
     assert re.search(r"after \d+ dual pivots; \d+ cuts$", str(err.value)), str(err.value)
 
 
+def test_egal_freezes_only_priced_users(monkeypatch):
+    # a stage whose active users carry no dual price has a wrong basis, and
+    # it fails rather than freeze users its optimum did not price
+    monkeypatch.setattr(portioning._StageMaster, "user_duals", lambda self, n: np.zeros(n))
+    with pytest.raises(SolverFailure) as err:
+        evaluate("egal", make(EGAL_PROBE))
+    assert str(err.value) == (
+        "egal on 4x3 failed at stage 0 with 0 frozen users: no active user is priced"
+    )
+
+
 # ---------------------------------------------------------------------------
 # egal's stage master: golden outcomes and dictionary-form invariants
 

@@ -29,6 +29,7 @@ from streamshare import (
 from streamshare.axioms import random_instance
 from streamshare.experiments import SynthConfig, gen_synthetic
 from streamshare.ingest import default_ids, load_document, save_document
+from streamshare.portioning import SolverFailure
 from streamshare.pspdetect import (
     THRESHOLD_SLACK,
     PspResult,
@@ -237,6 +238,15 @@ def test_psp_greedy_never_beats_exact(inst):
     hi = psp_exact(inst, u)
     assert lo.profit <= hi.profit + 1e-12
     assert abs(psp_value(inst, u, lo.user_set) - lo.profit) < 1e-9
+
+
+@pytest.mark.parametrize("search", [lambda inst: psp_greedy(inst, [0]),
+                                    lambda inst: find_suspicious(inst, 1, "greedy")])
+def test_greedy_refuses_a_nan_profit(search):
+    # the total 1e17 + 2 rounds to user 0's 1e17, so removing user 0 leaves 0
+    # of it and a profit of 0 / 0, which must not read as 0 (psp_value gives 0.5)
+    with pytest.raises(SolverFailure, match=r"^psp on 2x2 has a NaN profit for artist set \(0,\)$"):
+        search(make([[1e17, 0.0], [1.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,12 @@ loaded weights are bit for bit those of json.load followed by np.array,
 and every document loads or fails to load as it does there, but that a
 string, a boolean or an integer too large for a float where a number
 belongs is refused, and so is an integer longer than int() converts. The
-loaded matrix is frozen and reaches the instance, and every with_alpha of
-it, without a copy. Saving one writes the bytes of
+bytes path builds no matrix: the rows, columns and values of the nonzero
+entries it finds become the instance (Instance.from_nonzeros), whose
+totals, validation and main rules work from them, and whose dense matrix
+is made only when some caller reads its weights. The text path's matrix is
+frozen and reaches the instance, and every with_alpha of it, without a
+copy. Saving one writes the bytes of
 json.dump(doc, fh, indent=1) and a newline, so the format is unchanged, but
 no nested list of the matrix is made: the header members are rendered by
 json's C string encoder and the indent=1 separators, and the weights go out
@@ -276,29 +280,32 @@ def load_document(path) -> IngestResult:
     users = _id_table(doc["user_ids"], "user_ids")
     artists = _id_table(doc["artist_ids"], "artist_ids")
     alpha, weights = _number(doc["alpha"], "alpha"), doc["weights"]
-    # The text path's entries (the bytes path's come from the code table).
-    # Rows of JSON numbers go straight to the conversion. A row holding
-    # anything else, or a failed conversion (an integer too large for a
-    # float, a ragged matrix), sends the rows through _check_entries first,
-    # so the first bad entry is named wherever it lies.
-    rows = weights if isinstance(weights, list) else ()
-    if not all(set(map(type, row)) <= {int, float} for row in rows if isinstance(row, list)):
-        _check_entries(rows)
-    try:
-        w = np.asarray(weights, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        _check_entries(rows)
-        raise SchemaError(f"bad numeric payload: {exc}") from exc
-    if w.ndim != 2:
-        raise SchemaError(f"weights must be a matrix, got ndim {w.ndim}")
-    # a new matrix that nothing else holds: frozen, the instance (and every
-    # with_alpha of it) shares it rather than copying it
-    w.setflags(write=False)
-    instance = Instance(w, alpha)
-    # as in validate, the weights are scanned only when a kept row sum is not finite
-    if not np.isfinite(instance.user_totals()).all() and not np.isfinite(w).all():
-        raise SchemaError("weights must be finite")
-    if len(users) != w.shape[0] or len(artists) != w.shape[1]:
+    if isinstance(weights, tuple):  # the nonzeros _read_layout found, finite and positive
+        instance = Instance.from_nonzeros(*weights, alpha)
+    else:
+        # The text path's entries. Rows of JSON numbers go straight to the
+        # conversion. A row holding anything else, or a failed conversion
+        # (an integer too large for a float, a ragged matrix), sends the
+        # rows through _check_entries first, so the first bad entry is
+        # named wherever it lies.
+        rows = weights if isinstance(weights, list) else ()
+        if not all(set(map(type, row)) <= {int, float} for row in rows if isinstance(row, list)):
+            _check_entries(rows)
+        try:
+            w = np.asarray(weights, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            _check_entries(rows)
+            raise SchemaError(f"bad numeric payload: {exc}") from exc
+        if w.ndim != 2:
+            raise SchemaError(f"weights must be a matrix, got ndim {w.ndim}")
+        # a new matrix that nothing else holds: frozen, the instance (and
+        # every with_alpha of it) shares it rather than copying it
+        w.setflags(write=False)
+        instance = Instance(w, alpha)
+        # as in validate, the weights are scanned only when a kept row sum is not finite
+        if not np.isfinite(instance.user_totals()).all() and not np.isfinite(w).all():
+            raise SchemaError("weights must be finite")
+    if len(users) != instance.n_users or len(artists) != instance.n_artists:
         raise SchemaError("id table lengths do not match the weight matrix")
     validate(instance)
     return IngestResult(instance, users, artists)
@@ -412,9 +419,9 @@ def _row_template(m: int) -> np.ndarray:
 
 def _decode_file(path):
     """json.loads of the document's text, read once as bytes: by
-    _decode_layout, or decoded to the text open(path).read() gives (the
-    locale codec, universal newlines, its decode errors) and parsed by the
-    standard decoder."""
+    _decode_layout (its matrix as its nonzeros), or decoded to the text
+    open(path).read() gives (the locale codec, universal newlines, its
+    decode errors) and parsed by the standard decoder."""
     with open(path, "rb") as fh:
         raw = fh.read()
     doc = _decode_layout(raw)
@@ -427,8 +434,9 @@ def _decode_file(path):
 
 
 def _decode_layout(raw: bytes):
-    """The document json.loads reads from the text of ``raw`` when ``raw``
-    is in the layout save_document writes with three-character weights (see
+    """The document json.loads reads from the text of ``raw``, with the
+    weights as the tuple of nonzeros _read_layout gives, when ``raw`` is in
+    the layout save_document writes with three-character weights (see
     _LAYOUT_KEY); None for any other document, which is then decoded as
     text.
 
@@ -464,14 +472,18 @@ def _decode_layout(raw: bytes):
 
 def _read_layout(raw: bytes, start: int):
     """The weights matrix at raw[start] when it runs to the document's end
-    in the layout of _LAYOUT_KEY, as _layout_words writes it, or None.
+    in the layout of _LAYOUT_KEY, as _layout_words writes it, or None. The
+    matrix is given as the arguments of Instance.from_nonzeros but alpha:
+    its shape, then the rows, columns and values of its nonzero entries in
+    row-major order, frozen.
 
     m comes from the first row's length and n from the bytes left. The
     words that differ from the row template, 2-3% of a gen catalog, must be
     entries (not row breaks), each exactly the word _layout_words writes for
     one of the codes of _THREE_CHAR_CODES; every other entry is +0.0. Any
     other spelling of a number ("1e5", "  7", "1e0") leaves the document to
-    the text path. Equal bit for bit to np.array of the JSON matrix.
+    the text path. Densified, equal bit for bit to np.array of the JSON
+    matrix.
     """
     m, odd = divmod(raw.find(b"]", start) - start - 7, 8)
     if odd or m < 1 or raw[start : start + 6] != _LAYOUT_OPEN:
@@ -485,7 +497,7 @@ def _read_layout(raw: bytes, start: int):
     template = _row_template(m)
     # where the words differ from the template, but for the last one
     at = np.flatnonzero(words.reshape(n, m + 1) != template)[:-1]
-    column = at % (m + 1)
+    row, column = np.divmod(at, m + 1)
     # a row break can frame a code too (" ],1.0[\n"), but is no entry
     if (column == m).any():
         return None
@@ -494,6 +506,7 @@ def _read_layout(raw: bytes, start: int):
     index = np.searchsorted(_SORTED_CODES, found ^ frame).clip(max=_SORTED_CODES.size - 1)
     if not np.array_equal(found, frame | _SORTED_CODES[index]):
         return None
-    weights = np.zeros((n, m))
-    weights.ravel()[at - at // (m + 1)] = _CODE_VALUES[index]
-    return weights
+    nonzeros = row, column, _CODE_VALUES[index]
+    for a in nonzeros:  # handed to the instance uncopied
+        a.setflags(write=False)
+    return (n, m), *nonzeros

@@ -173,7 +173,10 @@ def _best_takes(r, counts, values, a_u, total):
     num, den = np.full(r.size, a_u), np.full(r.size, total)  # removing nobody
     best = np.full(r.size, np.inf)
     while True:
-        order = np.argsort(t_g * num[:, None] - s_g * den[:, None], axis=1, kind="stable")
+        # weights past about 1e154 overflow the key; the ratios below are what the search checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            key = t_g * num[:, None] - s_g * den[:, None]
+        order = np.argsort(key, axis=1, kind="stable")
         have = have_g[order]
         take = np.empty_like(have)
         take[rows, order] = np.minimum(np.maximum(want - have.cumsum(axis=1) + have, 0.0), have)
@@ -297,7 +300,9 @@ def _signature_buckets(instance: Instance):
     i, j, v, tau = i[o], j[o], v[o], tau[o]
     m = instance.n_artists
     count = np.bincount(j, minlength=m)
-    key = np.column_stack([count] + [np.bincount(j, x, m) for x in (v, tau, v * tau)])
+    # an overflowed sum (weights above about 1e154) only groups columns, which _joins re-checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        key = np.column_stack([count] + [np.bincount(j, x, m) for x in (v, tau, v * tau)])
     o = np.lexsort(key.T[::-1])  # stable, so each bucket stays ascending
     key = key[o]
     bucket = np.concatenate(([0], (key[1:] != key[:-1]).any(axis=1).cumsum()))

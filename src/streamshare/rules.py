@@ -21,9 +21,13 @@ axis -2 and artists on axis -1, and returns payments of shape (..., m).
 A plain Python callable follows the same contract, ``rule(weights, alpha)
 -> payments``, and is accepted wherever a rule id is.
 :func:`batch_payments` is the one place a rule, id or callable, becomes
-payments: it scores a whole stack in one call, and :func:`evaluate` sends
-a single (n, m) matrix through it, so batched and single-instance payments
-agree bit for bit.
+payments of a dense matrix: it scores a whole stack in one call, and
+:func:`evaluate` sends a single (n, m) matrix through it, so batched and
+single-instance payments agree bit for bit. The one exception is a main
+rule on an instance built from its nonzeros
+(:meth:`~streamshare.core.Instance.from_nonzeros`, as a loaded document
+is): it is paid from the nonzeros, to the same bits, and no dense matrix
+is made.
 """
 
 from __future__ import annotations
@@ -172,20 +176,63 @@ def batch_payments(rule, weights: np.ndarray, alpha: float) -> np.ndarray:
     return np.asarray(rule(weights, alpha), dtype=float)
 
 
+# The main rules on an instance built from its nonzeros (see
+# Instance.from_nonzeros): each dense kernel's per-entry terms at the
+# nonzeros, v, v / S_i, 1 / count_i and v * influence_i / S_i, summed by
+# column as the dense kernel sums them, so the payments are the same bits.
+def _nonzero_global_prop(instance: Instance) -> np.ndarray:
+    col = instance.artist_totals()
+    return col * (instance.alpha * instance.n_users / col.sum())
+
+
+def _nonzero_user_prop(instance: Instance) -> np.ndarray:
+    shares = instance.nonzero_values() / instance.user_totals()[instance.nonzero()[0]]
+    return instance.alpha * instance.column_sums(shares)
+
+
+def _nonzero_user_eq(instance: Instance) -> np.ndarray:
+    rows = instance.nonzero()[0]
+    counts = np.bincount(rows, minlength=instance.n_users)
+    return instance.alpha * instance.column_sums(1.0 / counts[rows])
+
+
+def _nonzero_scaled_user_prop(instance: Instance) -> np.ndarray:
+    totals = instance.user_totals()
+    influence = np.minimum(_gamma(totals, instance.alpha) * totals, 1.0)
+    scale = (influence / totals)[instance.nonzero()[0]]
+    return instance.column_sums(instance.nonzero_values() * scale)
+
+
+_NONZERO_KERNELS = {
+    RuleId.GLOBAL_PROP: _nonzero_global_prop,
+    RuleId.USER_PROP: _nonzero_user_prop,
+    RuleId.USER_EQ: _nonzero_user_eq,
+    RuleId.SCALED_USER_PROP: _nonzero_scaled_user_prop,
+}
+
+
+def _main_payments(rule: RuleId, instance: Instance) -> np.ndarray:
+    """A main rule's payments: from the nonzeros when the instance was
+    built from them, else by the dense kernel through batch_payments."""
+    if instance.nonzero_values() is None:
+        return batch_payments(rule, instance.weights, instance.alpha)
+    return finalize_payments(_NONZERO_KERNELS[rule](instance))
+
+
 def global_prop(instance: Instance) -> np.ndarray:
-    return batch_payments(RuleId.GLOBAL_PROP, instance.weights, instance.alpha)
+    return _main_payments(RuleId.GLOBAL_PROP, instance)
 
 
 def user_prop(instance: Instance) -> np.ndarray:
-    return batch_payments(RuleId.USER_PROP, instance.weights, instance.alpha)
+    return _main_payments(RuleId.USER_PROP, instance)
 
 
 def user_eq(instance: Instance) -> np.ndarray:
-    return batch_payments(RuleId.USER_EQ, instance.weights, instance.alpha)
+    return _main_payments(RuleId.USER_EQ, instance)
 
 
 def scaled_user_prop(instance: Instance) -> np.ndarray:
-    return batch_payments(RuleId.SCALED_USER_PROP, instance.weights, instance.alpha)
+    return _main_payments(RuleId.SCALED_USER_PROP, instance)
 
 
 def evaluate(rule, instance: Instance) -> np.ndarray:

@@ -426,12 +426,15 @@ def test_psp_empty_answer(tmp_path, capsys):
         ([[1e17, 0.0], [1.0, 1.0]], "exact"),
         ([[3e16, 1.0], [1.0, 1.0], [2.0, 0.0]], "exact"),
         ([[1e17, 0.0], [1.0, 1.0]], "greedy"),
+        ([[1e300, 1e300], [1.0, 0.0]], "exact"),
     ],
 )
 def test_psp_refuses_a_total_that_absorbs_a_user(tmp_path, rows, mode):
-    """Removing the big user leaves a total that rounds to 0, so a profit is
-    NaN: psp exits with a numeric failure, neither looping on the NaN ratio
-    nor dropping it as profit 0."""
+    """Removing the big user leaves a total that rounds to 0, or weights
+    past about 1e154 overflow the search's products, so a profit is NaN:
+    psp exits with a numeric failure, neither looping on the NaN ratio nor
+    dropping it as profit 0, and stderr starts with it, no numpy warning
+    printed before."""
     path = _doc(tmp_path, rows)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(streamshare.__file__)))
     proc = subprocess.run(
@@ -442,6 +445,7 @@ def test_psp_refuses_a_total_that_absorbs_a_user(tmp_path, rows, mode):
     assert proc.returncode == 3, proc.stdout
     assert proc.stderr.startswith("numeric failure: psp on "), proc.stderr
     assert "NaN profit for artist set (0,)" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_gen_then_divide_round_trip(tmp_path, capsys):

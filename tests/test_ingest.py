@@ -6,11 +6,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import make
 from streamshare import (
+    MAIN_RULES,
     BadAlphaError,
     CellBudgetError,
     DimensionError,
@@ -23,12 +24,15 @@ from streamshare import (
     TripleRecord,
     ZeroRowError,
     default_ids,
+    evaluate,
     ingest,
     ingest_triples,
     load_document,
+    pps,
     read_triples,
     save_document,
     validate,
+    with_alpha,
 )
 from streamshare import cli
 from streamshare.cli import main
@@ -210,10 +214,18 @@ def test_document_round_trip(tmp_path):
     assert res.artist_ids == ("p", "q")
 
 
+def _densified(nonzeros) -> np.ndarray:
+    """The matrix of the (shape, rows, cols, values) _read_layout returns."""
+    shape, rows, cols, values = nonzeros
+    w = np.zeros(shape)
+    w[rows, cols] = values
+    return w
+
+
 def test_loaded_weights_reach_the_rule_uncopied(tmp_path, monkeypatch):
-    """The matrix load_document builds is frozen, and the instance the CLI
-    divides, at the document's alpha or at the --alpha flag's, holds that
-    same array."""
+    """The nonzeros load_document reads are frozen, and the instance the CLI
+    divides, at the document's alpha or at the --alpha flag's, holds those
+    same arrays, and their matrix as its weights."""
     path = tmp_path / "doc.json"
     save_document(path, make([[3, 1], [0, 1]], alpha=0.7))
     built = []
@@ -221,7 +233,11 @@ def test_loaded_weights_reach_the_rule_uncopied(tmp_path, monkeypatch):
     monkeypatch.setattr(ingest, "_read_layout", lambda r, i: built.append(read(r, i)) or built[-1])
     for flag_alpha in (None, 0.5):
         instance = cli._load_with_alpha(path, flag_alpha)[0]
-        assert instance.weights is built[-1]
+        _, rows, cols, values = built[-1]
+        assert instance.nonzero()[0] is rows and instance.nonzero()[1] is cols
+        assert instance.nonzero_values() is values
+        assert all(not a.flags.writeable for a in (rows, cols, values))
+        assert np.array_equal(instance.weights, _densified(built[-1]))
         assert not instance.weights.flags.writeable and instance.weights.flags.owndata
 
 
@@ -698,6 +714,69 @@ def test_save_then_load_is_bit_identical(tmp_path, kind):
     loaded = load_document(path)
     assert np.array_equal(loaded.instance.weights.view(np.int64), w.view(np.int64))
     assert _outcome(load_document, path) == _outcome(_reference_load, path)
+
+
+@st.composite
+def _layout_matrices(draw):
+    """A matrix save_document writes as the word grid: integer or 0.1-step
+    weights, from one nonzero per row to full rows."""
+    n, m = draw(st.integers(1, 300)), draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    high, scale = draw(st.sampled_from([(10, 1.0), (100, 10.0)]))  # k / 10 renders as "d.d"
+    w = rng.integers(1, high, size=(n, m)) / scale
+    w *= rng.random((n, m)) < draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))
+    w[np.arange(n), rng.integers(0, m, size=n)] = rng.integers(1, high, size=n) / scale
+    return w
+
+
+@given(_layout_matrices(), st.sampled_from([1.0, 0.7]))
+@settings(max_examples=60, deadline=None)
+@example(np.arange(1.0, 8.0).reshape(7, 1), 0.7)  # m == 1: numpy sums the column pairwise
+@example(np.tile([0.1, 0.0, 9.9], (5, 50)), 1.0)  # m > 128: numpy splits each row's sum
+def test_nonzero_built_instance_equals_the_dense_one(tmp_path_factory, w, alpha):
+    """A document loaded from its bytes is held as its nonzeros, and its
+    totals, nonzero view, the main rules' payments (at its alpha and
+    another), pay-per-stream and, last, weights are the bits of the dense
+    instance of json.load's matrix; the weights are frozen and kept."""
+    path = tmp_path_factory.mktemp("nonzeros") / "doc.json"
+    save_document(path, Instance(w, alpha))
+    loaded = load_document(path).instance
+    with open(path) as fh:
+        dense = Instance(np.array(json.load(fh)["weights"]), alpha)
+    validate(dense)
+    assert loaded.nonzero_values() is not None
+    same = lambda a, b: np.array_equal(a, b, equal_nan=True) and a.dtype == b.dtype
+    assert same(loaded.user_totals(), dense.user_totals())
+    assert same(loaded.artist_totals(), dense.artist_totals())
+    assert all(same(a, b) for a, b in zip(loaded.nonzero(), dense.nonzero()))
+    for a, b in ((loaded, dense), (with_alpha(loaded, 0.3), with_alpha(dense, 0.3))):
+        for rule in MAIN_RULES:
+            assert same(evaluate(rule, a), evaluate(rule, b)), rule
+            assert same(pps(rule, a).values, pps(rule, b).values), rule
+    assert loaded._facts.weights is None  # none of the above made the matrix
+    weights = loaded.weights
+    assert same(weights, dense.weights) and not weights.flags.writeable
+    assert loaded.weights is weights and with_alpha(loaded, 0.3).weights is weights
+
+
+@pytest.mark.parametrize("zero_rows", [[0], [3], [1, 4]], ids=str)
+def test_zero_rows_fail_alike_loaded_as_nonzeros_or_dense(tmp_path, monkeypatch, zero_rows):
+    """A document in the word grid layout with all-zero rows, read from its
+    bytes, fails to load with the error validate raises on the dense matrix:
+    the first such row."""
+    w = np.tile([0.5, 0.0, 2.0], (5, 1))
+    w[zero_rows] = 0.0
+    path = tmp_path / "doc.json"
+    doc = {"version": 1, "alpha": 1.0, "user_ids": [f"u{i}" for i in range(5)],
+           "artist_ids": ["a0", "a1", "a2"], "weights": w.tolist()}
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    reads = _record_bytes_reads(monkeypatch)
+    with pytest.raises(ZeroRowError) as loaded:
+        load_document(path)
+    assert reads == [True]
+    with pytest.raises(ZeroRowError) as dense:
+        validate(Instance(w))
+    assert str(loaded.value) == str(dense.value) == f"user {zero_rows[0]} has an all-zero row"
 
 
 def test_generated_documents_load_as_before(tmp_path, monkeypatch):

@@ -82,11 +82,9 @@ def _row_major(n: int, m: int, rows, cols, values) -> bool:
     :meth:`Instance.from_nonzeros` takes them."""
     if not (rows.ndim == 1 and rows.shape == cols.shape == values.shape):
         return False
-    key = rows * m + cols
-    return bool(
-        (values != 0).all() and (cols >= 0).all() and (cols < m).all()
-        and (key[1:] > key[:-1]).all() and (key.size == 0 or 0 <= key[0] and key[-1] < n * m)
-    )
+    in_range = (rows >= 0).all() and (rows < n).all() and (cols >= 0).all() and (cols < m).all()
+    key = rows * m + cols  # cannot overflow once every position is in range
+    return bool(in_range and (values != 0).all() and (key[1:] > key[:-1]).all())
 
 
 # user_totals of an instance built from its nonzeros scatters them into a
@@ -117,7 +115,9 @@ class Instance:
     """A streaming scenario: weights[i, j] is user i's engagement with artist j.
 
     An instance is built from a dense matrix, ``Instance(weights, alpha)``,
-    or from its nonzeros, :meth:`from_nonzeros`. The dense matrix is copied
+    or from its nonzeros, :meth:`from_nonzeros` (or :func:`from_cells`, which
+    takes them in any order, as the package's generators and its SSBVE
+    reduction give them). The dense matrix is copied
     and frozen on construction, except a frozen float64 matrix that owns
     its memory: freezing it hands it over, and it is kept as it is, so
     :func:`with_alpha` and every other instance built on an instance's
@@ -254,6 +254,19 @@ class Instance:
         :meth:`from_nonzeros`, read-only; None for one built from a dense
         matrix."""
         return self._facts.values
+
+
+def from_cells(shape, rows, cols, values, alpha: float = 1.0) -> Instance:
+    """The (n, m) instance whose weight at (rows[k], cols[k]) is values[k]
+    and zero elsewhere, the cells in any order: those whose value is zero
+    are dropped, and the rest are put in row-major order in fresh arrays,
+    which :meth:`Instance.from_nonzeros` holds without a copy and refuses
+    if a position is out of range or given twice."""
+    rows, cols = np.asarray(rows, np.intp), np.asarray(cols, np.intp)
+    values = np.asarray(values, np.float64)
+    kept = np.flatnonzero(values != 0)
+    kept = kept[np.lexsort((cols[kept], rows[kept]))]
+    return Instance.from_nonzeros(shape, *(_frozen(a[kept]) for a in (rows, cols, values)), alpha)
 
 
 def validate(instance: Instance) -> None:

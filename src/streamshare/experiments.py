@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, whole, with_alpha
+from .core import Instance, from_cells, whole, with_alpha
 from .metrics import DegenerateEnvyError, pps, topk_bottomk_means
 from .rules import RuleId, coerce_rule
 
@@ -88,24 +88,30 @@ def gen_synthetic(config: SynthConfig) -> Instance:
 
     A drawn row can come out all zeros (the Poisson can yield 0 for every
     chosen artist); such rows are redrawn from scratch so every user in the
-    result has positive total engagement.
+    result has positive total engagement. The instance is built from the
+    drawn cells (:func:`~streamshare.core.from_cells`), so it is held as its
+    nonzeros and no dense matrix is made until a caller reads its weights.
     """
     rng = np.random.default_rng(config.seed)
     lo, hi = config.artist_count_range
-    w = np.zeros((config.n_users, config.n_artists))
+    counts, cols, streams = [], [], []
     resamples = 0
-    for i in range(config.n_users):
+    for _ in range(config.n_users):
         while True:
             count = int(rng.integers(lo, hi + 1))
             chosen = rng.choice(config.n_artists, size=count, replace=False)
-            streams = rng.poisson(config.stream_lambda, size=count)
-            if streams.sum() > 0:
-                w[i, chosen] = streams
+            drawn = rng.poisson(config.stream_lambda, size=count)
+            if drawn.sum() > 0:
                 break
             resamples += 1
+        counts.append(count)
+        cols.append(chosen)
+        streams.append(drawn)
     if resamples:
         logger.debug("redrew %d all-zero rows for seed %d", resamples, config.seed)
-    return Instance(w, 1.0)
+    rows = np.repeat(np.arange(config.n_users), counts)
+    shape = (config.n_users, config.n_artists)
+    return from_cells(shape, rows, np.concatenate(cols), np.concatenate(streams), 1.0)
 
 
 def _measure(rule, instance: Instance, k: int, baselines: dict):

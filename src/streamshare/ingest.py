@@ -1,11 +1,12 @@
 """Listening-history ingestion and instance serialization.
 
 Input is the minimal triple shape `user, artist, count` (tab or comma
-separated, optional header). Aggregation keys stay sparse until the final
-densification, which refuses to materialize matrices above a cell budget.
-Instances round-trip through a small versioned JSON document that carries
-the id tables alongside the weights. Loading one reads the file once, as
-bytes, and takes one of two paths. A document in the layout save_document
+separated, optional header). Aggregation keys stay sparse throughout: the
+summed cells become the instance (core.from_cells), held as its nonzeros,
+and one whose dense matrix would pass a cell budget is refused. Instances
+round-trip through a small versioned JSON document that carries the id
+tables alongside the weights. Loading one reads the file once, as bytes,
+and takes one of two paths. A document in the layout save_document
 writes, with every weight in three characters as the counts of gen and the
 small integers of reduce-ssbve are, is read from those bytes: only its
 header members are decoded to text (they must be ASCII) and parsed by the
@@ -50,7 +51,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .core import Instance, validate, whole
+from .core import Instance, from_cells, validate, whole
 
 DOCUMENT_VERSION = 1
 DEFAULT_CELL_BUDGET = 50_000_000
@@ -136,7 +137,10 @@ def ingest_triples(
     first appearance in the stream. With top_artists set, only the
     highest-total columns survive (ties keep the earlier artist), and user
     totals are re-derived over the surviving columns before the
-    min_user_total cut. Users must end with positive total.
+    min_user_total cut. Users must end with positive total. The instance is
+    built from the summed cells (:func:`~streamshare.core.from_cells`), so it
+    is held as its nonzeros; cell_budget still bounds its n * m, the cells
+    of the dense matrix a caller may read.
     """
     if top_artists is not None:
         top_artists = whole(top_artists, ValueError, "top_artists")
@@ -164,9 +168,8 @@ def ingest_triples(
     if n * m > cell_budget:
         raise CellBudgetError(f"{n} x {m} cells exceed the budget {cell_budget}")
     live &= keep_u[ui]
-    w = np.zeros((n, m))
-    w[keep_u.cumsum()[ui[live]] - 1, keep_a.cumsum()[ai[live]] - 1] = c[live]
-    instance = Instance(w, alpha)
+    rows, cols = keep_u.cumsum()[ui[live]] - 1, keep_a.cumsum()[ai[live]] - 1
+    instance = from_cells((n, m), rows, cols, c[live], alpha)
     validate(instance)
     return IngestResult(instance, users, artists)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Instance, first_max, index_set, subset_payment, validate, whole
+from .core import Instance, first_max, from_cells, index_set, subset_payment, validate, whole
 from .portioning import SolverFailure
 from .rules import global_prop
 
@@ -478,6 +478,9 @@ def ssbve_reduction(
     per left vertex streaming 1 per incident edge plus a filler column that
     tops every such row up to d + 1, where d is the maximum left degree.
     The coalition budget is delta + 1 and the profit threshold (ell - 1)/d.
+    The instance is built from those nonzeros
+    (:func:`~streamshare.core.from_cells`), so no dense matrix is made until
+    a caller reads its weights.
     """
     ell = whole(ell, ParameterError, "ell", 1, graph.left_count + 1)
     delta = whole(delta, ParameterError, "delta", 0, graph.right_count + 1)
@@ -491,13 +494,13 @@ def ssbve_reduction(
     eps = 0.5 / (d * nu * (d * (delta + 1) + 1))
     t = math.ceil((d + 1) * nu / (alpha * d * eps))
 
-    w = np.zeros((t + nu, t + graph.right_count + 1))
-    w[np.arange(t), np.arange(t)] = alpha * d
-    for u_vertex, v_vertex in graph.edges:
-        w[t + u_vertex, t + v_vertex] = 1.0
-    w[t:, -1] = d + 1 - deg
+    u_vertex, v_vertex = np.array(graph.edges).T
+    m = t + graph.right_count + 1
+    rows = np.concatenate([np.arange(t), t + u_vertex, np.arange(t, t + nu)])
+    cols = np.concatenate([np.arange(t), t + v_vertex, np.full(nu, m - 1)])
+    values = np.concatenate([np.full(t, alpha * d), np.ones(len(graph.edges)), d + 1 - deg])
     return SsbveReduction(
-        instance=Instance(w, alpha),
+        instance=from_cells((t + nu, m), rows, cols, values, alpha),
         k=delta + 1,
         threshold=(ell - 1) / d,
         d=d,

@@ -20,7 +20,7 @@ from streamshare import (
     validate,
     with_alpha,
 )
-from streamshare.core import whole
+from streamshare.core import from_cells, whole
 
 
 def test_instance_basic_shape():
@@ -311,3 +311,64 @@ def test_subset_payment_matches_manual_sum(inst, raw):
     expected = sum(p[a] for a in set(idx))
     got = subset_payment(p, idx)
     assert abs(got - expected) < 1e-12, f"{got} vs {expected} for {idx}"
+
+
+# (2**64 + 2) // 3 rows of width 3 wrap around int64 to flat index 2
+_WRAPPING_ROW = (2**64 + 2) // 3
+
+
+@pytest.mark.parametrize("rows, cols, values", [
+    pytest.param([0, 0], [1, 1], [1.0, 2.0], id="duplicate position"),
+    pytest.param([0], [3], [1.0], id="column past the end"),
+    pytest.param([0], [-1], [1.0], id="negative column"),
+    pytest.param([2], [0], [1.0], id="row past the end"),
+    pytest.param([-1], [2], [1.0], id="negative row"),
+    pytest.param([_WRAPPING_ROW], [0], [1.0], id="row whose flat index wraps into range"),
+    pytest.param([0, 1], [0, 0], [1.0, 0.0], id="zero value"),
+    pytest.param([0], [0], [-0.0], id="negative zero value"),
+    pytest.param([0, 1], [0], [1.0, 2.0], id="unequal lengths"),
+    pytest.param([[0, 1]], [[0, 0]], [[1.0, 2.0]], id="2-D arrays"),
+    pytest.param([1, 0], [0, 0], [1.0, 2.0], id="rows out of order"),
+    pytest.param([0, 0], [2, 1], [1.0, 2.0], id="columns out of order in a row"),
+])
+def test_from_nonzeros_refuses_arrays_that_are_not_row_major_nonzeros(rows, cols, values):
+    with pytest.raises(DimensionError) as info:
+        Instance.from_nonzeros((2, 3), np.array(rows), np.array(cols), np.array(values))
+    assert str(info.value) == (
+        "nonzeros must be 1-D arrays of nonzero values at distinct positions of "
+        "a 2 x 3 matrix, in row-major order"
+    )
+
+
+@st.composite
+def _cells(draw):
+    """An (n, m) shape and distinct positions in it, shuffled, with values
+    that include zeros of both signs."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    at = draw(st.lists(st.integers(0, n * m - 1), unique=True, max_size=n * m))
+    values = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300, 7e300]),
+                           min_size=len(at), max_size=len(at)))
+    rows, cols = np.divmod(np.array(at, dtype=np.intp), m)
+    return (n, m), rows, cols, np.array(values)
+
+
+@given(_cells(), st.sampled_from([1.0, 0.3]))
+@settings(max_examples=80, deadline=None)
+def test_from_cells_is_the_scatter_of_its_nonzero_cells(cells, alpha):
+    """The cells, in any order, become the instance of their scatter into
+    zeros, held as its nonzeros without a dense matrix; a zero of either
+    sign is dropped, so its weight reads +0.0."""
+    shape, rows, cols, values = cells
+    want = np.zeros(shape)
+    want[rows, cols] = values
+    want += 0.0
+    inst = from_cells(shape, rows, cols, values, alpha)
+    assert inst.alpha == alpha and inst._facts.weights is None
+    for got, ref in zip(inst.nonzero(), np.nonzero(want)):
+        assert np.array_equal(got, ref)
+    assert inst.weights.dtype == want.dtype and inst.weights.tobytes() == want.tobytes()
+
+
+def test_from_cells_refuses_a_position_given_twice():
+    with pytest.raises(DimensionError):
+        from_cells((2, 2), [1, 0, 1], [0, 1, 0], [1.0, 2.0, 3.0])

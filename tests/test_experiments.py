@@ -85,6 +85,40 @@ def test_gen_synthetic_respects_follow_range():
     assert follows.min() >= 1
 
 
+def _dense_gen(config):
+    """The listener model drawn into a dense matrix row by row, from the
+    same generator calls: the reference for gen_synthetic's instance."""
+    rng = np.random.default_rng(config.seed)
+    lo, hi = config.artist_count_range
+    w = np.zeros((config.n_users, config.n_artists))
+    for i in range(config.n_users):
+        while True:
+            count = int(rng.integers(lo, hi + 1))
+            chosen = rng.choice(config.n_artists, size=count, replace=False)
+            streams = rng.poisson(config.stream_lambda, size=count)
+            if streams.sum() > 0:
+                w[i, chosen] = streams
+                break
+    return w
+
+
+@pytest.mark.parametrize("users, artists", [(1, 1), (9, 1), (30, 4), (200, 20)])
+@pytest.mark.parametrize("stream_lambda", [0.2, 1.0, 6.0])
+@pytest.mark.parametrize("follow", ["default", "one", "all", "one to all"])
+def test_gen_synthetic_holds_a_dense_draw_as_its_nonzeros(users, artists, stream_lambda, follow):
+    """The instance holds no dense matrix: its nonzero view is that of the
+    matrix the same draws fill (at lambda 0.2 most chosen artists draw 0
+    streams), which its weights become on the first read."""
+    span = {"default": None, "one": (1, 1), "all": (artists, artists), "one to all": (1, artists)}
+    config = SynthConfig(users, artists, span[follow], stream_lambda, seed=users + artists)
+    inst, want = gen_synthetic(config), _dense_gen(config)
+    assert inst._facts.weights is None
+    for got, ref in zip(inst.nonzero(), np.nonzero(want)):
+        assert np.array_equal(got, ref)
+    assert inst._facts.weights is None
+    assert inst.weights.dtype == want.dtype and np.array_equal(inst.weights, want)
+
+
 def test_alpha_sweep_rows_and_linearity():
     inst = gen_synthetic(_small())
     rules = ["userprop", "usereq", "scaledup"]

@@ -197,6 +197,26 @@ def test_ingest_matches_a_dense_aggregation(case):
         assert (res.user_ids, res.artist_ids, res.instance.weights.tobytes()) == want
 
 
+@given(_triples())
+@settings(max_examples=200, deadline=None)
+def test_ingest_holds_the_dense_aggregation_as_its_nonzeros(case):
+    """The ingested instance holds no dense matrix: its nonzero view is that
+    of _dense_ingest's matrix, which its weights become on the first read."""
+    records, least, top, budget = case
+    want = _dense_ingest(records, least, top, budget)
+    try:
+        instance = ingest_triples(iter(records), min_user_total=least, top_artists=top,
+                                  cell_budget=budget).instance
+    except (EmptyAfterFilterError, CellBudgetError):
+        return
+    w = np.frombuffer(want[2]).reshape(len(want[0]), len(want[1]))
+    assert instance._facts.weights is None
+    for got, ref in zip(instance.nonzero(), np.nonzero(w)):
+        assert np.array_equal(got, ref)
+    assert instance._facts.weights is None
+    assert instance.weights.dtype == w.dtype and np.array_equal(instance.weights, w)
+
+
 def test_default_ids():
     users, artists = default_ids(make([[1, 2], [3, 4], [5, 6]]))
     assert users == ("u0", "u1", "u2")

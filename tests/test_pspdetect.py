@@ -883,6 +883,57 @@ def test_reduction_structure_on_the_path():
     assert inst.weights[red.t, -1] == 1.0 and inst.weights[red.t + 1, -1] == 2.0
 
 
+def _dense_reduction(graph, red, alpha):
+    """The reduction's matrix filled densely: alpha*d on the dummies'
+    diagonal, 1 per edge, and the filler column topping each left vertex's
+    row up to d + 1."""
+    t, deg = red.t, graph.left_degrees()
+    w = np.zeros((t + graph.left_count, t + graph.right_count + 1))
+    w[np.arange(t), np.arange(t)] = alpha * red.d
+    for u, v in graph.edges:
+        w[t + u, t + v] = 1.0
+    w[t:, -1] = red.d + 1 - deg
+    return w
+
+
+def _reduction_graphs():
+    """Every graph with at most six vertex pairs (up to 2x3, 3x2, 1x4 and
+    4x1), the complete 3x3 graph, and a seeded sample of 3x3 and 4x4 graphs
+    of left degree at most 3 (so no matrix passes 3,000 rows)."""
+    for n_left, n_right in itertools.product(range(1, 5), repeat=2):
+        cells = list(itertools.product(range(n_left), range(n_right)))
+        if len(cells) <= 6:
+            for bits in range(1, 1 << len(cells)):
+                edges = tuple(c for i, c in enumerate(cells) if bits >> i & 1)
+                yield BipartiteGraph(n_left, n_right, edges)
+    yield BipartiteGraph(3, 3, tuple(itertools.product(range(3), repeat=2)))
+    rng = np.random.default_rng(37)
+    for side, count in ((3, 12), (4, 8)):
+        for _ in range(count):
+            edges = ()
+            while not edges:
+                picks = [rng.choice(side, size=int(rng.integers(0, 4)), replace=False)
+                         for _ in range(side)]
+                edges = tuple((u, int(v)) for u, vs in enumerate(picks) for v in vs)
+            yield BipartiteGraph(side, side, edges)
+
+
+def test_reduction_holds_the_dense_fill_as_its_nonzeros():
+    """At every delta and at alpha 1.0 and 0.7, the reduction holds no dense
+    matrix: its nonzero view is that of the dense fill, which its weights
+    become on the first read."""
+    for graph in _reduction_graphs():
+        for delta, alpha in itertools.product(range(graph.right_count + 1), (1.0, 0.7)):
+            red = ssbve_reduction(graph, 1, delta, alpha)
+            want = _dense_reduction(graph, red, alpha)
+            inst = red.instance
+            assert red.d == graph.left_degrees().max() and inst._facts.weights is None
+            for got, ref in zip(inst.nonzero(), np.nonzero(want)):
+                assert np.array_equal(got, ref), (graph.edges, delta, alpha)
+            assert inst._facts.weights is None
+            assert inst.weights.dtype == want.dtype and np.array_equal(inst.weights, want)
+
+
 def test_reduction_guards():
     g = _path_graph()
     with pytest.raises(ParameterError):
